@@ -233,10 +233,6 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
-    def enumerate_elements(self) -> list[int]:
-        """All elements in ascending packed-integer order, starting at 0."""
-        return list(range(self.q))
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coefficients of a, constant term first."""
         self.check_element(a)
@@ -249,7 +245,7 @@ class FieldSpec:
         return _pack(coeffs, self.p)
 
     def check_element(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of {self!r}")
         return a
 
@@ -266,6 +262,8 @@ class FieldSpec:
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
         return (self.p, self.k, self.involution) == (

@@ -96,11 +96,6 @@ def standard_form(field: FieldSpec, n: int) -> SesquilinearForm:
     return SesquilinearForm(field, n)
 
 
-def beta_eval(field: FieldSpec, n: int, x, y) -> int:
-    """Evaluate the standard form; convenience wrapper."""
-    return standard_form(field, n).evaluate(x, y)
-
-
 def block_isotropy_criterion(p: SubspacePoint) -> bool:
     """The block form of isotropy: A * B^Sigma = B * A^Sigma."""
     a, b = p.blocks()

@@ -5,6 +5,13 @@ K^d are stored by their reduced row echelon basis, which is a canonical
 form: two subspaces are equal exactly when their stored bases are equal.
 Zero-row and zero-column matrices are permitted throughout; the block
 constructions in the isotropic-subspace algorithms rely on them.
+
+Validation happens once, at the boundary: the public constructor,
+``from_json``, ``map_entries``, ``scale``, ``row_vector`` and
+``Subspace.from_rows`` check shapes and entries.  Internal paths trust
+their inputs: arithmetic, reshaping, elimination and the enumerations
+build their results with ``Matrix._of``, which skips the checks.
+Hashes are computed on first use.
 """
 
 from __future__ import annotations
@@ -12,6 +19,11 @@ from __future__ import annotations
 import itertools
 
 from .fields import FieldSpec
+
+# Zero and identity matrices, built once per (field, shape) through the
+# validating constructor.  Matrices are immutable, so callers share them.
+_ZEROS: dict = {}
+_IDENTITIES: dict = {}
 
 
 class Matrix:
@@ -25,35 +37,60 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, entries, *, cols: int | None = None):
         ents = tuple(tuple(row) for row in entries)
-        rows = len(ents)
-        if rows:
-            cols = len(ents[0])
-            if any(len(row) != cols for row in ents):
+        if ents:
+            width = len(ents[0])
+            if any(len(row) != width for row in ents):
                 raise ValueError("ragged rows")
+            if cols is not None and cols != width:
+                raise ValueError(f"rows have {width} entries but cols is {cols}")
+            cols = width
         elif cols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
+        elif cols < 0:
+            raise ValueError(f"column count {cols} is negative")
         q = field.q
         for row in ents:
             for x in row:
-                if not isinstance(x, int) or not 0 <= x < q:
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
                     raise ValueError(f"{x!r} is not an element of {field!r}")
         self.field = field
-        self.rows = rows
+        self.rows = len(ents)
         self.cols = cols
         self.entries = ents
-        self._hash = hash((field, rows, cols, ents))
+        self._hash = None
+
+    @classmethod
+    def _of(cls, field: FieldSpec, entries: tuple, cols: int) -> "Matrix":
+        """Trusting constructor: entries is a tuple of cols-long tuples of elements."""
+        self = object.__new__(cls)
+        self.field = field
+        self.rows = len(entries)
+        self.cols = cols
+        self.entries = entries
+        self._hash = None
+        return self
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, ((0,) * cols,) * rows, cols=cols)
+        key = (field, rows, cols)
+        m = _ZEROS.get(key)
+        if m is None:
+            m = _ZEROS[key] = cls(field, ((0,) * cols,) * rows, cols=cols)
+        return m
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(
-            field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), cols=n
-        )
+        key = (field, n)
+        m = _IDENTITIES.get(key)
+        if m is None:
+            m = _IDENTITIES[key] = cls(
+                field,
+                tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                cols=n,
+            )
+        return m
 
     @classmethod
     def row_vector(cls, field: FieldSpec, vec) -> "Matrix":
@@ -86,15 +123,16 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
-            self._hash == other._hash
-            and self.field == other.field
-            and self.rows == other.rows
+            self.entries == other.entries
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.field == other.field
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.field, self.rows, self.cols, self.entries))
+        return h
 
     def __repr__(self) -> str:
         body = ", ".join(str(list(row)) for row in self.entries)
@@ -113,13 +151,13 @@ class Matrix:
             return NotImplemented
         self._same_shape(other)
         add = self.field._add
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(
                 tuple(add[x][y] for x, y in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             ),
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other):
@@ -127,21 +165,21 @@ class Matrix:
             return NotImplemented
         self._same_shape(other)
         sub = self.field._sub
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(
                 tuple(sub[x][y] for x, y in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             ),
-            cols=self.cols,
+            self.cols,
         )
 
     def __neg__(self):
         neg = self.field._neg
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(tuple(neg[x] for x in row) for row in self.entries),
-            cols=self.cols,
+            self.cols,
         )
 
     def __mul__(self, other):
@@ -154,38 +192,38 @@ class Matrix:
         add = self.field._add
         mul = self.field._mul
         ocols = other.cols
-        oent = other.entries
+        span = range(ocols)
         out = []
         for row in self.entries:
-            new = []
-            for j in range(ocols):
-                acc = 0
-                for x, orow in zip(row, oent):
-                    if x:
-                        acc = add[acc][mul[x][orow[j]]]
-                new.append(acc)
+            new = [0] * ocols
+            for x, orow in zip(row, other.entries):
+                if x:
+                    mx = mul[x]
+                    for j in span:
+                        y = orow[j]
+                        if y:
+                            new[j] = add[new[j]][mx[y]]
             out.append(tuple(new))
-        return Matrix(self.field, out, cols=ocols)
+        return Matrix._of(self.field, tuple(out), ocols)
 
     def scale(self, c: int) -> "Matrix":
-        self.field.check_element(c)
-        mul = self.field._mul
-        return Matrix(
+        mc = self.field._mul[self.field.check_element(c)]
+        return Matrix._of(
             self.field,
-            tuple(tuple(mul[c][x] for x in row) for row in self.entries),
-            cols=self.cols,
+            tuple(tuple(mc[x] for x in row) for row in self.entries),
+            self.cols,
         )
 
     # -- shape manipulation ------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(
                 tuple(self.entries[i][j] for i in range(self.rows))
                 for j in range(self.cols)
             ),
-            cols=self.rows,
+            self.rows,
         )
 
     def map_entries(self, fn) -> "Matrix":
@@ -198,37 +236,37 @@ class Matrix:
     def sigma_transpose(self) -> "Matrix":
         """Transpose with the field involution applied entrywise."""
         sig = self.field._sigma
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(
                 tuple(sig[self.entries[i][j]] for i in range(self.rows))
                 for j in range(self.cols)
             ),
-            cols=self.rows,
+            self.rows,
         )
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.rows != other.rows:
             raise ValueError("hstack needs matching fields and row counts")
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
-            cols=self.cols + other.cols,
+            self.cols + other.cols,
         )
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.cols != other.cols:
             raise ValueError("vstack needs matching fields and column counts")
-        return Matrix(self.field, self.entries + other.entries, cols=self.cols)
+        return Matrix._of(self.field, self.entries + other.entries, self.cols)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """The submatrix with rows r0..r1-1 and columns c0..c1-1."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValueError("block out of range")
-        return Matrix(
+        return Matrix._of(
             self.field,
             tuple(row[c0:c1] for row in self.entries[r0:r1]),
-            cols=c1 - c0,
+            c1 - c0,
         )
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -241,13 +279,13 @@ class Matrix:
         work = [list(row) for row in self.entries]
         pivots = _row_reduce(self.field, work, self.cols)
         return (
-            Matrix(self.field, (tuple(r) for r in work), cols=self.cols),
+            Matrix._of(self.field, tuple(tuple(r) for r in work), self.cols),
             len(pivots),
         )
 
     def rank(self) -> int:
         work = [list(row) for row in self.entries]
-        return len(_row_reduce(self.field, work, self.cols))
+        return len(_row_reduce(self.field, work, self.cols, below_only=True))
 
     def inverse(self) -> "Matrix":
         """Inverse via Gauss-Jordan on the identity-augmented matrix.
@@ -267,7 +305,7 @@ class Matrix:
         pivots = _row_reduce(self.field, work, 2 * n)
         if pivots != list(range(n)):
             raise ValueError("matrix is not invertible")
-        return Matrix(self.field, (tuple(r[n:]) for r in work), cols=n)
+        return Matrix._of(self.field, tuple(tuple(r[n:]) for r in work), n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -320,8 +358,15 @@ class Matrix:
         return cls(field, parsed, cols=cols)
 
 
-def _row_reduce(field: FieldSpec, work: list[list[int]], cols: int) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
+def _row_reduce(
+    field: FieldSpec, work: list[list[int]], cols: int, below_only: bool = False
+) -> list[int]:
+    """In-place Gauss-Jordan elimination; returns the pivot column list.
+
+    The result is the reduced row echelon form.  With below_only, rows
+    above each pivot are left alone, which leaves a row echelon form
+    with the same pivots at less cost; rank needs only that.
+    """
     add = field._add
     mul = field._mul
     neg = field._neg
@@ -332,19 +377,21 @@ def _row_reduce(field: FieldSpec, work: list[list[int]], cols: int) -> list[int]
     for c in range(cols):
         if r == nrows:
             break
-        src = next((i for i in range(r, nrows) if work[i][c]), None)
-        if src is None:
+        for src in range(r, nrows):
+            if work[src][c]:
+                break
+        else:
             continue
         work[r], work[src] = work[src], work[r]
         row = work[r]
         if row[c] != 1:
-            s = inv[row[c]]
-            work[r] = row = [mul[s][x] for x in row]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = neg[work[i][c]]
-                cur = work[i]
-                work[i] = [add[x][mul[f][y]] for x, y in zip(cur, row)]
+            ms = mul[inv[row[c]]]
+            work[r] = row = [ms[x] for x in row]
+        for i in range(r + 1 if below_only else 0, nrows):
+            cur = work[i]
+            if i != r and cur[c]:
+                mf = mul[neg[cur[c]]]
+                work[i] = [add[x][mf[y]] for x, y in zip(cur, row)]
         pivots.append(c)
         r += 1
     return pivots
@@ -419,10 +466,10 @@ class Subspace:
         work = [list(row) + list(row) for row in self.basis.entries]
         work += [list(row) + [0] * d for row in other.basis.entries]
         _row_reduce(self.field, work, 2 * d)
-        rows = [
+        rows = tuple(
             tuple(r[d:]) for r in work if not any(r[:d]) and any(r[d:])
-        ]
-        return Subspace.from_rows(self.field, d, rows)
+        )
+        return Subspace(Matrix._of(self.field, rows, d))
 
     def contains_vector(self, vec) -> bool:
         vec = tuple(vec)
@@ -494,16 +541,16 @@ def nullspace(m: Matrix) -> Subspace:
         for i, pc in enumerate(pivots):
             vec[pc] = neg[reduced.entries[i][f]]
         rows.append(tuple(vec))
-    return Subspace.from_rows(m.field, m.cols, rows)
+    return Subspace(Matrix._of(m.field, tuple(rows), m.cols))
 
 
 def all_matrices(field: FieldSpec, rows: int, cols: int):
     """All rows x cols matrices, in lexicographic row-major entry order."""
     for values in itertools.product(field.elements(), repeat=rows * cols):
-        yield Matrix(
+        yield Matrix._of(
             field,
             tuple(values[i * cols : (i + 1) * cols] for i in range(rows)),
-            cols=cols,
+            cols,
         )
 
 
@@ -515,10 +562,9 @@ def all_vectors(field: FieldSpec, length: int):
 def outer_product(field: FieldSpec, u, v) -> Matrix:
     """The matrix (u_i * v_j) for two coefficient tuples."""
     mul = field._mul
-    u = tuple(u)
     v = tuple(v)
-    return Matrix(
-        field, tuple(tuple(mul[x][y] for y in v) for x in u), cols=len(v)
+    return Matrix._of(
+        field, tuple(tuple(mul[x][y] for y in v) for x in u), len(v)
     )
 
 
@@ -549,5 +595,5 @@ def enumerate_subspaces(field: FieldSpec, ambient_dim: int, dim: int):
             for (r, c), v in zip(slots, values):
                 template[r][c] = v
             yield Subspace._from_canonical(
-                Matrix(field, (tuple(row) for row in template), cols=ambient_dim)
+                Matrix._of(field, tuple(tuple(row) for row in template), ambient_dim)
             )

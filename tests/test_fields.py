@@ -135,6 +135,8 @@ def test_check_element(f2):
         f2.check_element(2)
     with pytest.raises(ValueError):
         f2.check_element(-1)
+    with pytest.raises(ValueError):
+        f2.check_element(True)
 
 
 def test_make_field_validation():

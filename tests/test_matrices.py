@@ -24,8 +24,29 @@ def test_constructor_validation(f2):
         Matrix(f2, [[0, 2]])
     with pytest.raises(ValueError):
         Matrix(f2, [])
+    with pytest.raises(ValueError):
+        Matrix(f2, [[0, 1]], cols=3)
+    with pytest.raises(ValueError):
+        Matrix(f2, [], cols=-2)
+    with pytest.raises(ValueError):
+        Matrix(f2, [[True, 0]])
     empty = Matrix(f2, [], cols=3)
     assert empty.rows == 0 and empty.cols == 3
+    assert Matrix(f2, [[0, 1]], cols=2).cols == 2
+
+
+def test_public_boundary_validation(f3):
+    m = Matrix(f3, [[1, 2], [0, 1]])
+    with pytest.raises(ValueError):
+        Matrix.from_json(f3, {"rows": 1, "cols": 2, "entries": [["0", "3"]]})
+    with pytest.raises(ValueError):
+        m.map_entries(lambda x: f3.q)
+    with pytest.raises(ValueError):
+        m.scale(f3.q)
+    with pytest.raises(ValueError):
+        Subspace.from_rows(f3, 2, [(1, 3)])
+    with pytest.raises(ValueError):
+        Matrix.row_vector(f3, (0, -1))
 
 
 def test_basic_arithmetic(f3):
@@ -65,6 +86,14 @@ def test_algebra_laws_property(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b).transpose() == a.transpose() + b.transpose()
+    # Results of the trusted internal constructor must equal and hash like
+    # the same matrix built by the validating one: dict lookups rely on it.
+    built = [a * b, (a * b).rref()[0], Matrix.identity(a.field, 2), -c]
+    if a.is_invertible():
+        built.append(a.inverse())
+    for m in built:
+        public = Matrix(m.field, m.entries, cols=m.cols)
+        assert m == public and hash(m) == hash(public)
 
 
 @given(gf4_matrix(2, 3), gf4_matrix(3, 2))
@@ -106,6 +135,21 @@ def test_rref_and_rank(f2):
     assert m.rank() == 2
     assert Matrix.zeros(f2, 2, 3).rank() == 0
     assert Matrix.identity(f2, 3).rank() == 3
+
+
+@pytest.mark.parametrize(
+    "p,rows,cols",
+    [(2, 2, 4), (2, 3, 3), (3, 2, 4), (2, 0, 3), (2, 3, 0), (3, 0, 0)],
+)
+def test_rank_matches_rref_exhaustive(p, rows, cols):
+    """rank() eliminates below pivots only; rref's rank is the oracle."""
+    for m in all_matrices(make_field(p), rows, cols):
+        assert m.rank() == m.rref()[1]
+
+
+@given(gf4_matrix(3, 5))
+def test_rank_matches_rref_property(m):
+    assert m.rank() == m.rref()[1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
