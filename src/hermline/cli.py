@@ -22,6 +22,7 @@ from .harness import (
     BudgetExceededError,
     GeometryConfig,
     build_graph,
+    ensure_within_budget,
     enumerate_grassmannian,
     graph_report,
     report_to_json,
@@ -173,9 +174,6 @@ def _cmd_enumerate(cfg: GeometryConfig, args) -> int:
 
 def _cmd_isotropic(cfg: GeometryConfig, args) -> int:
     _require_json(args)
-    from .harness import ensure_within_budget
-
-    ensure_within_budget(cfg)
     points = enumerate_isotropic(cfg.field(), cfg.n)
     _emit(report_to_json(_point_list_report(cfg, "isotropic", points)), args.out)
     return 0
@@ -255,6 +253,10 @@ def _cmd_jordan_check(cfg: GeometryConfig, args) -> int:
     return 0 if report["passed"] else 1
 
 
+# The subcommands that enumerate points; their budget is checked before
+# any field table is built.
+_ENUMERATING = ("enumerate", "isotropic", "verify-theorem1", "verify-remarks", "graph")
+
 _COMMANDS = {
     "enumerate": _cmd_enumerate,
     "isotropic": _cmd_isotropic,
@@ -282,6 +284,8 @@ def main(argv=None) -> int:
             n=args.n,
             budget=args.budget,
         )
+        if args.command in _ENUMERATING:
+            ensure_within_budget(cfg)
         cfg.field()
         return _COMMANDS[args.command](cfg, args)
     except BudgetExceededError as exc:

@@ -286,13 +286,14 @@ def _make_field(p: int, k: int, involution: str) -> FieldSpec:
     return FieldSpec(p, k, involution)
 
 
-def make_field(p: int, k: int = 1, involution: str = IDENTITY) -> FieldSpec:
-    """Construct (or fetch from cache) the field GF(p^k) with involution.
+def check_field_parameters(p: int, k: int, involution: str) -> str:
+    """The checks of make_field that cost O(1); returns the involution kind.
 
-    Raises ValueError for non-prime p, k < 1, an unknown involution
-    name, or the frobenius involution on a field of odd degree.
+    Raises ValueError for p < 2, k < 1, an unknown involution name, or
+    the frobenius involution on a field of odd degree.  Primality is
+    left to make_field: trial division costs O(sqrt p).
     """
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be prime, got {p!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -301,4 +302,16 @@ def make_field(p: int, k: int = 1, involution: str = IDENTITY) -> FieldSpec:
         raise ValueError(f"unknown involution {involution!r}")
     if kind == FROBENIUS and k % 2:
         raise ValueError("the frobenius involution needs even extension degree k")
+    return kind
+
+
+def make_field(p: int, k: int = 1, involution: str = IDENTITY) -> FieldSpec:
+    """Construct (or fetch from cache) the field GF(p^k) with involution.
+
+    Raises ValueError for non-prime p and for the parameters that
+    :func:`check_field_parameters` rejects.
+    """
+    kind = check_field_parameters(p, k, involution)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
     return _make_field(p, k, kind)

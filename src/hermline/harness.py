@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import random
-from collections import deque
 
-from .fields import FieldSpec, make_field
+from .fields import FieldSpec, check_field_parameters, make_field
 from .hermitian import (
     enumerate_isotropic,
     hermitian_adjacent_star,
@@ -68,6 +68,7 @@ class GeometryConfig:
             raise ValueError("the geometry needs n >= 2")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        check_field_parameters(self.p, self.k, self.involution)
 
     def field(self) -> FieldSpec:
         return make_field(self.p, self.k, self.involution)
@@ -98,15 +99,27 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
 
 
 def predicted_point_count(cfg: GeometryConfig) -> int:
-    return gaussian_binomial(2 * cfg.n, cfg.n, cfg.field().q)
+    """The point count [2n,n]_q, q = p^k, from p, k and n alone.
+
+    No field is built.  The count is at least q^(n*n) = p^(k*n*n), so
+    the power is formed one factor of p at a time and, once it passes
+    the budget, returned as a lower bound instead: a huge k or n then
+    costs at most log2(budget) + 1 multiplications.
+    """
+    bound = 1
+    for _ in range(cfg.k * cfg.n * cfg.n):
+        bound *= cfg.p
+        if bound > cfg.budget:
+            return bound
+    return gaussian_binomial(2 * cfg.n, cfg.n, cfg.p**cfg.k)
 
 
 def ensure_within_budget(cfg: GeometryConfig) -> None:
     predicted = predicted_point_count(cfg)
     if predicted > cfg.budget:
         raise BudgetExceededError(
-            f"predicted point count {predicted} exceeds the budget {cfg.budget}; "
-            "raise --budget to force the enumeration"
+            f"predicted point count of at least {predicted} exceeds the budget "
+            f"{cfg.budget}; raise --budget to force the enumeration"
         )
 
 
@@ -161,13 +174,9 @@ def pair_point_table(field: FieldSpec, n: int):
 @functools.lru_cache(maxsize=4)
 def adjacency_pairs(field: FieldSpec, n: int) -> frozenset:
     """All unordered id pairs of adjacent points, ids in enumeration order."""
-    points = enumerate_points(field, n)
-    out = set()
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if is_adjacent(points[i], points[j]):
-                out.add((i, j))
-    return frozenset(out)
+    return frozenset(
+        _relation_edges(field, n, enumerate_points(field, n), "adjacency")
+    )
 
 
 def _pair_space_size(field: FieldSpec, n: int) -> int:
@@ -247,6 +256,87 @@ def verify_theorem1(cfg: GeometryConfig) -> dict:
 # -- graphs -------------------------------------------------------------------
 
 
+def _normalised_vectors(field: FieldSpec, length: int):
+    """Every vector of K^length whose first nonzero entry is 1, one per line."""
+    for lead in range(length):
+        for tail in itertools.product(field.elements(), repeat=length - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def _line_masks(field: FieldSpec, n: int, points) -> list[int]:
+    """For each point, the bitmask of the lines (1-spaces) it contains.
+
+    Bit t stands for the t-th line of K^(2n), so a mask has [2n,1]_q bits.
+    The lines of a point are the spans of sum(c_i * b_i) over its RREF
+    rows b_i and the coefficient vectors c whose first nonzero entry is 1.
+    Each such sum is already the normalised representative of its line.
+    Let i0 be the first row with c_i0 != 0.  Rows after i0 are zero up
+    to and including row i0's pivot column, and row i0 is zero before it
+    and 1 at it, so the first nonzero entry of the sum is c_i0 = 1, at
+    row i0's pivot.
+    """
+    line_id = {v: t for t, v in enumerate(_normalised_vectors(field, 2 * n))}
+    coefficients = list(_normalised_vectors(field, n))
+    add, mul = field._add, field._mul
+    masks = []
+    for point in points:
+        rows = point.space.basis.entries
+        mask = 0
+        for coeffs in coefficients:
+            vec = (0,) * (2 * n)
+            for c, row in zip(coeffs, rows):
+                if c:
+                    mc = mul[c]
+                    vec = tuple(add[x][mc[y]] for x, y in zip(vec, row))
+            mask |= 1 << line_id[vec]
+        masks.append(mask)
+    return masks
+
+
+def _relation_edges(field: FieldSpec, n: int, points, kind: str) -> list:
+    """The pairs (i, j), i < j in lexicographic order, of related points.
+
+    Two n-spaces meet in dimension d exactly when they share
+    (q^d - 1)/(q - 1) lines: distant points meet in 0 and adjacent ones
+    in an (n-1)-space, so one popcount per pair decides the relation.
+    """
+    q = field.q
+    shared = 0 if kind == "distant" else (q ** (n - 1) - 1) // (q - 1)
+    masks = _line_masks(field, n, points)
+    edges = []
+    for i, mi in enumerate(masks):
+        edges.extend(
+            (i, j)
+            for j in range(i + 1, len(masks))
+            if (mi & masks[j]).bit_count() == shared
+        )
+    return edges
+
+
+def _members(mask: int):
+    """The indices of the set bits of mask, in increasing order."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
+def _bfs_levels(adj: list[int], start: int):
+    """Yield the BFS levels around start as bitmasks, nearest first."""
+    everyone = (1 << len(adj)) - 1
+    seen = level = 1 << start
+    while level:
+        yield level
+        if seen == everyone:
+            return
+        reached = 0
+        for u in _members(level):
+            reached |= adj[u]
+        level = reached & ~seen
+        seen |= level
+
+
 @dataclasses.dataclass
 class RelationGraph:
     """A relation graph over enumerated points; node ids are point ids."""
@@ -264,36 +354,34 @@ class RelationGraph:
             degrees[j] += 1
         return degrees
 
-    def _neighbours(self) -> list[list[int]]:
-        adj = [[] for _ in self.node_ids]
+    def _neighbour_masks(self) -> list[int]:
+        adj = [0] * len(self.node_ids)
         for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         return adj
 
     def bfs_distances(self, start: int) -> list[int | None]:
-        adj = self._neighbours()
         dist: list[int | None] = [None] * len(self.node_ids)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] is None:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        for d, level in enumerate(_bfs_levels(self._neighbour_masks(), start)):
+            for u in _members(level):
+                dist[u] = d
         return dist
 
     def diameter(self) -> int | None:
         """Longest shortest path; None when the graph is disconnected."""
         if len(self.node_ids) <= 1:
             return 0
+        adj = self._neighbour_masks()
+        everyone = (1 << len(self.node_ids)) - 1
         best = 0
         for start in self.node_ids:
-            dist = self.bfs_distances(start)
-            if any(d is None for d in dist):
+            reached = 0
+            for d, level in enumerate(_bfs_levels(adj, start)):
+                reached |= level
+            if reached != everyone:
                 return None
-            best = max(best, max(dist))
+            best = max(best, d)
         return best
 
     def to_dot(self) -> str:
@@ -326,18 +414,11 @@ def build_graph(
         points = enumerate_points(field, cfg.n)
     else:
         points = enumerate_isotropic(field, cfg.n)
-    rel = is_distant if kind == "distant" else is_adjacent
-    edges = [
-        (i, j)
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-        if rel(points[i], points[j])
-    ]
     return RelationGraph(
         kind=kind,
         point_set=point_set,
         node_ids=list(range(len(points))),
-        edges=edges,
+        edges=_relation_edges(field, cfg.n, points, kind),
         points=points,
     )
 

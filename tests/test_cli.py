@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hermline import fields
 from hermline.cli import main
 
 IDENTITY_2 = '{"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}'
@@ -38,6 +39,25 @@ def test_budget_flag_override(capsys):
     assert "budget" in err
     code, out, err = run(capsys, "enumerate", "--p", "2", "--budget", "35")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command", ["enumerate", "isotropic", "verify-theorem1", "verify-remarks", "graph"]
+)
+def test_budget_checked_before_field_tables(command, capsys, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("field tables built before the budget check")
+
+    monkeypatch.setattr(fields, "FieldSpec", no_tables)
+    for argv in (
+        ["--p", "1000003", "--budget", "10"],
+        ["--p", "2", "--k", str(10**18)],
+        ["--p", "3", "--n", str(10**9)],
+    ):
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
 
 def test_enumerate_points_listing(capsys):

@@ -1,0 +1,258 @@
+"""The relation and graph layer: golden outputs and independent references.
+
+Relations are decided by counting shared lines (``_relation_edges``) and
+distances by level-set BFS over neighbour bitmasks.  These tests pin the
+CLI output, compare the edges with the rank tests of ``projline`` and the
+BFS with a plain queue, and check the sphere sizes against the closed
+forms of Brouwer, Cohen & Neumaier, *Distance-Regular Graphs*, 9.3-9.4.
+"""
+
+import hashlib
+from collections import deque
+from math import isqrt
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from hermline import (
+    GeometryConfig,
+    RelationGraph,
+    build_graph,
+    enumerate_isotropic,
+    enumerate_points,
+    gaussian_binomial,
+    is_adjacent,
+    is_distant,
+    make_field,
+)
+from hermline.cli import main
+from hermline.harness import _bfs_levels, _relation_edges
+
+FIELDS = {
+    "gf2": (2, 1, "identity"),
+    "gf3": (3, 1, "identity"),
+    "gf4": (2, 2, "frobenius"),
+    "gf9": (3, 2, "frobenius"),
+}
+
+# sha256 of ``hermline graph`` stdout at n = 2, recorded before the graph
+# layer moved from rank tests to line bitmasks.
+GOLDEN = {
+    ("gf2", "all", "distant", "json"): (
+        "0a2e5c59ebfc3c8fbd5e4cbff4ab855fc6717c14dbbc95d50f383065fc1c6774"
+    ),
+    ("gf2", "all", "distant", "dot"): (
+        "1e9ec96c880ebe629e0f96ef63102e85d845ba011069e935c3d7c84d4e217dc6"
+    ),
+    ("gf2", "all", "distant", "csv"): (
+        "35426247612b4ad6aaebae6429e436513a5c8593190eabc029f79948ee6b8a74"
+    ),
+    ("gf2", "all", "adjacency", "json"): (
+        "90c961d01058da44c306ed9ff041dfcfcb9e225fb10fb7683c7604e8680704d2"
+    ),
+    ("gf2", "all", "adjacency", "dot"): (
+        "b6383175add02f95d488f86fa863d23ddc786bf070132b9964f7dd4205fac132"
+    ),
+    ("gf2", "all", "adjacency", "csv"): (
+        "a39d4a1a6b78ce6c010b8e6a202e4f2ccdbdf8657b56b17110f2bf7b3b58ff7e"
+    ),
+    ("gf2", "isotropic", "distant", "json"): (
+        "517eb4ef794dddcd318a561bff6031ce22010b17840eb93c645f175ed9124f81"
+    ),
+    ("gf2", "isotropic", "distant", "dot"): (
+        "34faff40ee2ec99e7ffaa4fe85572bc32db6db6e1ea64a2f2116d717b65f27da"
+    ),
+    ("gf2", "isotropic", "distant", "csv"): (
+        "4a6c9198f919b01f7af4836a077796f3c6583627173b21cceac3c02f3c6c91c9"
+    ),
+    ("gf2", "isotropic", "adjacency", "json"): (
+        "b2927af1626ca8d2f8f1d34d20df161544f8144afc1fce91fd4731f018f6a974"
+    ),
+    ("gf2", "isotropic", "adjacency", "dot"): (
+        "05c55fdd7e0b558693138a9ba29a4c8a8762d5c530b668d53a338210cd31e4a8"
+    ),
+    ("gf2", "isotropic", "adjacency", "csv"): (
+        "21dc996b8e2bf9030893a65453fb54f8e54efa8fbe643cdee9f943be84e5ab0d"
+    ),
+    ("gf3", "all", "distant", "json"): (
+        "36a7e4b0fef94cf73508bb679e4343cb9cd830e2c04129ddf3bd32d0298e5922"
+    ),
+    ("gf3", "all", "distant", "dot"): (
+        "114c7ba7ed4ca8f8e9910e507fe070503401068b4f23fe83d30ad76c0c34fc18"
+    ),
+    ("gf3", "all", "distant", "csv"): (
+        "2631071af139386be0d8ce708b6cbfc8e7161ed00687dc0199b595c1871b1006"
+    ),
+    ("gf3", "all", "adjacency", "json"): (
+        "97f6b26017f01213f55dda01ecbb77d778b70eeeda4083df3ec701bf0047f9f8"
+    ),
+    ("gf3", "all", "adjacency", "dot"): (
+        "e7b3525a2edbff4b858e7ec619a37ae731a532fdb3986b5c2b611002c3106fb7"
+    ),
+    ("gf3", "all", "adjacency", "csv"): (
+        "e8c4e7560c0fba378b972f30025ec2307c7dd627cbf160e2d3131f9aca08a9a2"
+    ),
+    ("gf3", "isotropic", "distant", "json"): (
+        "59b747123cae0bcd123f8982031fc4c2f72b74dc9dfb925fbdc3f51c8bf5c841"
+    ),
+    ("gf3", "isotropic", "distant", "dot"): (
+        "bf5c09a27c146cb48b2593dc02593a165459aa094e9d091fdeac4786059a56b5"
+    ),
+    ("gf3", "isotropic", "distant", "csv"): (
+        "0103830c56abcd8ec3b02b8636d3b48940704369a57c059d6c781443a9b882d1"
+    ),
+    ("gf3", "isotropic", "adjacency", "json"): (
+        "4fbc2e89f3abcd44fb77546931088f5c02ff68c80785f90569defba44d8f7dc1"
+    ),
+    ("gf3", "isotropic", "adjacency", "dot"): (
+        "6e22dee7fb9124c9a97b7388d3941de560434e846590fb22425dd619f734c015"
+    ),
+    ("gf3", "isotropic", "adjacency", "csv"): (
+        "307aac99368c46d300acab5de0a278c3bb0b8475bf6a12730453c2c95d9ced55"
+    ),
+    ("gf4", "all", "distant", "json"): (
+        "25abce213440a03e3c5e2a893242143d326ec4b1cabc94a21101f296bd0e5f43"
+    ),
+    ("gf4", "all", "distant", "dot"): (
+        "e7f5a375e2b644063d0ed943badd075348be1cae8fb484950d2ed937c527f046"
+    ),
+    ("gf4", "all", "distant", "csv"): (
+        "564a6aa28fbb76a6892bc9cff7241fe7843e2bef7c00bf2513ac21b24759898f"
+    ),
+    ("gf4", "all", "adjacency", "json"): (
+        "9ee9318883aa11f747bd2ce32e6162a8b5680ff82d81720eb7e753449e917673"
+    ),
+    ("gf4", "all", "adjacency", "dot"): (
+        "51b28faedec8f2e2137e888bf41b607648f1c938fd8a3b63df87965068c5a028"
+    ),
+    ("gf4", "all", "adjacency", "csv"): (
+        "04be64c4d3005dbe4be3c80e002743e1e2b78a2bbb42b30118c8811dcbd8633e"
+    ),
+    ("gf4", "isotropic", "distant", "json"): (
+        "e086c46b79b73a5e88a5aa9499f2dcfa488bcc7b7ba3b0680d646398f2969682"
+    ),
+    ("gf4", "isotropic", "distant", "dot"): (
+        "56a63481cb976e6e747b6e5cd49e8cd6edacfaec71d4b7735a5e430486bad6aa"
+    ),
+    ("gf4", "isotropic", "distant", "csv"): (
+        "3385484814105f428af19095ca065171358315374acad1492994bf934718c31a"
+    ),
+    ("gf4", "isotropic", "adjacency", "json"): (
+        "9c9f2ecb28d45e816521dc6ae66c79c896dd5219682d05807286ced31d22c7d5"
+    ),
+    ("gf4", "isotropic", "adjacency", "dot"): (
+        "241ba43f531f371b0bb469a71a63c1af80d51cb98e0cedc6245e43cbb33a0458"
+    ),
+    ("gf4", "isotropic", "adjacency", "csv"): (
+        "5af05b303830fe23028c230451768e6d6b5d1b39dd7aaaec0a2415789499c4ce"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
+def test_graph_stdout_golden(key, capsys):
+    label, points, relation, fmt = key
+    p, k, involution = FIELDS[label]
+    argv = ["graph", "--p", str(p), "--k", str(k), "--involution", involution]
+    argv += ["--relation", relation, "--points", points, "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[key]
+
+
+def _points(label: str, n: int, point_set: str):
+    field = make_field(*FIELDS[label])
+    if point_set == "all":
+        return field, enumerate_points(field, n)
+    return field, enumerate_isotropic(field, n)
+
+
+def _rank_edges(points, kind: str) -> list:
+    """The all-pairs loop over the rank-based relation tests."""
+    rel = is_distant if kind == "distant" else is_adjacent
+    return [
+        (i, j)
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+        if rel(points[i], points[j])
+    ]
+
+
+@pytest.mark.parametrize(
+    "label,n,point_set",
+    [(label, 2, s) for label in ("gf2", "gf3", "gf4") for s in ("all", "isotropic")]
+    + [("gf2", 3, "isotropic")],
+)
+def test_relation_edges_match_rank_reference(label, n, point_set):
+    field, points = _points(label, n, point_set)
+    for kind in ("distant", "adjacency"):
+        assert _relation_edges(field, n, points, kind) == _rank_edges(points, kind)
+
+
+@st.composite
+def small_graphs(draw):
+    size = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    edges = draw(st.permutations(edges))
+    return RelationGraph("adjacency", "all", list(range(size)), edges)
+
+
+def _queue_distances(graph: RelationGraph, start: int) -> list:
+    adj = [[] for _ in graph.node_ids]
+    for i, j in graph.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    dist = [None] * len(graph.node_ids)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] is None:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@given(small_graphs())
+@example(RelationGraph("adjacency", "all", [0], []))
+@example(RelationGraph("adjacency", "all", [0, 1, 2, 3], [(2, 3), (0, 1)]))
+@example(RelationGraph("adjacency", "all", [0, 1, 2, 3], [(2, 3), (1, 2), (0, 1)]))
+def test_bfs_matches_queue_reference(graph):
+    reference = [_queue_distances(graph, s) for s in graph.node_ids]
+    for start in graph.node_ids:
+        assert graph.bfs_distances(start) == reference[start]
+    if any(None in dist for dist in reference):
+        assert graph.diameter() is None
+    else:
+        assert graph.diameter() == max(max(dist) for dist in reference)
+
+
+def _sphere_sizes(q: int, n: int, point_set: str, involution: str) -> list:
+    """k_i: Grassmann graph J_q(2n, n) or the dual polar graph of the form."""
+    if point_set == "all":
+        return [q ** (i * i) * gaussian_binomial(n, i, q) ** 2 for i in range(n + 1)]
+    # q^(e*i) with e = 1 (symplectic) or e = 1/2 (hermitian)
+    qe = isqrt(q) if involution == "frobenius" else q
+    return [
+        gaussian_binomial(n, i, q) * q ** (i * (i - 1) // 2) * qe**i
+        for i in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "label,n,point_set",
+    [(label, 2, s) for label in FIELDS for s in ("all", "isotropic")]
+    + [("gf2", 3, "isotropic")],
+)
+def test_bfs_levels_match_closed_forms(label, n, point_set):
+    p, k, involution = FIELDS[label]
+    cfg = GeometryConfig(p=p, k=k, involution=involution, n=n)
+    graph = build_graph(cfg, kind="adjacency", point_set=point_set)
+    want = _sphere_sizes(p**k, n, point_set, involution)
+    assert len(graph.node_ids) == sum(want)
+    adj = graph._neighbour_masks()
+    for start in graph.node_ids:
+        assert [level.bit_count() for level in _bfs_levels(adj, start)] == want
