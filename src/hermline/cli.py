@@ -7,7 +7,7 @@ degree sequence.  Matrices and points are passed as JSON, either
 inline or as a path to a JSON file, and point bases are canonicalised
 before use.  Exit status is 0 on success, 1 when a verification check
 fails and 2 on usage errors, including configurations whose predicted
-point count exceeds the budget.
+point count exceeds the budget and an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .fields import IDENTITY
 from .harness import (
@@ -70,50 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="projective lines over matrix rings and their isotropic geometry",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("enumerate", parents=[common], help="list all points of the line")
-    sub.add_parser(
-        "isotropic", parents=[common], help="list the maximal totally isotropic points"
-    )
-    sub.add_parser(
-        "verify-theorem1",
-        parents=[common],
-        help="check that hermitian pairs parametrise exactly the isotropic points",
-    )
-    sub.add_parser(
-        "verify-remarks",
-        parents=[common],
-        help="run the embedding, rank law, annihilator, twisted map and star checks",
-    )
-    graph = sub.add_parser(
-        "graph", parents=[common], help="build the distant or adjacency graph"
-    )
-    graph.add_argument(
-        "--relation", choices=("distant", "adjacency"), default="distant"
-    )
-    graph.add_argument("--points", choices=("all", "isotropic"), default="all")
-    bart = sub.add_parser(
-        "bartolone", parents=[common], help="map a parameter pair to its point"
-    )
-    bart.add_argument("--t1", required=True, help="first parameter matrix (JSON)")
-    bart.add_argument("--t2", required=True, help="second parameter matrix (JSON)")
-    dec = sub.add_parser(
-        "decompose",
-        parents=[common],
-        help="write an isotropic point as a hermitian parameter pair",
-    )
-    dec.add_argument("--point", required=True, help="point basis matrix (JSON)")
-    comp = sub.add_parser(
-        "complement",
-        parents=[common],
-        help="common isotropic complement of two isotropic points",
-    )
-    comp.add_argument("--u1", required=True, help="first point basis (JSON)")
-    comp.add_argument("--u2", required=True, help="second point basis (JSON)")
-    sub.add_parser(
-        "jordan-check",
-        parents=[common],
-        help="check closure axioms of the hermitian matrix system",
-    )
+    for name, command in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, options in command.arguments:
+            subparser.add_argument(flag, **options)
     return parser
 
 
@@ -143,19 +104,6 @@ def _point_argument(cfg: GeometryConfig, text: str):
     return point_from_matrix(cfg.field(), cfg.n, matrix)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-
-
-def _require_json(args) -> None:
-    if args.format != "json":
-        raise ValueError(f"{args.command} only supports --format json")
-
-
 def _point_list_report(cfg: GeometryConfig, check: str, points) -> dict:
     report = cfg.report_header(check)
     report["count"] = len(points)
@@ -165,47 +113,35 @@ def _point_list_report(cfg: GeometryConfig, check: str, points) -> dict:
     return report
 
 
-def _cmd_enumerate(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
-    points = enumerate_grassmannian(cfg)
-    _emit(report_to_json(_point_list_report(cfg, "enumerate", points)), args.out)
-    return 0
+def _cmd_enumerate(cfg: GeometryConfig, args) -> tuple:
+    return _point_list_report(cfg, "enumerate", enumerate_grassmannian(cfg)), True
 
 
-def _cmd_isotropic(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
+def _cmd_isotropic(cfg: GeometryConfig, args) -> tuple:
     points = enumerate_isotropic(cfg.field(), cfg.n)
-    _emit(report_to_json(_point_list_report(cfg, "isotropic", points)), args.out)
-    return 0
+    return _point_list_report(cfg, "isotropic", points), True
 
 
-def _cmd_verify_theorem1(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
+def _cmd_verify_theorem1(cfg: GeometryConfig, args) -> tuple:
     report = verify_theorem1(cfg)
-    _emit(report_to_json(report), args.out)
-    return 0 if report["equal"] else 1
+    return report, report["equal"]
 
 
-def _cmd_verify_remarks(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
+def _cmd_verify_remarks(cfg: GeometryConfig, args) -> tuple:
     report = verify_remarks(cfg, seed=args.seed)
-    _emit(report_to_json(report), args.out)
-    return 0 if report["passed"] else 1
+    return report, report["passed"]
 
 
-def _cmd_graph(cfg: GeometryConfig, args) -> int:
+def _cmd_graph(cfg: GeometryConfig, args) -> tuple:
     graph = build_graph(cfg, kind=args.relation, point_set=args.points)
-    if args.format == "json":
-        _emit(report_to_json(graph_report(cfg, graph)), args.out)
-    elif args.format == "dot":
-        _emit(graph.to_dot(), args.out)
-    else:
-        _emit(graph.degrees_csv(), args.out)
-    return 0
+    if args.format == "dot":
+        return graph.to_dot(), True
+    if args.format == "csv":
+        return graph.degrees_csv(), True
+    return graph_report(cfg, graph), True
 
 
-def _cmd_bartolone(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
+def _cmd_bartolone(cfg: GeometryConfig, args) -> tuple:
     n = cfg.n
     t1 = _matrix_argument(cfg, args.t1, n, n)
     t2 = _matrix_argument(cfg, args.t2, n, n)
@@ -216,24 +152,20 @@ def _cmd_bartolone(cfg: GeometryConfig, args) -> int:
     report["t2_hermitian"] = t2.is_hermitian()
     report["isotropic"] = form.is_totally_isotropic(point)
     report["point"] = point.to_json()
-    _emit(report_to_json(report), args.out)
-    return 0
+    return report, True
 
 
-def _cmd_decompose(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
+def _cmd_decompose(cfg: GeometryConfig, args) -> tuple:
     point = _point_argument(cfg, args.point)
     pair = decompose_isotropic(point)
     report = cfg.report_header("decompose")
     report["point"] = point.to_json()
     report["t1"] = pair.t1.to_json()
     report["t2"] = pair.t2.to_json()
-    _emit(report_to_json(report), args.out)
-    return 0
+    return report, True
 
 
-def _cmd_complement(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
+def _cmd_complement(cfg: GeometryConfig, args) -> tuple:
     u1 = _point_argument(cfg, args.u1)
     u2 = _point_argument(cfg, args.u2)
     witness = common_complement(u1, u2)
@@ -241,33 +173,97 @@ def _cmd_complement(cfg: GeometryConfig, args) -> int:
     report["u1"] = u1.to_json()
     report["u2"] = u2.to_json()
     report["complement"] = witness.to_json()
-    _emit(report_to_json(report), args.out)
-    return 0
+    return report, True
 
 
-def _cmd_jordan_check(cfg: GeometryConfig, args) -> int:
-    _require_json(args)
+def _cmd_jordan_check(cfg: GeometryConfig, args) -> tuple:
     report = cfg.report_header("jordan-check")
     report.update(jordan_system_axioms_check(cfg.field(), cfg.n))
-    _emit(report_to_json(report), args.out)
-    return 0 if report["passed"] else 1
+    return report, report["passed"]
 
 
-# The subcommands that enumerate points; their budget is checked before
-# any field table is built.
-_ENUMERATING = ("enumerate", "isotropic", "verify-theorem1", "verify-remarks", "graph")
+class _Subcommand(NamedTuple):
+    """A subcommand: its handler, help text and extra arguments.
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "isotropic": _cmd_isotropic,
-    "verify-theorem1": _cmd_verify_theorem1,
-    "verify-remarks": _cmd_verify_remarks,
-    "graph": _cmd_graph,
-    "bartolone": _cmd_bartolone,
-    "decompose": _cmd_decompose,
-    "complement": _cmd_complement,
-    "jordan-check": _cmd_jordan_check,
+    The handler returns the output (a report dict, or text for the dot
+    and csv graph formats) and whether its checks passed.  A budgeted
+    subcommand has its predicted point count checked before any field
+    table is built: it enumerates points, or sweeps matrices, of which
+    there are q^(n^2) <= [2n,n]_q.
+    """
+
+    run: Callable
+    help: str
+    arguments: tuple = ()
+    budgeted: bool = True
+    formats: tuple = ("json",)
+
+
+def _json_argument(flag: str, what: str) -> tuple:
+    return flag, {"required": True, "help": f"{what} (JSON)"}
+
+
+_SUBCOMMANDS = {
+    "enumerate": _Subcommand(_cmd_enumerate, "list all points of the line"),
+    "isotropic": _Subcommand(
+        _cmd_isotropic, "list the maximal totally isotropic points"
+    ),
+    "verify-theorem1": _Subcommand(
+        _cmd_verify_theorem1,
+        "check that hermitian pairs parametrise exactly the isotropic points",
+    ),
+    "verify-remarks": _Subcommand(
+        _cmd_verify_remarks,
+        "run the embedding, rank law, annihilator, twisted map and star checks",
+    ),
+    "graph": _Subcommand(
+        _cmd_graph,
+        "build the distant or adjacency graph",
+        arguments=(
+            ("--relation", {"choices": ("distant", "adjacency"), "default": "distant"}),
+            ("--points", {"choices": ("all", "isotropic"), "default": "all"}),
+        ),
+        formats=("json", "dot", "csv"),
+    ),
+    "bartolone": _Subcommand(
+        _cmd_bartolone,
+        "map a parameter pair to its point",
+        arguments=(
+            _json_argument("--t1", "first parameter matrix"),
+            _json_argument("--t2", "second parameter matrix"),
+        ),
+        budgeted=False,
+    ),
+    "decompose": _Subcommand(
+        _cmd_decompose,
+        "write an isotropic point as a hermitian parameter pair",
+        arguments=(_json_argument("--point", "point basis matrix"),),
+        budgeted=False,
+    ),
+    "complement": _Subcommand(
+        _cmd_complement,
+        "common isotropic complement of two isotropic points",
+        arguments=(
+            _json_argument("--u1", "first point basis"),
+            _json_argument("--u2", "second point basis"),
+        ),
+        budgeted=False,
+    ),
+    "jordan-check": _Subcommand(
+        _cmd_jordan_check, "check closure axioms of the hermitian matrix system"
+    ),
 }
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -284,14 +280,18 @@ def main(argv=None) -> int:
             n=args.n,
             budget=args.budget,
         )
-        if args.command in _ENUMERATING:
+        command = _SUBCOMMANDS[args.command]
+        if command.budgeted:
             ensure_within_budget(cfg)
         cfg.field()
-        return _COMMANDS[args.command](cfg, args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if args.format not in command.formats:
+            raise ValueError(f"{args.command} only supports --format json")
+        output, passed = command.run(cfg, args)
+        if not isinstance(output, str):
+            output = report_to_json(output)
+        _emit(output, args.out)
+        return 0 if passed else 1
+    except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

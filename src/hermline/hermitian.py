@@ -33,9 +33,12 @@ from .matrices import (
 from .projline import (
     BartolonePair,
     SubspacePoint,
+    _check_parameter_vector,
     bartolone,
     base_point,
     enumerate_points,
+    preimage_pair,
+    sweep_points,
 )
 
 
@@ -238,54 +241,6 @@ def isotropic_meeting_perp(
     return x
 
 
-def isotropic_meeting_perp_stepwise(
-    u: SubspacePoint, v: Subspace, w: Subspace
-) -> SubspacePoint:
-    """Same contract as :func:`isotropic_meeting_perp`, by row elimination.
-
-    Kept as an independent cross-check: it shears the frame in two
-    explicit steps, recomputing the Gram matrix in between, instead of
-    using the closed-form transition.
-    """
-    field = u.field
-    n = u.n
-    form, k, rows = _ordered_frame(u, v, w)
-    add, mul = field._add, field._mul
-
-    def shear(target_rows, coeff: Matrix, source_rows):
-        for i in range(len(target_rows)):
-            vec = list(rows[target_rows[i]])
-            for cf, src in zip(coeff.entries[i], source_rows):
-                if cf:
-                    srow = rows[src]
-                    vec = [add[x][mul[cf][y]] for x, y in zip(vec, srow)]
-            rows[target_rows[i]] = tuple(vec)
-
-    def gram() -> Matrix:
-        return form.restricted_gram(Matrix(field, rows, cols=2 * n))
-
-    arb = list(range(n, n + k))
-    tail = list(range(n + k, 2 * n))
-    m = gram()
-    bb = m.block(k, n, n, n + k)
-    c = m.block(k, n, n + k, 2 * n)
-    shear(arb, -(bb.sigma_transpose() * c.inverse().sigma_transpose()), tail)
-
-    m = gram()
-    assert m.block(k, n, n, n + k).is_zero()
-    a = m.block(0, k, n, n + k)
-    d = _skew_split(m.block(n, n + k, n, n + k))
-    shear(arb, -(d * a.inverse()), list(range(k)))
-
-    m = gram()
-    assert m.block(k, n + k, k, n + k).is_zero()
-    x_rows = rows[k : n + k]
-    x = SubspacePoint(Subspace.from_rows(field, 2 * n, x_rows), n)
-    assert form.is_totally_isotropic(x)
-    assert x.space.intersect(form.perp(v)) == w
-    return x
-
-
 def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     """A maximal totally isotropic complement of both input points.
 
@@ -350,12 +305,8 @@ def decompose_isotropic(p: SubspacePoint) -> BartolonePair:
     _require_isotropic(p, "the point")
     x = common_complement(base_point(field, n), p)
     c0, d0 = x.blocks()
-    c = d0.inverse() * c0
-    a, b = p.blocks()
-    t2 = (b * c - a).inverse() * b
-    pair = BartolonePair(c, t2)
-    assert c.is_hermitian() and t2.is_hermitian()
-    assert bartolone(pair) == p
+    pair = preimage_pair(p, d0.inverse() * c0)
+    assert pair.t1.is_hermitian() and pair.t2.is_hermitian()
     return pair
 
 
@@ -367,20 +318,13 @@ def hermitian_adjacent_star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]
     Every returned point is totally isotropic and has arithmetical
     distance at most one from the base point.
     """
-    c0 = tuple(c0)
-    if len(c0) != n:
-        raise ValueError(f"c0 must have length n = {n}")
-    for x in c0:
-        field.check_element(x)
-    if not any(c0):
-        raise ValueError("c0 must be nonzero")
-    sigma_c0 = tuple(field._sigma[x] for x in c0)
-    points = set()
-    for t in field.fixed_elements:
-        t2 = outer_product(field, sigma_c0, c0).scale(t)
-        for t1 in hermitian_matrices(field, n):
-            points.add(bartolone_hermitian(BartolonePair(t1, t2)))
-    return sorted(points, key=SubspacePoint.sort_key)
+    c0 = _check_parameter_vector(field, n, c0, "c0")
+    rank_one = outer_product(field, tuple(field._sigma[x] for x in c0), c0)
+    t2s = [rank_one.scale(t) for t in field.fixed_elements]
+    points = sweep_points(hermitian_matrices(field, n), t2s)
+    form = standard_form(field, n)
+    assert all(form.is_totally_isotropic(p) for p in points)
+    return points
 
 
 def jordan_system_axioms_check(field: FieldSpec, n: int) -> dict:

@@ -269,9 +269,6 @@ class Matrix:
             c1 - c0,
         )
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     # -- Gauss-Jordan ------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int]:
@@ -481,23 +478,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return self.basis.vstack(other.basis).rank() == self.dim
-
-    def complete_basis(self) -> Matrix:
-        """An invertible d x d matrix whose first dim rows are the basis.
-
-        The remaining rows are standard basis vectors, chosen greedily
-        in index order, so the completion is deterministic.
-        """
-        d = self.ambient_dim
-        rows = extend_independent(
-            self.field,
-            d,
-            list(self.basis.entries),
-            (unit_vector(d, i) for i in range(d)),
-        )
-        full = Matrix(self.field, rows, cols=d)
-        assert full.rows == d and full.is_invertible()
-        return full
 
 
 def unit_vector(length: int, index: int) -> tuple[int, ...]:

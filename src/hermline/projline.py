@@ -215,6 +215,22 @@ def stable_rank_witness(a: Matrix, b: Matrix) -> Matrix:
     raise RuntimeError("no stable rank witness found; this should be impossible")
 
 
+def preimage_pair(p: SubspacePoint, t1: Matrix | None = None) -> BartolonePair:
+    """Some parameter pair whose point is p.
+
+    Solves the parametrisation for the canonical blocks (A, B):
+    any T1 with B*T1 - A invertible yields T2 = (B*T1 - A)^-1 * B.
+    When t1 is not given, a deterministic witness is used.
+    """
+    a, b = p.blocks()
+    if t1 is None:
+        t1 = stable_rank_witness(-a, b)
+    g = (b * t1 - a).inverse()
+    pair = BartolonePair(t1, g * b)
+    assert bartolone(pair) == p
+    return pair
+
+
 def annihilator(pair: BartolonePair) -> Matrix:
     """The 2n x n matrix (-T2 on top of T1*T2 - I).
 
@@ -280,7 +296,12 @@ def enumerate_points(field: FieldSpec, n: int) -> tuple[SubspacePoint, ...]:
     )
 
 
-def _sorted_points(points) -> list[SubspacePoint]:
+def sweep_points(t1s, t2s) -> list[SubspacePoint]:
+    """The distinct points of all pairs in t1s x t2s, in canonical order.
+
+    t2s is iterated once for every T1, so it must be a sequence.
+    """
+    points = {bartolone(BartolonePair(t1, t2)) for t1 in t1s for t2 in t2s}
     return sorted(points, key=SubspacePoint.sort_key)
 
 
@@ -304,11 +325,7 @@ def sphere(field: FieldSpec, n: int, k: int) -> list[SubspacePoint]:
     if not 0 <= k <= n:
         raise ValueError(f"sphere radius must lie in 0..{n}")
     shells = [t2 for t2 in all_matrices(field, n, n) if t2.rank() == k]
-    seen = set()
-    for t1 in all_matrices(field, n, n):
-        for t2 in shells:
-            seen.add(bartolone(BartolonePair(t1, t2)))
-    return _sorted_points(seen)
+    return sweep_points(all_matrices(field, n, n), shells)
 
 
 def star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]:
@@ -319,12 +336,8 @@ def star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]:
     by sum_i x_i c0_i = 0 and x_(n+1) = ... = x_(2n) = 0.
     """
     c0 = _check_parameter_vector(field, n, c0, "c0")
-    seen = set()
     t2s = [outer_product(field, c0, d) for d in all_vectors(field, n)]
-    for t1 in all_matrices(field, n, n):
-        for t2 in t2s:
-            seen.add(bartolone(BartolonePair(t1, t2)))
-    return _sorted_points(seen)
+    return sweep_points(all_matrices(field, n, n), t2s)
 
 
 def top(field: FieldSpec, n: int, d0) -> list[SubspacePoint]:
@@ -335,12 +348,8 @@ def top(field: FieldSpec, n: int, d0) -> list[SubspacePoint]:
     (n+1) x 2n matrix stacking (I | 0) on (0 | d0).
     """
     d0 = _check_parameter_vector(field, n, d0, "d0")
-    seen = set()
     t2s = [outer_product(field, c, d0) for c in all_vectors(field, n)]
-    for t1 in all_matrices(field, n, n):
-        for t2 in t2s:
-            seen.add(bartolone(BartolonePair(t1, t2)))
-    return _sorted_points(seen)
+    return sweep_points(all_matrices(field, n, n), t2s)
 
 
 def pencil(field: FieldSpec, n: int, c0, d0) -> list[SubspacePoint]:
@@ -351,9 +360,6 @@ def pencil(field: FieldSpec, n: int, c0, d0) -> list[SubspacePoint]:
     """
     c0 = _check_parameter_vector(field, n, c0, "c0")
     d0 = _check_parameter_vector(field, n, d0, "d0")
-    zero = Matrix.zeros(field, n, n)
-    seen = set()
-    for t in field.elements():
-        t2 = outer_product(field, c0, d0).scale(t)
-        seen.add(bartolone(BartolonePair(zero, t2)))
-    return _sorted_points(seen)
+    line = outer_product(field, c0, d0)
+    t2s = [line.scale(t) for t in field.elements()]
+    return sweep_points([Matrix.zeros(field, n, n)], t2s)

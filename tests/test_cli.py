@@ -42,7 +42,15 @@ def test_budget_flag_override(capsys):
 
 
 @pytest.mark.parametrize(
-    "command", ["enumerate", "isotropic", "verify-theorem1", "verify-remarks", "graph"]
+    "command",
+    [
+        "enumerate",
+        "isotropic",
+        "verify-theorem1",
+        "verify-remarks",
+        "graph",
+        "jordan-check",
+    ],
 )
 def test_budget_checked_before_field_tables(command, capsys, monkeypatch):
     def no_tables(*args):
@@ -194,6 +202,16 @@ def test_out_writes_file(tmp_path, capsys):
     on_disk = target.read_text(encoding="utf-8")
     code, stdout_text, err = run(capsys, "verify-theorem1", "--p", "2")
     assert on_disk == stdout_text
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "enumerate", "--p", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_deterministic_output(capsys):

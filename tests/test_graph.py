@@ -8,6 +8,7 @@ forms of Brouwer, Cohen & Neumaier, *Distance-Regular Graphs*, 9.3-9.4.
 """
 
 import hashlib
+import json
 from collections import deque
 from math import isqrt
 
@@ -158,6 +159,154 @@ def test_graph_stdout_golden(key, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[key]
+
+
+def _matrix_json(rows) -> str:
+    entries = [[str(x) for x in row] for row in rows]
+    return json.dumps({"rows": len(rows), "cols": len(rows[0]), "entries": entries})
+
+
+# Two isotropic points of GF(3) n = 2, and a parameter pair over GF(4)s.
+_U1 = _matrix_json([[1, 0, 1, 2], [0, 1, 2, 0]])
+_U2 = _matrix_json([[1, 1, 0, 0], [0, 0, 1, 2]])
+CLI_ARGS = {
+    "bartolone": [
+        "--t1", _matrix_json([[1, 2], [3, 0]]),
+        "--t2", _matrix_json([[1, 2], [3, 1]]),
+    ],
+    "decompose": ["--point", _U1],
+    "complement": ["--u1", _U1, "--u2", _U2],
+}
+
+# sha256 of stdout and the exit status of every other subcommand, keyed by
+# (command, field, n, seed), recorded before the pair sweeps, the
+# sweep-and-dedupe loops and the subcommand handlers were consolidated.
+CLI_GOLDEN = {
+    ("enumerate", "gf2", 2, None): (
+        "d0ca333e0d722f01636b22bf6103f92c9e4786cb282f45f426f17af93d4d5ea7",
+        0,
+    ),
+    ("isotropic", "gf2", 2, None): (
+        "98afa425707e106de00f7adb64c2ade40da8a6ed1557d2a7ed9b132df00f2cb7",
+        0,
+    ),
+    ("verify-theorem1", "gf2", 2, None): (
+        "ee4447ecb0a0fd1b2faefcec93c30642c9a3455ddf6dd507a184152b6e24e8b9",
+        0,
+    ),
+    ("jordan-check", "gf2", 2, None): (
+        "8dd00b1b761b34ec36a0f5da7190923618899655870f271b718640641695142d",
+        0,
+    ),
+    ("verify-remarks", "gf2", 2, 0): (
+        "036b6e7f0adfb003c57fd6038314425f64dfbbd3330bc59e5edb526b357a5397",
+        0,
+    ),
+    ("verify-remarks", "gf2", 2, 7): (
+        "1b7da1291dddd95711c0c9a7eb5776bd5888236b6d1c36a3ba27582ae74852ce",
+        0,
+    ),
+    ("enumerate", "gf3", 2, None): (
+        "d075d35168b01faabb72662b6a0a1df9aa6838ab71511509b6f1a06ce9867ece",
+        0,
+    ),
+    ("isotropic", "gf3", 2, None): (
+        "48f9353f111f745fae471d0ff12e24c69aea3102c73cf75b029fe58cd830f1a0",
+        0,
+    ),
+    ("verify-theorem1", "gf3", 2, None): (
+        "06454e27cb7bf60119326d672cbd1931938b2795241d5b4a630f91cfe33e41db",
+        0,
+    ),
+    ("jordan-check", "gf3", 2, None): (
+        "db01c055f9ecf89fe8db0906a9ff577aee52e4d3c9300781516527f21108c127",
+        0,
+    ),
+    ("verify-remarks", "gf3", 2, 0): (
+        "8919ca9967596f6b79f54fb833da1eedeb61a253e6cf310aedccc32cdc9bd75e",
+        0,
+    ),
+    ("verify-remarks", "gf3", 2, 7): (
+        "64d1a3221fec6e3da61ac88d402a5056b69f4363bb73a5ee4ba995a84017b486",
+        0,
+    ),
+    ("enumerate", "gf4", 2, None): (
+        "a391e2a234e8b598ad814a1a58f678f6b48438dda4aefd1d2f0b94892a511547",
+        0,
+    ),
+    ("isotropic", "gf4", 2, None): (
+        "7dd82ccf8ed61e2ca33f97b2e0f3d98e3cc0fdbb88a4e0397e16f004139b088f",
+        0,
+    ),
+    ("verify-theorem1", "gf4", 2, None): (
+        "26361a0dbbbc2763b9c6b0d5af873f7ad13f9e8bc0c1763dc4289ef705a329cf",
+        0,
+    ),
+    ("jordan-check", "gf4", 2, None): (
+        "12dd3569ffd2a61262f14fe2fce4697ff9454741a44e7de8365df3c14826a506",
+        0,
+    ),
+    ("verify-remarks", "gf4", 2, 0): (
+        "92506461d920bc4b889d19dd9f4ee1215b3eed72aadba9f97f90a3f21b0840fa",
+        0,
+    ),
+    ("enumerate", "gf9", 2, None): (
+        "8106c65f0eb0a3ae265cae2ce7fc96a83efd8899edb447ffeb97d9e04f3199f4",
+        0,
+    ),
+    ("isotropic", "gf9", 2, None): (
+        "a2d0a0e478b59d6f9579f57e84c90ec2adbf05994f67d0d84fc1ffe5e8904506",
+        0,
+    ),
+    ("verify-theorem1", "gf9", 2, None): (
+        "7f0f22d56d74955575a976459508cc957767ba8cef41d297e1db503b434fdad9",
+        0,
+    ),
+    ("jordan-check", "gf9", 2, None): (
+        "4cceaae24545b639ed4746acccb330d987b7973104c4c9270142c1f926332c4d",
+        0,
+    ),
+    ("verify-remarks", "gf9", 2, 0): (
+        "611c77cc955ff1339a253c53c856ee76bf7e73ff60ad436c42a1ece8c4f9d66f",
+        0,
+    ),
+    ("verify-remarks", "gf9", 2, 7): (
+        "0bc7035110ca7bf2628202fd05823160a56a4901357ab64f27329368bfcab79c",
+        0,
+    ),
+    ("verify-remarks", "gf2", 3, 0): (
+        "4803fa7c5237f06b5eef963937c0cb1b5f41f64a9fd07f43557f26e0e0c121d3",
+        0,
+    ),
+    ("bartolone", "gf4", 2, None): (
+        "4d30cccb74fadd88d819e15a16201e78596376c55e6a694e5ef090e3fa80895d",
+        0,
+    ),
+    ("decompose", "gf3", 2, None): (
+        "2fad9a500ed870c55afecb56619c426e545a76f42add61e8273d73af2dbc0e5f",
+        0,
+    ),
+    ("complement", "gf3", 2, None): (
+        "9178548e71a4fd97b7adaf43b9a9fda3690635c1981679ba071c806e9c2098dd",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(CLI_GOLDEN, key=str), ids=lambda key: "-".join(map(str, key))
+)
+def test_cli_stdout_golden(key, capsys):
+    command, label, n, seed = key
+    p, k, involution = FIELDS[label]
+    argv = [command, "--p", str(p), "--k", str(k), "--involution", involution]
+    argv += ["--n", str(n)] + CLI_ARGS.get(command, [])
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    digest, status = CLI_GOLDEN[key]
+    assert main(argv) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def _points(label: str, n: int, point_set: str):

@@ -5,8 +5,11 @@ import json
 import pytest
 
 from hermline import (
+    AUTOMORPHISM,
     BudgetExceededError,
     GeometryConfig,
+    JordanMapSpec,
+    Matrix,
     RelationGraph,
     arithmetical_distance,
     build_graph,
@@ -22,7 +25,6 @@ from hermline import (
 )
 from hermline.harness import (
     check_annihilator,
-    check_distant_chain,
     check_embedding_injectivity,
     check_hermitian_star,
     check_jordan_adjacency,
@@ -32,6 +34,7 @@ from hermline.harness import (
     pair_point_table,
     preimage_pair,
 )
+from reference_checks import check_distant_chain
 
 CONFIGS = [
     GeometryConfig(p=2),
@@ -233,10 +236,10 @@ def test_individual_checks_gf3():
     assert check_annihilator(field, 2)["passed"]
     assert check_hermitian_star(field, 2)["passed"]
     for label, spec in default_jordan_specs(field, 2):
-        wd, image_of = check_jordan_well_defined(field, 2, spec, label)
+        wd = check_jordan_well_defined(field, 2, spec, label)
         assert wd["passed"]
-        assert image_of is not None
-        adj = check_jordan_adjacency(field, 2, spec, label, image_of)
+        assert wd["mode"] == "exhaustive"
+        adj = check_jordan_adjacency(field, 2, spec, label)
         assert adj["passed"]
 
 
@@ -247,11 +250,28 @@ def test_sampled_checks_pass_on_big_field():
     ann = check_annihilator(field, 2, seed=1, samples=200)
     assert ann["mode"] == "sampled" and ann["passed"]
     label, spec = default_jordan_specs(field, 2)[0]
-    wd, image_of = check_jordan_well_defined(field, 2, spec, label, seed=1, samples=50)
+    wd = check_jordan_well_defined(field, 2, spec, label, seed=1, samples=50)
     assert wd["mode"] == "sampled" and wd["passed"]
-    assert image_of is None
-    adj = check_jordan_adjacency(field, 2, spec, label, None, seed=1, samples=50)
+    assert wd["cases"] == 50
+    adj = check_jordan_adjacency(field, 2, spec, label, seed=1, samples=50)
     assert adj["mode"] == "sampled" and adj["passed"]
+
+
+def test_twisted_map_checks_catch_a_map_without_point_map():
+    """X -> X + I is no ring map: both modes report witnesses."""
+
+    class Shifted(JordanMapSpec):
+        __slots__ = ()
+
+        def apply(self, m):
+            return super().apply(m) + Matrix.identity(m.field, m.rows)
+
+    for field, samples in ((make_field(2), 500), (make_field(3, 2, "frobenius"), 40)):
+        spec = Shifted(AUTOMORPHISM, 0, Matrix.identity(field, 2))
+        for check in (check_jordan_well_defined, check_jordan_adjacency):
+            result = check(field, 2, spec, "shifted", seed=3, samples=samples)
+            assert not result["passed"]
+            assert len(result["witnesses"]) == 10
 
 
 def test_distant_chain_witnesses():

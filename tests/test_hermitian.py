@@ -27,8 +27,9 @@ from hermline import (
     point_from_pair,
     standard_form,
 )
-from hermline.hermitian import _skew_split, isotropic_meeting_perp_stepwise
+from hermline.hermitian import _skew_split
 from hermline.matrices import Subspace, all_vectors, outer_product
+from reference_checks import isotropic_meeting_perp_stepwise
 
 ALL_CONFIGS = [
     lambda: make_field(2),

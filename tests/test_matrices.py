@@ -251,13 +251,6 @@ def test_zero_subspace(f3):
     assert z.contains_vector((0, 0, 0, 0))
 
 
-def test_complete_basis(f3):
-    space = Subspace(Matrix(f3, [[1, 2, 0, 1], [0, 0, 1, 2]]))
-    full = space.complete_basis()
-    assert full.rows == 4 and full.rank() == 4
-    assert full.entries[:2] == space.basis.entries
-
-
 def test_extend_independent(f2):
     rows = [(1, 0, 0, 0)]
     out = extend_independent(f2, 4, rows, [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
