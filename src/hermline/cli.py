@@ -26,6 +26,7 @@ from .harness import (
     ensure_within_budget,
     enumerate_grassmannian,
     graph_report,
+    jordan_system_axioms_check,
     report_to_json,
     verify_remarks,
     verify_theorem1,
@@ -34,7 +35,6 @@ from .hermitian import (
     common_complement,
     decompose_isotropic,
     enumerate_isotropic,
-    jordan_system_axioms_check,
     standard_form,
 )
 from .matrices import Matrix

@@ -4,11 +4,12 @@ A :class:`GeometryConfig` names a field, an involution and a block size
 n.  The harness enumerates the point set (guarded by a Gaussian
 binomial budget estimate), verifies that the hermitian parametrisation
 hits exactly the maximal totally isotropic subspaces, builds distant
-and adjacency graphs, and runs the batch checks (embedding
-injectivity, the rank distance law, annihilators, twisted point maps,
-hermitian stars) exhaustively when the pair space is small and by
-seeded sampling otherwise.  All reports are plain dicts with stable key
-order, so serialising them is deterministic.
+and adjacency graphs as neighbour bitmasks, and runs the batch checks
+(embedding injectivity, the rank distance law, annihilators, twisted
+point maps, hermitian stars) exhaustively when the pair space is small
+and by seeded sampling otherwise, plus the Jordan closure laws of the
+hermitian matrices.  All reports are plain dicts with stable key order,
+so serialising them is deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .hermitian import (
     hermitian_adjacent_star,
     hermitian_matrices,
 )
-from .matrices import Matrix, Subspace, unit_vector
+from .matrices import Matrix, Subspace, enumerate_subspaces, unit_vector
 from .projline import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
@@ -162,11 +163,9 @@ def pair_point_table(field: FieldSpec, n: int):
 
 
 @functools.lru_cache(maxsize=4)
-def adjacency_pairs(field: FieldSpec, n: int) -> frozenset:
-    """All unordered id pairs of adjacent points, ids in enumeration order."""
-    return frozenset(
-        _relation_edges(field, n, enumerate_points(field, n), "adjacency")
-    )
+def adjacency_pairs(field: FieldSpec, n: int) -> list[int]:
+    """For each point id, the bitmask of the ids of the points adjacent to it."""
+    return _relation_neighbours(field, n, enumerate_points(field, n), "adjacency")
 
 
 def _exhaustible(field: FieldSpec, n: int) -> bool:
@@ -241,27 +240,24 @@ def verify_theorem1(cfg: GeometryConfig) -> dict:
 # -- graphs -------------------------------------------------------------------
 
 
-def _normalised_vectors(field: FieldSpec, length: int):
-    """Every vector of K^length whose first nonzero entry is 1, one per line."""
-    for lead in range(length):
-        for tail in itertools.product(field.elements(), repeat=length - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 def _line_masks(field: FieldSpec, n: int, points) -> list[int]:
     """For each point, the bitmask of the lines (1-spaces) it contains.
 
-    Bit t stands for the t-th line of K^(2n), so a mask has [2n,1]_q bits.
-    The lines of a point are the spans of sum(c_i * b_i) over its RREF
-    rows b_i and the coefficient vectors c whose first nonzero entry is 1.
-    Each such sum is already the normalised representative of its line.
-    Let i0 be the first row with c_i0 != 0.  Rows after i0 are zero up
-    to and including row i0's pivot column, and row i0 is zero before it
-    and 1 at it, so the first nonzero entry of the sum is c_i0 = 1, at
-    row i0's pivot.
+    Bit t stands for the t-th line of K^(2n) in the order of
+    enumerate_subspaces, so a mask has [2n,1]_q bits.  The lines of a
+    point are the spans of sum(c_i * b_i) over its RREF rows b_i and the
+    RREF bases c of the lines of K^n, whose first nonzero entry is 1.
+    Each such sum is already the RREF basis of its line.  Let i0 be the
+    first row with c_i0 != 0.  Rows after i0 are zero up to and
+    including row i0's pivot column, and row i0 is zero before it and 1
+    at it, so the first nonzero entry of the sum is c_i0 = 1, at row
+    i0's pivot.
     """
-    line_id = {v: t for t, v in enumerate(_normalised_vectors(field, 2 * n))}
-    coefficients = list(_normalised_vectors(field, n))
+    line_id = {
+        line.basis.entries[0]: t
+        for t, line in enumerate(enumerate_subspaces(field, 2 * n, 1))
+    }
+    coefficients = [line.basis.entries[0] for line in enumerate_subspaces(field, n, 1)]
     add, mul = field._add, field._mul
     masks = []
     for point in points:
@@ -278,33 +274,40 @@ def _line_masks(field: FieldSpec, n: int, points) -> list[int]:
     return masks
 
 
-def _relation_edges(field: FieldSpec, n: int, points, kind: str) -> list:
-    """The pairs (i, j), i < j in lexicographic order, of related points.
+def _relation_neighbours(field: FieldSpec, n: int, points, kind: str) -> list[int]:
+    """For each point id, the bitmask of the ids of the points related to it.
 
     Two n-spaces meet in dimension d exactly when they share
     (q^d - 1)/(q - 1) lines: distant points meet in 0 and adjacent ones
     in an (n-1)-space, so one popcount per pair decides the relation.
+    A point shares all [n,1]_q of its lines with itself, so it is never
+    its own neighbour.  Each row is spelled as a binary numeral, so the
+    masks are taken highest id first.
     """
     q = field.q
     shared = 0 if kind == "distant" else (q ** (n - 1) - 1) // (q - 1)
     masks = _line_masks(field, n, points)
-    edges = []
-    for i, mi in enumerate(masks):
-        edges.extend(
-            (i, j)
-            for j in range(i + 1, len(masks))
-            if (mi & masks[j]).bit_count() == shared
-        )
-    return edges
+    backwards = masks[::-1]
+    rows = (
+        "".join(["1" if (mi & m).bit_count() == shared else "0" for m in backwards])
+        for mi in masks
+    )
+    return [int(row, 2) for row in rows]
 
 
-def _members(mask: int):
-    """The indices of the set bits of mask, in increasing order."""
-    bits = bin(mask)[:1:-1]
-    i = bits.find("1")
-    while i >= 0:
-        yield i
-        i = bits.find("1", i + 1)
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int, ids):
+    """ids[t] for each set bit t of mask, lowest first, with no Python step per bit."""
+    return itertools.compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_VALUES))
+
+
+def _edge_pairs(neighbours: list[int]):
+    """Yield the pairs (i, j), i < j, of related ids in lexicographic order."""
+    ids = list(range(len(neighbours)))
+    for i, mask in enumerate(neighbours):
+        yield from zip(itertools.repeat(i), _members(mask >> (i + 1), ids[i + 1 :]))
 
 
 def _bfs_levels(adj: list[int], start: int):
@@ -316,7 +319,7 @@ def _bfs_levels(adj: list[int], start: int):
         if seen == everyone:
             return
         reached = 0
-        for u in _members(level):
+        for u in _members(level, range(len(adj))):
             reached |= adj[u]
         level = reached & ~seen
         seen |= level
@@ -324,45 +327,39 @@ def _bfs_levels(adj: list[int], start: int):
 
 @dataclasses.dataclass
 class RelationGraph:
-    """A relation graph over enumerated points; node ids are point ids."""
+    """A relation graph on the point ids 0..N-1, held as neighbour bitmasks.
+
+    Bit j of neighbours[i] is set when points i and j are related.
+    """
 
     kind: str
     point_set: str
-    node_ids: list[int]
-    edges: list[tuple[int, int]]
-    points: tuple = dataclasses.field(repr=False, default=())
+    neighbours: list[int]
 
     def degree_sequence(self) -> list[int]:
-        degrees = [0] * len(self.node_ids)
-        for i, j in self.edges:
-            degrees[i] += 1
-            degrees[j] += 1
-        return degrees
+        return [mask.bit_count() for mask in self.neighbours]
 
-    def _neighbour_masks(self) -> list[int]:
-        adj = [0] * len(self.node_ids)
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return adj
+    def edges(self):
+        """Yield the related pairs (i, j), i < j, in lexicographic order."""
+        return _edge_pairs(self.neighbours)
 
     def bfs_distances(self, start: int) -> list[int | None]:
-        dist: list[int | None] = [None] * len(self.node_ids)
-        for d, level in enumerate(_bfs_levels(self._neighbour_masks(), start)):
-            for u in _members(level):
+        dist: list[int | None] = [None] * len(self.neighbours)
+        for d, level in enumerate(_bfs_levels(self.neighbours, start)):
+            for u in _members(level, range(len(dist))):
                 dist[u] = d
         return dist
 
     def diameter(self) -> int | None:
         """Longest shortest path; None when the graph is disconnected."""
-        if len(self.node_ids) <= 1:
+        size = len(self.neighbours)
+        if size <= 1:
             return 0
-        adj = self._neighbour_masks()
-        everyone = (1 << len(self.node_ids)) - 1
+        everyone = (1 << size) - 1
         best = 0
-        for start in self.node_ids:
+        for start in range(size):
             reached = 0
-            for d, level in enumerate(_bfs_levels(adj, start)):
+            for d, level in enumerate(_bfs_levels(self.neighbours, start)):
                 reached |= level
             if reached != everyone:
                 return None
@@ -371,17 +368,14 @@ class RelationGraph:
 
     def to_dot(self) -> str:
         lines = [f"graph {self.kind} {{"]
-        for i in self.node_ids:
-            lines.append(f"  {i};")
-        for i, j in self.edges:
-            lines.append(f"  {i} -- {j};")
+        lines.extend(f"  {i};" for i in range(len(self.neighbours)))
+        lines.extend(f"  {i} -- {j};" for i, j in self.edges())
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def degrees_csv(self) -> str:
         lines = ["node_id,degree"]
-        for i, d in zip(self.node_ids, self.degree_sequence()):
-            lines.append(f"{i},{d}")
+        lines.extend(f"{i},{d}" for i, d in enumerate(self.degree_sequence()))
         return "\n".join(lines) + "\n"
 
 
@@ -400,57 +394,57 @@ def build_graph(
     else:
         points = enumerate_isotropic(field, cfg.n)
     return RelationGraph(
-        kind=kind,
-        point_set=point_set,
-        node_ids=list(range(len(points))),
-        edges=_relation_edges(field, cfg.n, points, kind),
-        points=points,
+        kind, point_set, _relation_neighbours(field, cfg.n, points, kind)
     )
 
 
 def graph_report(cfg: GeometryConfig, graph: RelationGraph) -> dict:
+    degrees = graph.degree_sequence()
     report = cfg.report_header("graph")
     report["relation"] = graph.kind
     report["point_set"] = graph.point_set
-    report["counts"] = {"nodes": len(graph.node_ids), "edges": len(graph.edges)}
-    report["degree_sequence"] = graph.degree_sequence()
+    report["counts"] = {"nodes": len(degrees), "edges": sum(degrees) // 2}
+    report["degree_sequence"] = degrees
     report["diameter"] = graph.diameter()
-    report["nodes"] = graph.node_ids
-    report["edges"] = [list(e) for e in graph.edges]
+    report["nodes"] = list(range(len(degrees)))
+    report["edges"] = [[i, j] for i, j in graph.edges()]
     return report
 
 
 # -- batch checks ---------------------------------------------------------------
 
 
-def _result(name: str, mode: str, cases: int, witnesses: list) -> dict:
+def _result(name: str, mode: str, outcomes) -> dict:
+    """Tally one outcome per case: None if it passed, else its witness."""
+    cases = 0
+    witnesses = []
+    for outcome in outcomes:
+        cases += 1
+        if outcome is not None and len(witnesses) < _WITNESS_CAP:
+            witnesses.append(outcome)
     return {
         "name": name,
         "mode": mode,
         "cases": cases,
         "passed": not witnesses,
-        "witnesses": witnesses[:_WITNESS_CAP],
+        "witnesses": witnesses,
     }
 
 
 def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     """The map T2 -> point is injective for T1 fixed at 0 and at I."""
     mats = square_matrices(field, n)
-    witnesses = []
-    cases = 0
-    for t1_0 in (Matrix.zeros(field, n, n), Matrix.identity(field, n)):
-        seen = {}
-        for t2 in mats:
-            point = embed_matrix_space(t1_0, t2)
-            cases += 1
-            other = seen.get(point)
-            if other is not None:
-                witnesses.append(
-                    {"t1_0": t1_0.to_json(), "t2": t2.to_json(), "clash": other.to_json()}
-                )
-            else:
-                seen[point] = t2
-    return _result("embedding_injectivity", "exhaustive", cases, witnesses)
+
+    def outcomes():
+        for t1_0 in (Matrix.zeros(field, n, n), Matrix.identity(field, n)):
+            seen = {}
+            for t2 in mats:
+                other = seen.setdefault(embed_matrix_space(t1_0, t2), t2)
+                yield None if other is t2 else {
+                    "t1_0": t1_0.to_json(), "t2": t2.to_json(), "clash": other.to_json()
+                }
+
+    return _result("embedding_injectivity", "exhaustive", outcomes())
 
 
 class _PairCases:
@@ -535,7 +529,7 @@ class _PairCases:
         """
         if self.exhaustive:
             image_of = _point_images(self.field, self.n, spec)
-            for i, j in sorted(adjacency_pairs(self.field, self.n)):
+            for i, j in _edge_pairs(adjacency_pairs(self.field, self.n)):
                 yield self.points[i], self.points[j], image_of[i], image_of[j]
             return
         image = self.image(spec)
@@ -560,20 +554,18 @@ class _PairCases:
         """The adjacency test on the images that adjacent_points yields."""
         if not self.exhaustive:
             return is_adjacent
-        edges = adjacency_pairs(self.field, self.n)
-        return lambda a, b: ((a, b) if a < b else (b, a)) in edges
+        neighbours = adjacency_pairs(self.field, self.n)
+        return lambda a, b: neighbours[a] >> b & 1
 
     def check(self, name: str, holds) -> dict:
         """Test holds(t1, t2) on every pair; failing pairs are witnesses."""
-        count = 0
-        witnesses = []
-        for t1, t2 in self.pairs():
-            count += 1
-            if not holds(t1, t2):
-                witnesses.append(
-                    {"t1": self.matrix(t1).to_json(), "t2": self.matrix(t2).to_json()}
-                )
-        return _result(name, self.mode, count, witnesses)
+        outcomes = (
+            None
+            if holds(t1, t2)
+            else {"t1": self.matrix(t1).to_json(), "t2": self.matrix(t2).to_json()}
+            for t1, t2 in self.pairs()
+        )
+        return _result(name, self.mode, outcomes)
 
 
 def check_rank_law(
@@ -663,27 +655,58 @@ def check_jordan_adjacency(
     """
     cases = _PairCases(field, n, seed, samples)
     adjacent = cases.adjacency()
-    count = 0
-    witnesses = []
-    for p, q, img_p, img_q in cases.adjacent_points(spec):
-        count += 1
-        if not adjacent(img_p, img_q):
-            witnesses.append({"p": p.to_json(), "q": q.to_json()})
-    return _result(f"jordan_adjacency[{label}]", cases.mode, count, witnesses)
+    outcomes = (
+        None if adjacent(img_p, img_q) else {"p": p.to_json(), "q": q.to_json()}
+        for p, q, img_p, img_q in cases.adjacent_points(spec)
+    )
+    return _result(f"jordan_adjacency[{label}]", cases.mode, outcomes)
 
 
 def check_hermitian_star(field: FieldSpec, n: int) -> dict:
     """Hermitian rank-one stars stay within distance one of the base point."""
     base = base_point(field, n)
     vectors = [unit_vector(n, i) for i in range(n)] + [(1,) * n]
-    witnesses = []
-    cases = 0
-    for c0 in vectors:
-        for point in hermitian_adjacent_star(field, n, c0):
-            cases += 1
-            if arithmetical_distance(base, point) > 1:
-                witnesses.append({"c0": list(c0), "point": point.to_json()})
-    return _result("hermitian_star", "exhaustive", cases, witnesses)
+    outcomes = (
+        None
+        if arithmetical_distance(base, point) <= 1
+        else {"c0": list(c0), "point": point.to_json()}
+        for c0 in vectors
+        for point in hermitian_adjacent_star(field, n, c0)
+    )
+    return _result("hermitian_star", "exhaustive", outcomes)
+
+
+def jordan_system_axioms_check(field: FieldSpec, n: int) -> dict:
+    """Exhaustively check the Jordan closure laws of the hermitian set.
+
+    Verifies that the inverse of every invertible hermitian matrix is
+    hermitian and that A*B*A is hermitian for all hermitian A, B.
+    Returns counts and (capped) witness lists; the CLI puts the report
+    header in front.
+    """
+    herm = hermitian_matrices(field, n)
+    invertible = [m for m in herm if m.is_invertible()]
+    inverse_witnesses = [
+        m.to_json() for m in invertible if not m.inverse().is_hermitian()
+    ]
+    failing_triples = (
+        {"a": a.to_json(), "b": b.to_json()}
+        for a in herm
+        for b in herm
+        if not (a * b * a).is_hermitian()
+    )
+    triple_witnesses = list(itertools.islice(failing_triples, _WITNESS_CAP))
+    return {
+        "hermitian_count": len(herm),
+        "invertible_hermitian_count": len(invertible),
+        "inverse_closure_ok": not inverse_witnesses,
+        "triple_product_closure_ok": not triple_witnesses,
+        "witnesses": {
+            "inverse": inverse_witnesses[:_WITNESS_CAP],
+            "triple_product": triple_witnesses,
+        },
+        "passed": not inverse_witnesses and not triple_witnesses,
+    }
 
 
 def verify_remarks(cfg: GeometryConfig, seed: int = 0) -> dict:

@@ -8,12 +8,12 @@ projective line parametrised by pairs of hermitian matrices,
     {row space of (T2*T1 - I, T2) : T1 = T1^Sigma, T2 = T2^Sigma},
 
 where X^Sigma is the involution transpose.  This module provides the
-form, the hermitian matrix set with its Jordan closure checks, the
-hermitian parametrisation, and the constructive machinery behind it:
-given a maximal totally isotropic U = V + W (a direct sum) it builds a
-maximal totally isotropic X with X meet perp(V) = W, from which a
-common complement of any two maximal isotropic subspaces and the
-parameter pair of any isotropic point are computed.
+form, the hermitian matrix set, the hermitian parametrisation, and the
+constructive machinery behind it: given a maximal totally isotropic
+U = V + W (a direct sum) it builds a maximal totally isotropic X with
+X meet perp(V) = W, from which a common complement of any two maximal
+isotropic subspaces and the parameter pair of any isotropic point are
+computed.
 """
 
 from __future__ import annotations
@@ -326,42 +326,3 @@ def hermitian_adjacent_star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]
     assert all(form.is_totally_isotropic(p) for p in points)
     return points
 
-
-def jordan_system_axioms_check(field: FieldSpec, n: int) -> dict:
-    """Exhaustively check the Jordan closure laws of the hermitian set.
-
-    Verifies that the inverse of every invertible hermitian matrix is
-    hermitian and that A*B*A is hermitian for all hermitian A, B.
-    Returns a report dict with counts and (capped) witness lists.
-    """
-    herm = hermitian_matrices(field, n)
-    invertible = [m for m in herm if m.is_invertible()]
-    inverse_witnesses = [
-        m.to_json() for m in invertible if not m.inverse().is_hermitian()
-    ]
-    triple_witnesses = []
-    for a in herm:
-        for b in herm:
-            if not (a * b * a).is_hermitian():
-                triple_witnesses.append({"a": a.to_json(), "b": b.to_json()})
-                if len(triple_witnesses) >= 10:
-                    break
-        else:
-            continue
-        break
-    return {
-        "format_version": 1,
-        "field_p": field.p,
-        "field_k": field.k,
-        "involution": field.involution,
-        "n": n,
-        "hermitian_count": len(herm),
-        "invertible_hermitian_count": len(invertible),
-        "inverse_closure_ok": not inverse_witnesses,
-        "triple_product_closure_ok": not triple_witnesses,
-        "witnesses": {
-            "inverse": inverse_witnesses[:10],
-            "triple_product": triple_witnesses,
-        },
-        "passed": not inverse_witnesses and not triple_witnesses,
-    }

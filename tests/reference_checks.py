@@ -1,14 +1,15 @@
 """Reference code that only the tests use.
 
 ``isotropic_meeting_perp_stepwise`` is an independent cross-check of
-``hermitian.isotropic_meeting_perp``, and ``check_distant_chain`` proves
-the "distant diameter at most two" claim with explicit middle points.
-Neither runs from the command line.
+``hermitian.isotropic_meeting_perp``, ``check_distant_chain`` proves
+the "distant diameter at most two" claim with explicit middle points,
+and ``graph_from_edges`` builds a small graph from a hand-written edge
+list.  None of them runs from the command line.
 """
 
 from hermline.fields import FieldSpec
 from hermline.hermitian import _ordered_frame, _skew_split
-from hermline.harness import _result, pair_point_table
+from hermline.harness import RelationGraph, _result, pair_point_table
 from hermline.matrices import Matrix, Subspace
 from hermline.projline import SubspacePoint, base_point, is_distant, point_from_pair
 
@@ -72,18 +73,28 @@ def check_distant_chain(field: FieldSpec, n: int) -> dict:
     ident = Matrix.identity(field, n)
     mats, points, table = pair_point_table(field, n)
     middles = [point_from_pair(t1, ident) for t1 in mats]
-    witnesses = []
-    for i, r in enumerate(middles):
-        if not is_distant(base, r):
-            witnesses.append({"t1": mats[i].to_json(), "side": "base"})
-    checked = set()
-    for i, r in enumerate(middles):
-        row = table[i]
-        for j in range(len(mats)):
-            key = (i, row[j])
-            if key in checked:
-                continue
-            checked.add(key)
-            if not is_distant(r, points[row[j]]):
-                witnesses.append({"t1": mats[i].to_json(), "t2": mats[j].to_json()})
-    return _result("distant_chain", "exhaustive", len(mats) ** 2, witnesses)
+
+    def outcomes():
+        for i, r in enumerate(middles):
+            from_base = is_distant(base, r)
+            from_point = {}
+            for j, p in enumerate(table[i]):
+                if p not in from_point:
+                    from_point[p] = is_distant(r, points[p])
+                if not from_base:
+                    yield {"t1": mats[i].to_json(), "side": "base"}
+                elif not from_point[p]:
+                    yield {"t1": mats[i].to_json(), "t2": mats[j].to_json()}
+                else:
+                    yield None
+
+    return _result("distant_chain", "exhaustive", outcomes())
+
+
+def graph_from_edges(kind: str, point_set: str, size: int, edges) -> RelationGraph:
+    """The graph on the ids 0..size-1 whose related pairs are edges."""
+    neighbours = [0] * size
+    for i, j in edges:
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
+    return RelationGraph(kind, point_set, neighbours)

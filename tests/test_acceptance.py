@@ -153,7 +153,7 @@ def test_criterion_05_rank_distance_law():
 
 def test_criterion_06_distant_graph_diameter():
     graph = build_graph(CONFIGS[0], kind="distant", point_set="all")
-    ok = len(graph.node_ids) == 35 and graph.diameter() is not None
+    ok = len(graph.neighbours) == 35 and graph.diameter() is not None
     ok = ok and graph.diameter() <= 2
     chain = check_distant_chain(make_field(2), 2)
     ok = ok and chain["passed"] and chain["mode"] == "exhaustive"

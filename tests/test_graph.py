@@ -1,10 +1,12 @@
 """The relation and graph layer: golden outputs and independent references.
 
-Relations are decided by counting shared lines (``_relation_edges``) and
-distances by level-set BFS over neighbour bitmasks.  These tests pin the
-CLI output, compare the edges with the rank tests of ``projline`` and the
-BFS with a plain queue, and check the sphere sizes against the closed
-forms of Brouwer, Cohen & Neumaier, *Distance-Regular Graphs*, 9.3-9.4.
+Relations are decided by counting shared lines (``_relation_neighbours``)
+into neighbour bitmasks, and distances by level-set BFS over them.  These
+tests pin the CLI output, compare the edges with the rank tests of
+``projline``, the distant relation with the last BFS level of the
+adjacency graph and the BFS with a plain queue, and check the sphere
+sizes against the closed forms of Brouwer, Cohen & Neumaier,
+*Distance-Regular Graphs*, 9.3-9.4.
 """
 
 import hashlib
@@ -27,7 +29,8 @@ from hermline import (
     make_field,
 )
 from hermline.cli import main
-from hermline.harness import _bfs_levels, _relation_edges
+from hermline.harness import _bfs_levels
+from reference_checks import graph_from_edges
 
 FIELDS = {
     "gf2": (2, 1, "identity"),
@@ -312,8 +315,14 @@ def test_cli_stdout_golden(key, capsys):
 def _points(label: str, n: int, point_set: str):
     field = make_field(*FIELDS[label])
     if point_set == "all":
-        return field, enumerate_points(field, n)
-    return field, enumerate_isotropic(field, n)
+        return enumerate_points(field, n)
+    return enumerate_isotropic(field, n)
+
+
+def _graph(label: str, n: int, kind: str, point_set: str) -> RelationGraph:
+    p, k, involution = FIELDS[label]
+    cfg = GeometryConfig(p=p, k=k, involution=involution, n=n)
+    return build_graph(cfg, kind=kind, point_set=point_set)
 
 
 def _rank_edges(points, kind: str) -> list:
@@ -327,15 +336,32 @@ def _rank_edges(points, kind: str) -> list:
     ]
 
 
-@pytest.mark.parametrize(
-    "label,n,point_set",
-    [(label, 2, s) for label in ("gf2", "gf3", "gf4") for s in ("all", "isotropic")]
-    + [("gf2", 3, "isotropic")],
-)
+SMALL_GRAPHS = [
+    (label, 2, s) for label in ("gf2", "gf3", "gf4") for s in ("all", "isotropic")
+] + [("gf2", 3, "isotropic")]
+
+
+@pytest.mark.parametrize("label,n,point_set", SMALL_GRAPHS)
 def test_relation_edges_match_rank_reference(label, n, point_set):
-    field, points = _points(label, n, point_set)
+    points = _points(label, n, point_set)
     for kind in ("distant", "adjacency"):
-        assert _relation_edges(field, n, points, kind) == _rank_edges(points, kind)
+        edges = list(_graph(label, n, kind, point_set).edges())
+        assert edges == _rank_edges(points, kind)
+
+
+@pytest.mark.parametrize("label,n,point_set", SMALL_GRAPHS)
+def test_distant_is_the_last_adjacency_level(label, n, point_set):
+    """Distant points are exactly those at distance n in the adjacency graph.
+
+    Both the Grassmann and the dual polar graph have diameter n, and two
+    n-spaces are distant when they meet in 0, n steps apart.
+    """
+    distant = _graph(label, n, "distant", point_set).neighbours
+    adj = _graph(label, n, "adjacency", point_set).neighbours
+    for v, far in enumerate(distant):
+        levels = list(_bfs_levels(adj, v))
+        assert len(levels) == n + 1
+        assert levels[-1] == far
 
 
 @st.composite
@@ -345,15 +371,15 @@ def small_graphs(draw):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [pair for pair, kept in zip(pairs, keep) if kept]
     edges = draw(st.permutations(edges))
-    return RelationGraph("adjacency", "all", list(range(size)), edges)
+    return graph_from_edges("adjacency", "all", size, edges)
 
 
 def _queue_distances(graph: RelationGraph, start: int) -> list:
-    adj = [[] for _ in graph.node_ids]
-    for i, j in graph.edges:
+    adj = [[] for _ in graph.neighbours]
+    for i, j in graph.edges():
         adj[i].append(j)
         adj[j].append(i)
-    dist = [None] * len(graph.node_ids)
+    dist = [None] * len(graph.neighbours)
     dist[start] = 0
     queue = deque([start])
     while queue:
@@ -366,12 +392,12 @@ def _queue_distances(graph: RelationGraph, start: int) -> list:
 
 
 @given(small_graphs())
-@example(RelationGraph("adjacency", "all", [0], []))
-@example(RelationGraph("adjacency", "all", [0, 1, 2, 3], [(2, 3), (0, 1)]))
-@example(RelationGraph("adjacency", "all", [0, 1, 2, 3], [(2, 3), (1, 2), (0, 1)]))
+@example(graph_from_edges("adjacency", "all", 1, []))
+@example(graph_from_edges("adjacency", "all", 4, [(2, 3), (0, 1)]))
+@example(graph_from_edges("adjacency", "all", 4, [(2, 3), (1, 2), (0, 1)]))
 def test_bfs_matches_queue_reference(graph):
-    reference = [_queue_distances(graph, s) for s in graph.node_ids]
-    for start in graph.node_ids:
+    reference = [_queue_distances(graph, s) for s in range(len(graph.neighbours))]
+    for start in range(len(graph.neighbours)):
         assert graph.bfs_distances(start) == reference[start]
     if any(None in dist for dist in reference):
         assert graph.diameter() is None
@@ -398,10 +424,8 @@ def _sphere_sizes(q: int, n: int, point_set: str, involution: str) -> list:
 )
 def test_bfs_levels_match_closed_forms(label, n, point_set):
     p, k, involution = FIELDS[label]
-    cfg = GeometryConfig(p=p, k=k, involution=involution, n=n)
-    graph = build_graph(cfg, kind="adjacency", point_set=point_set)
+    adj = _graph(label, n, "adjacency", point_set).neighbours
     want = _sphere_sizes(p**k, n, point_set, involution)
-    assert len(graph.node_ids) == sum(want)
-    adj = graph._neighbour_masks()
-    for start in graph.node_ids:
+    assert len(adj) == sum(want)
+    for start in range(len(adj)):
         assert [level.bit_count() for level in _bfs_levels(adj, start)] == want

@@ -10,7 +10,6 @@ from hermline import (
     GeometryConfig,
     JordanMapSpec,
     Matrix,
-    RelationGraph,
     arithmetical_distance,
     build_graph,
     enumerate_grassmannian,
@@ -34,7 +33,7 @@ from hermline.harness import (
     pair_point_table,
     preimage_pair,
 )
-from reference_checks import check_distant_chain
+from reference_checks import check_distant_chain, graph_from_edges
 
 CONFIGS = [
     GeometryConfig(p=2),
@@ -113,12 +112,12 @@ def test_report_json_is_stable():
 
 def test_distant_graph_frozen_stats():
     graph = build_graph(CONFIGS[0], kind="distant", point_set="all")
-    assert len(graph.node_ids) == 35
-    assert len(graph.edges) == 280
+    assert len(graph.neighbours) == 35
+    assert len(list(graph.edges())) == 280
     assert graph.diameter() == 2
     degrees = graph.degree_sequence()
     assert degrees == [16] * 35
-    for i, j in graph.edges:
+    for i, j in graph.edges():
         assert i != j
 
 
@@ -135,8 +134,8 @@ def test_adjacency_graph_distance_equals_arithmetical():
 
 def test_isotropic_adjacency_graph():
     graph = build_graph(CONFIGS[0], kind="adjacency", point_set="isotropic")
-    assert len(graph.node_ids) == 15
-    assert len(graph.edges) == 45
+    assert len(graph.neighbours) == 15
+    assert len(list(graph.edges())) == 45
     assert graph.diameter() == 2
     assert graph.degree_sequence() == [6] * 15
 
@@ -166,9 +165,7 @@ def test_graph_report_schema():
 
 
 def test_dot_and_csv_export():
-    graph = RelationGraph(
-        kind="distant", point_set="all", node_ids=[0, 1, 2], edges=[(0, 1), (1, 2)]
-    )
+    graph = graph_from_edges("distant", "all", 3, [(0, 1), (1, 2)])
     assert graph.to_dot() == (
         "graph distant {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
     )
@@ -177,11 +174,9 @@ def test_dot_and_csv_export():
 
 
 def test_disconnected_graph_diameter():
-    graph = RelationGraph(
-        kind="adjacency", point_set="all", node_ids=[0, 1, 2], edges=[(0, 1)]
-    )
+    graph = graph_from_edges("adjacency", "all", 3, [(0, 1)])
     assert graph.diameter() is None
-    lonely = RelationGraph(kind="adjacency", point_set="all", node_ids=[0], edges=[])
+    lonely = graph_from_edges("adjacency", "all", 1, [])
     assert lonely.diameter() == 0
 
 
