@@ -7,7 +7,8 @@ degree sequence.  Matrices and points are passed as JSON, either
 inline or as a path to a JSON file, and point bases are canonicalised
 before use.  Exit status is 0 on success, 1 when a verification check
 fails and 2 on usage errors, including configurations whose predicted
-point count exceeds the budget and an --out file that cannot be written.
+point count exceeds the budget, json and dot graphs with more edges than
+the budget and an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="largest predicted point count accepted for enumeration",
+        help="largest predicted point count accepted for enumeration, and "
+        "largest edge count written by graph in json or dot",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--out", default=None, help="write output to this file")
@@ -134,10 +136,16 @@ def _cmd_verify_remarks(cfg: GeometryConfig, args) -> tuple:
 
 def _cmd_graph(cfg: GeometryConfig, args) -> tuple:
     graph = build_graph(cfg, kind=args.relation, point_set=args.points)
-    if args.format == "dot":
-        return graph.to_dot(), True
     if args.format == "csv":
         return graph.degrees_csv(), True
+    edges = sum(graph.degree_sequence()) // 2
+    if edges > cfg.budget:
+        raise BudgetExceededError(
+            f"{edges} edges exceed the budget {cfg.budget}; use --format csv "
+            "or raise --budget to write them"
+        )
+    if args.format == "dot":
+        return graph.to_dot(), True
     return graph_report(cfg, graph), True
 
 

@@ -170,13 +170,10 @@ class FieldSpec:
             inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
         self._inv = tuple(inv)
 
-        if involution == FROBENIUS:
-            e = p ** (k // 2)
-            self._sigma = tuple(self.pow(a, e) for a in range(q))
-        else:
-            self._sigma = tuple(range(q))
+        # _frob[j] is the automorphism x -> x^(p^j), the identity at j = 0.
+        self._frob = tuple(tuple(self.pow(a, p**j) for a in range(q)) for j in range(k))
+        self._sigma = self._frob[k // 2 if involution == FROBENIUS else 0]
         self.fixed_elements = tuple(a for a in range(q) if self._sigma[a] == a)
-        self._frob = {}
 
         sig = self._sigma
         assert all(sig[sig[a]] == a for a in range(q))
@@ -220,13 +217,7 @@ class FieldSpec:
 
     def frobenius(self, a: int, power: int) -> int:
         """Apply the automorphism x -> x^(p^power)."""
-        power %= self.k
-        table = self._frob.get(power)
-        if table is None:
-            e = self.p**power
-            table = tuple(self.pow(b, e) for b in range(self.q))
-            self._frob[power] = table
-        return table[a]
+        return self._frob[power % self.k][a]
 
     # -- structure -----------------------------------------------------
 

@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import operator
 import random
 
 from .fields import FieldSpec, check_field_parameters, make_field
@@ -240,59 +241,39 @@ def verify_theorem1(cfg: GeometryConfig) -> dict:
 # -- graphs -------------------------------------------------------------------
 
 
-def _line_masks(field: FieldSpec, n: int, points) -> list[int]:
-    """For each point, the bitmask of the lines (1-spaces) it contains.
-
-    Bit t stands for the t-th line of K^(2n) in the order of
-    enumerate_subspaces, so a mask has [2n,1]_q bits.  The lines of a
-    point are the spans of sum(c_i * b_i) over its RREF rows b_i and the
-    RREF bases c of the lines of K^n, whose first nonzero entry is 1.
-    Each such sum is already the RREF basis of its line.  Let i0 be the
-    first row with c_i0 != 0.  Rows after i0 are zero up to and
-    including row i0's pivot column, and row i0 is zero before it and 1
-    at it, so the first nonzero entry of the sum is c_i0 = 1, at row
-    i0's pivot.
-    """
-    line_id = {
-        line.basis.entries[0]: t
-        for t, line in enumerate(enumerate_subspaces(field, 2 * n, 1))
-    }
-    coefficients = [line.basis.entries[0] for line in enumerate_subspaces(field, n, 1)]
-    add, mul = field._add, field._mul
-    masks = []
-    for point in points:
-        rows = point.space.basis.entries
-        mask = 0
-        for coeffs in coefficients:
-            vec = (0,) * (2 * n)
-            for c, row in zip(coeffs, rows):
-                if c:
-                    mc = mul[c]
-                    vec = tuple(add[x][mc[y]] for x, y in zip(vec, row))
-            mask |= 1 << line_id[vec]
-        masks.append(mask)
-    return masks
-
-
 def _relation_neighbours(field: FieldSpec, n: int, points, kind: str) -> list[int]:
     """For each point id, the bitmask of the ids of the points related to it.
 
-    Two n-spaces meet in dimension d exactly when they share
-    (q^d - 1)/(q - 1) lines: distant points meet in 0 and adjacent ones
-    in an (n-1)-space, so one popcount per pair decides the relation.
-    A point shares all [n,1]_q of its lines with itself, so it is never
-    its own neighbour.  Each row is spelled as a binary numeral, so the
-    masks are taken highest id first.
+    Two n-spaces meet in dimension >= d exactly when they contain a
+    common d-space, so the points meeting P that much are the OR, over
+    the d-spaces D of P, of the points through D.  Distant points are
+    the rest of the set for d = 1; adjacent ones are those of
+    d = n - 1 less P itself.  The d-spaces of P, with RREF basis B, are
+    spanned by C * B over the RREF bases C of the d-spaces of K^n, and
+    C * B is already the RREF basis of its span.  Row r of C is zero
+    before its pivot c_r and 1 there; rows i >= c_r of B are zero before
+    their pivots p_i >= p_(c_r), and column p_i of B is the unit column
+    e_i.  So row r of C * B leads with 1 at p_(c_r), and column p_(c_r)
+    of C * B is column c_r of C, a unit column.  The entries of C * B
+    thus name D, with no elimination.
     """
-    q = field.q
-    shared = 0 if kind == "distant" else (q ** (n - 1) - 1) // (q - 1)
-    masks = _line_masks(field, n, points)
-    backwards = masks[::-1]
-    rows = (
-        "".join(["1" if (mi & m).bit_count() == shared else "0" for m in backwards])
-        for mi in masks
-    )
-    return [int(row, 2) for row in rows]
+    distant = kind == "distant"
+    bases = [c.basis for c in enumerate_subspaces(field, n, 1 if distant else n - 1)]
+    ids: dict = {}
+    spaces = [
+        [ids.setdefault((c * point.space.basis).entries, len(ids)) for c in bases]
+        for point in points
+    ]
+    through = [0] * len(ids)
+    for i, ts in enumerate(spaces):
+        for t in ts:
+            through[t] |= 1 << i
+    everyone = (1 << len(points)) - 1
+    return [
+        functools.reduce(operator.or_, [through[t] for t in ts])
+        ^ (everyone if distant else 1 << i)
+        for i, ts in enumerate(spaces)
+    ]
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -475,7 +456,7 @@ class _PairCases:
     def _draw(self) -> Matrix:
         q, n, rng = self.field.q, self.n, self.rng
         rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
-        return Matrix(self.field, rows, cols=n)
+        return Matrix._of(self.field, rows, n)
 
     def pairs(self):
         if self.exhaustive:

@@ -264,9 +264,10 @@ class JordanMapSpec:
         self._q_inv = q_matrix.inverse()
 
     def apply(self, m: Matrix) -> Matrix:
-        field = m.field
-        power = self.frobenius_power
-        twisted = m.map_entries(lambda x: field.frobenius(x, power))
+        frob = m.field._frob[self.frobenius_power]
+        twisted = Matrix._of(
+            m.field, tuple(tuple(frob[x] for x in row) for row in m.entries), m.cols
+        )
         if self.kind == ANTIAUTOMORPHISM:
             twisted = twisted.transpose()
         return self._q_inv * twisted * self.q_matrix

@@ -184,6 +184,19 @@ def test_graph_formats(capsys):
     assert len(lines) == 16
 
 
+def test_graph_edge_budget(capsys):
+    """json and dot write every edge, so the budget bounds them; csv does not."""
+    argv = ["graph", "--p", "2", "--budget", "100"]
+    for fmt in ("json", "dot"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 36
+
+
 def test_format_gating(capsys):
     code, out, err = run(capsys, "verify-theorem1", "--p", "2", "--format", "dot")
     assert code == 2

@@ -1,16 +1,20 @@
 """The relation and graph layer: golden outputs and independent references.
 
-Relations are decided by counting shared lines (``_relation_neighbours``)
-into neighbour bitmasks, and distances by level-set BFS over them.  These
-tests pin the CLI output, compare the edges with the rank tests of
-``projline``, the distant relation with the last BFS level of the
-adjacency graph and the BFS with a plain queue, and check the sphere
-sizes against the closed forms of Brouwer, Cohen & Neumaier,
-*Distance-Regular Graphs*, 9.3-9.4.
+Relations are decided by shared subspaces (``_relation_neighbours``): the
+points meeting a point in dimension >= d are the OR of the points through
+each of its d-spaces.  They are held as neighbour bitmasks, and distances
+come from level-set BFS over them.  These tests pin the CLI output and
+the draws of the sampled checks, compare the edges with the rank tests of
+``projline`` (all pairs on small graphs, sampled pairs on two larger
+ones), the distant relation with the last BFS level of the adjacency
+graph and the BFS with a plain queue, and check the sphere sizes against
+the closed forms of Brouwer, Cohen & Neumaier, *Distance-Regular Graphs*,
+9.3-9.4.
 """
 
 import hashlib
 import json
+import random
 from collections import deque
 from math import isqrt
 
@@ -20,6 +24,7 @@ from hypothesis import example, given, strategies as st
 from hermline import (
     GeometryConfig,
     RelationGraph,
+    arithmetical_distance,
     build_graph,
     enumerate_isotropic,
     enumerate_points,
@@ -28,6 +33,7 @@ from hermline import (
     is_distant,
     make_field,
 )
+from hermline import harness
 from hermline.cli import main
 from hermline.harness import _bfs_levels
 from reference_checks import graph_from_edges
@@ -296,20 +302,54 @@ CLI_GOLDEN = {
 }
 
 
+# sha256 of every randrange result (as "value,") of the sampled checks and
+# the number of draws, keyed as CLI_GOLDEN, recorded before the drawn
+# matrices were built with the trusting constructor.  Other keys draw
+# nothing.
+CLI_DRAWS = {
+    ("verify-remarks", "gf9", 2, 0): (
+        "c7ce5cce8a893f92cbd02247cdc779d25712ef2f63b18eccc0a71b0194548c8a",
+        131_572,
+    ),
+    ("verify-remarks", "gf9", 2, 7): (
+        "1813d809a17e35b76bc3853aed2dfe1baf0a1e122eba801c580371e3e81808d4",
+        131_740,
+    ),
+    ("verify-remarks", "gf2", 3, 0): (
+        "7bf58e757d583463062589c30ae42f2730a3eadf95f494e31d785500fe142e00",
+        290_004,
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "key", sorted(CLI_GOLDEN, key=str), ids=lambda key: "-".join(map(str, key))
 )
-def test_cli_stdout_golden(key, capsys):
+def test_cli_stdout_golden(key, capsys, monkeypatch):
     command, label, n, seed = key
     p, k, involution = FIELDS[label]
     argv = [command, "--p", str(p), "--k", str(k), "--involution", involution]
     argv += ["--n", str(n)] + CLI_ARGS.get(command, [])
     if seed is not None:
         argv += ["--seed", str(seed)]
+    draws = hashlib.sha256()
+    count = 0
+
+    class CountingRandom(harness.random.Random):
+        def randrange(self, *args):
+            nonlocal count
+            value = super().randrange(*args)
+            draws.update(b"%d," % value)
+            count += 1
+            return value
+
+    monkeypatch.setattr(harness.random, "Random", CountingRandom)
     digest, status = CLI_GOLDEN[key]
     assert main(argv) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    empty = (hashlib.sha256().hexdigest(), 0)
+    assert (draws.hexdigest(), count) == CLI_DRAWS.get(key, empty)
 
 
 def _points(label: str, n: int, point_set: str):
@@ -349,7 +389,27 @@ def test_relation_edges_match_rank_reference(label, n, point_set):
         assert edges == _rank_edges(points, kind)
 
 
-@pytest.mark.parametrize("label,n,point_set", SMALL_GRAPHS)
+# Too large for the all-pairs rank reference: 1,395 and 1,120 points.
+LARGE_GRAPHS = [("gf2", 3, "all"), ("gf3", 3, "isotropic")]
+
+
+@pytest.mark.parametrize("label,n,point_set", LARGE_GRAPHS)
+def test_relations_match_arithmetical_distance_on_samples(label, n, point_set):
+    """Every pair through three vertices and 2,000 seeded random pairs."""
+    points = _points(label, n, point_set)
+    size = len(points)
+    rng = random.Random(0)
+    pairs = [(v, j) for v in (0, size // 2, size - 1) for j in range(size)]
+    pairs += [(rng.randrange(size), rng.randrange(size)) for _ in range(2000)]
+    distant = _graph(label, n, "distant", point_set).neighbours
+    adj = _graph(label, n, "adjacency", point_set).neighbours
+    for i, j in pairs:
+        dist = arithmetical_distance(points[i], points[j])
+        assert distant[i] >> j & 1 == (dist == n)
+        assert adj[i] >> j & 1 == (dist == 1)
+
+
+@pytest.mark.parametrize("label,n,point_set", SMALL_GRAPHS + LARGE_GRAPHS)
 def test_distant_is_the_last_adjacency_level(label, n, point_set):
     """Distant points are exactly those at distance n in the adjacency graph.
 
@@ -420,7 +480,8 @@ def _sphere_sizes(q: int, n: int, point_set: str, involution: str) -> list:
 @pytest.mark.parametrize(
     "label,n,point_set",
     [(label, 2, s) for label in FIELDS for s in ("all", "isotropic")]
-    + [("gf2", 3, "isotropic")],
+    + [("gf2", 3, "isotropic")]
+    + LARGE_GRAPHS,
 )
 def test_bfs_levels_match_closed_forms(label, n, point_set):
     p, k, involution = FIELDS[label]
