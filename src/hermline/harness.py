@@ -26,24 +26,33 @@ from .hermitian import (
     enumerate_isotropic,
     hermitian_adjacent_star,
     hermitian_matrices,
+    isotropic_ids,
 )
-from .matrices import Matrix, Subspace, enumerate_subspaces, unit_vector
+from .matrices import (
+    Matrix,
+    Subspace,
+    _matrix_id,
+    all_matrices,
+    enumerate_subspaces,
+    unit_vector,
+)
 from .projline import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
     BartolonePair,
     JordanMapSpec,
     SubspacePoint,
+    _pair_ids,
     annihilator,
     arithmetical_distance,
     bartolone,
     base_point,
-    embed_matrix_space,
     enumerate_points,
     is_adjacent,
     jordan_action,
+    point_from_id,
     preimage_pair,
-    sweep_points,
+    sweep_ids,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -136,8 +145,6 @@ def enumerate_grassmannian(cfg: GeometryConfig) -> tuple[SubspacePoint, ...]:
 
 @functools.lru_cache(maxsize=4)
 def square_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
-    from .matrices import all_matrices
-
     return tuple(all_matrices(field, n, n))
 
 
@@ -145,21 +152,18 @@ def square_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
 def pair_point_table(field: FieldSpec, n: int):
     """For every parameter pair, the id of the point it parametrises.
 
-    Returns (matrices, points, table) with table[i][j] the index into
-    points of the point of (matrices[i], matrices[j]).  Only built for
-    pair spaces of exhaustible size.
+    Returns (matrices, points, table) with table[i][j] the id of the
+    point of (matrices[i], matrices[j]), its index into points.  Only
+    built for pair spaces of exhaustible size.
     """
     if not _exhaustible(field, n):
         raise ValueError("pair space too large for an exhaustive table")
     mats = square_matrices(field, n)
     points = enumerate_points(field, n)
-    index = {p: i for i, p in enumerate(points)}
-    table = []
-    for t1 in mats:
-        row = []
-        for t2 in mats:
-            row.append(index[bartolone(BartolonePair(t1, t2))])
-        table.append(row)
+    pair_id = _pair_ids(field, n)
+    entries = [m.entries for m in mats]
+    ids = list(range(len(points)))  # one int object per point, not one per pair
+    table = [[ids[pair_id(t1, t2)] for t2 in entries] for t1 in entries]
     return mats, points, table
 
 
@@ -178,8 +182,7 @@ def _exhaustible(field: FieldSpec, n: int) -> bool:
 def _matrix_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> list[int]:
     """For each matrix of square_matrices, the index of its image under spec."""
     mats = square_matrices(field, n)
-    index = {m: i for i, m in enumerate(mats)}
-    return [index[spec.apply(m)] for m in mats]
+    return [_matrix_id(field.q, spec.apply(m).entries) for m in mats]
 
 
 @functools.lru_cache(maxsize=8)
@@ -207,34 +210,38 @@ def report_to_json(report: dict) -> str:
 def verify_theorem1(cfg: GeometryConfig) -> dict:
     """Compare the hermitian-pair image with the maximal isotropic set.
 
-    Both sides are computed independently: the left by sweeping all
-    hermitian parameter pairs through the parametrisation, the right by
-    filtering the full point enumeration with the form.
+    Both sides are sets of point ids, positions in the enumerate_points
+    order, computed independently: the left by sweeping all hermitian
+    parameter pairs through the parametrisation, the right by running
+    the form's isotropy test over the whole point enumeration.  Points
+    are built only for the witnesses of a failure.
     """
     ensure_within_budget(cfg)
     field = cfg.field()
     n = cfg.n
-    points = enumerate_points(field, n)
-    isotropic = set(enumerate_isotropic(field, n))
+    grassmannian, isotropic = isotropic_ids(field, n)
+    isotropic = set(isotropic)
     herm = hermitian_matrices(field, n)
-    image = set(sweep_points(herm, herm))
-    witnesses = [
-        {"kind": "isotropic_without_parameters", "basis": p.to_json()}
-        for p in sorted(isotropic - image, key=SubspacePoint.sort_key)[:_WITNESS_CAP]
-    ] + [
-        {"kind": "parametrised_but_not_isotropic", "basis": p.to_json()}
-        for p in sorted(image - isotropic, key=SubspacePoint.sort_key)[:_WITNESS_CAP]
-    ]
+    image = sweep_ids(field, n, herm, herm)
+
+    def witnesses(kind: str, ids) -> list[dict]:
+        points = sorted(
+            (point_from_id(field, n, i) for i in ids), key=SubspacePoint.sort_key
+        )
+        return [{"kind": kind, "basis": p.to_json()} for p in points[:_WITNESS_CAP]]
+
+    found = witnesses("isotropic_without_parameters", isotropic - image)
+    found += witnesses("parametrised_but_not_isotropic", image - isotropic)
     report = cfg.report_header("theorem1")
     report["counts"] = {
-        "grassmannian": len(points),
+        "grassmannian": grassmannian,
         "isotropic": len(isotropic),
         "hermitian": len(herm),
         "hermitian_pairs": len(herm) ** 2,
         "bartolone_image": len(image),
     }
-    report["equal"] = not witnesses
-    report["witnesses"] = witnesses
+    report["equal"] = not found
+    report["witnesses"] = found
     return report
 
 
@@ -415,12 +422,13 @@ def _result(name: str, mode: str, outcomes) -> dict:
 def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     """The map T2 -> point is injective for T1 fixed at 0 and at I."""
     mats = square_matrices(field, n)
+    pair_id = _pair_ids(field, n)
 
     def outcomes():
         for t1_0 in (Matrix.zeros(field, n, n), Matrix.identity(field, n)):
             seen = {}
             for t2 in mats:
-                other = seen.setdefault(embed_matrix_space(t1_0, t2), t2)
+                other = seen.setdefault(pair_id(t1_0.entries, t2.entries), t2)
                 yield None if other is t2 else {
                     "t1_0": t1_0.to_json(), "t2": t2.to_json(), "clash": other.to_json()
                 }

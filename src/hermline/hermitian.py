@@ -19,12 +19,14 @@ computed.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
-    all_matrices,
+    _rref_id,
+    _rref_layouts,
     extend_independent,
     nullspace,
     outer_product,
@@ -36,7 +38,7 @@ from .projline import (
     _check_parameter_vector,
     bartolone,
     base_point,
-    enumerate_points,
+    point_from_id,
     preimage_pair,
     sweep_points,
 )
@@ -45,7 +47,7 @@ from .projline import (
 class SesquilinearForm:
     """A non-degenerate sigma-anti-hermitian form on K^(2n)."""
 
-    __slots__ = ("field", "n", "gram")
+    __slots__ = ("field", "n", "gram", "_terms")
 
     def __init__(self, field: FieldSpec, n: int, gram: Matrix | None = None):
         if gram is None:
@@ -61,6 +63,12 @@ class SesquilinearForm:
         self.field = field
         self.n = n
         self.gram = gram
+        self._terms = tuple(
+            (i, j, g)
+            for i, row in enumerate(gram.entries)
+            for j, g in enumerate(row)
+            if g
+        )
 
     def evaluate(self, x, y) -> int:
         """beta(x, y) for two coefficient tuples of length 2n."""
@@ -68,14 +76,16 @@ class SesquilinearForm:
         y = tuple(y)
         if len(x) != 2 * self.n or len(y) != 2 * self.n:
             raise ValueError(f"vectors must have length {2 * self.n}")
+        return self._pairing(x, y)
+
+    def _pairing(self, x, y) -> int:
+        """beta(x, y) = sum of x_i * g_ij * sigma(y_j) over the nonzero g_ij."""
         field = self.field
         add, mul, sig = field._add, field._mul, field._sigma
         acc = 0
-        for xi, grow in zip(x, self.gram.entries):
-            if xi:
-                for gij, yj in zip(grow, y):
-                    if gij and yj:
-                        acc = add[acc][mul[mul[xi][gij]][sig[yj]]]
+        for i, j, g in self._terms:
+            if x[i] and y[j]:
+                acc = add[acc][mul[mul[x[i]][g]][sig[y[j]]]]
         return acc
 
     def restricted_gram(self, rows: Matrix) -> Matrix:
@@ -89,9 +99,18 @@ class SesquilinearForm:
         return nullspace(conditions)
 
     def is_totally_isotropic(self, obj) -> bool:
-        """Whether the form vanishes on the subspace (or point space)."""
+        """Whether the form vanishes on the subspace (or point space).
+
+        The gram matrix is sigma-anti-hermitian, so beta(y, x) is
+        -sigma(beta(x, y)), and the pairs of basis rows with x no later
+        than y suffice.
+        """
         space = obj.space if isinstance(obj, SubspacePoint) else obj
-        return self.restricted_gram(space.basis).is_zero()
+        rows = space.basis.entries
+        pairing = self._pairing
+        return not any(
+            pairing(x, y) for b, y in enumerate(rows) for x in rows[: b + 1]
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,15 +126,74 @@ def block_isotropy_criterion(p: SubspacePoint) -> bool:
 
 @functools.lru_cache(maxsize=8)
 def hermitian_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
-    """All hermitian n x n matrices, in lexicographic entry order."""
-    return tuple(m for m in all_matrices(field, n, n) if m.is_hermitian())
+    """All hermitian n x n matrices, in lexicographic entry order.
+
+    The diagonal entries run over the elements fixed by sigma and the
+    entries above it over the field; each entry below the diagonal is
+    sigma of its mirror, which comes earlier in row-major order, so
+    running the free entries lexicographically keeps the matrices in
+    lexicographic order.
+    """
+    sig = field._sigma
+    free = [(i, j) for i in range(n) for j in range(i, n)]
+    domains = [field.fixed_elements if i == j else field.elements() for i, j in free]
+    rows = [[0] * n for _ in range(n)]
+    out = []
+    for values in itertools.product(*domains):
+        for (i, j), x in zip(free, values):
+            rows[i][j] = x
+            rows[j][i] = sig[x]
+        out.append(Matrix._of(field, tuple(map(tuple, rows)), n))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=8)
+def isotropic_ids(field: FieldSpec, n: int) -> tuple[int, tuple[int, ...]]:
+    """The number of points and the ids of the isotropic ones, in order.
+
+    Runs the form's pairwise test over the RREF templates of the points
+    in id order, one row at a time: row r of a template takes its free
+    entries in lexicographic order, is kept when the form vanishes on it
+    and on each earlier row, and the points below a rejected row are
+    skipped.  The ids kept are exactly those of the points that
+    is_totally_isotropic accepts.
+    """
+    q = field.q
+    pairing = standard_form(field, n)._pairing
+    layouts = _rref_layouts(q, 2 * n, n)
+    count = 0
+    kept = []
+    for pivots, (_, free) in layouts.items():
+        count += q ** sum(map(len, free))
+        choices = []
+        for pivot, cols in zip(pivots, free):
+            rows = []
+            for entries in itertools.product(range(q), repeat=len(cols)):
+                row = [0] * (2 * n)
+                row[pivot] = 1
+                for c, x in zip(cols, entries):
+                    row[c] = x
+                row = tuple(row)
+                if not pairing(row, row):
+                    rows.append(row)
+            choices.append(rows)
+
+        def extend(r: int, prefix: tuple) -> None:
+            if r == n:
+                kept.append(_rref_id(q, layouts, pivots, prefix))
+                return
+            for row in choices[r]:
+                if not any(pairing(x, row) for x in prefix):
+                    extend(r + 1, prefix + (row,))
+
+        extend(0, ())
+    return count, tuple(kept)
 
 
 @functools.lru_cache(maxsize=8)
 def enumerate_isotropic(field: FieldSpec, n: int) -> tuple[SubspacePoint, ...]:
     """All maximal totally isotropic points, in enumeration order."""
-    form = standard_form(field, n)
-    return tuple(p for p in enumerate_points(field, n) if form.is_totally_isotropic(p))
+    return tuple(point_from_id(field, n, i) for i in isotropic_ids(field, n)[1])
 
 
 def _require_isotropic(p: SubspacePoint, name: str) -> None:
@@ -321,7 +399,7 @@ def hermitian_adjacent_star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]
     c0 = _check_parameter_vector(field, n, c0, "c0")
     rank_one = outer_product(field, tuple(field._sigma[x] for x in c0), c0)
     t2s = [rank_one.scale(t) for t in field.fixed_elements]
-    points = sweep_points(hermitian_matrices(field, n), t2s)
+    points = sweep_points(field, n, hermitian_matrices(field, n), t2s)
     form = standard_form(field, n)
     assert all(form.is_totally_isotropic(p) for p in points)
     return points

@@ -3,6 +3,8 @@
 Matrices are immutable, hashable and carry their field.  Subspaces of
 K^d are stored by their reduced row echelon basis, which is a canonical
 form: two subspaces are equal exactly when their stored bases are equal.
+A subspace's integer id is its position in ``enumerate_subspaces``,
+read off its basis by ``_rref_id`` and inverted by ``subspace_from_id``.
 Zero-row and zero-column matrices are permitted throughout; the block
 constructions in the isotropic-subspace algorithms rely on them.
 
@@ -16,6 +18,7 @@ Hashes are computed on first use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .fields import FieldSpec
@@ -534,6 +537,15 @@ def all_matrices(field: FieldSpec, rows: int, cols: int):
         )
 
 
+def _matrix_id(q: int, entries) -> int:
+    """The position of the matrix with these entries in the all_matrices order."""
+    value = 0
+    for row in entries:
+        for x in row:
+            value = value * q + x
+    return value
+
+
 def all_vectors(field: FieldSpec, length: int):
     """All length-tuples over the field, in lexicographic order."""
     return itertools.product(field.elements(), repeat=length)
@@ -548,26 +560,74 @@ def outer_product(field: FieldSpec, u, v) -> Matrix:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _rref_layouts(q: int, ambient_dim: int, dim: int) -> dict:
+    """The RREF templates of the dim-spaces of K^ambient_dim, in id order.
+
+    Maps each pivot pattern, in lexicographic order, to (offset, free):
+    free[r] lists the columns after pivots[r] that hold no pivot, which
+    are row r's free entries, and offset is the id of the first subspace
+    with this pattern.
+    """
+    layouts = {}
+    offset = 0
+    for pivots in itertools.combinations(range(ambient_dim), dim):
+        free = tuple(
+            tuple(c for c in range(p + 1, ambient_dim) if c not in pivots)
+            for p in pivots
+        )
+        layouts[pivots] = (offset, free)
+        offset += q ** sum(map(len, free))
+    return layouts
+
+
+def _rref_id(q: int, layouts: dict, pivots, rows) -> int:
+    """The id of the subspace whose RREF basis is rows, with these pivots.
+
+    layouts is _rref_layouts for the shape; the id is the pattern's
+    offset plus the free entries, row by row, read as a base-q numeral.
+    """
+    offset, free = layouts[tuple(pivots)]
+    value = 0
+    for row, cols in zip(rows, free):
+        for c in cols:
+            value = value * q + row[c]
+    return offset + value
+
+
+def subspace_from_id(
+    field: FieldSpec, ambient_dim: int, dim: int, index: int
+) -> Subspace:
+    """The subspace at position index of the enumerate_subspaces order."""
+    q = field.q
+    for pivots, (offset, free) in _rref_layouts(q, ambient_dim, dim).items():
+        if 0 <= index - offset < q ** sum(map(len, free)):
+            break
+    else:
+        raise ValueError(f"subspace id {index} is out of range")
+    rows = [[0] * ambient_dim for _ in pivots]
+    value = index - offset
+    for row, pivot, cols in reversed(tuple(zip(rows, pivots, free))):
+        row[pivot] = 1
+        for c in reversed(cols):
+            value, row[c] = divmod(value, q)
+    return Subspace._from_canonical(
+        Matrix._of(field, tuple(map(tuple, rows)), ambient_dim)
+    )
+
+
 def enumerate_subspaces(field: FieldSpec, ambient_dim: int, dim: int):
     """All dim-dimensional subspaces of K^ambient_dim.
 
     The order is deterministic: pivot column patterns in lexicographic
     order, then the free entries of the RREF basis in lexicographic
-    row-major order.  Downstream point ids index into this order.
+    row-major order.  A subspace's position in this order is its id;
+    subspace_from_id inverts it.
     """
     if dim < 0 or dim > ambient_dim:
         return
-    if dim == 0:
-        yield Subspace.zero(field, ambient_dim)
-        return
-    for pivots in itertools.combinations(range(ambient_dim), dim):
-        pivot_set = set(pivots)
-        slots = [
-            (r, c)
-            for r in range(dim)
-            for c in range(pivots[r] + 1, ambient_dim)
-            if c not in pivot_set
-        ]
+    for pivots, (_, free) in _rref_layouts(field.q, ambient_dim, dim).items():
+        slots = [(r, c) for r, cols in enumerate(free) for c in cols]
         template = [[0] * ambient_dim for _ in range(dim)]
         for r, c in zip(range(dim), pivots):
             template[r][c] = 1

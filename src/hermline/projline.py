@@ -23,10 +23,14 @@ from .fields import FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
+    _row_reduce,
+    _rref_id,
+    _rref_layouts,
     all_matrices,
     all_vectors,
     enumerate_subspaces,
     outer_product,
+    subspace_from_id,
 )
 
 AUTOMORPHISM = "automorphism"
@@ -153,6 +157,39 @@ def bartolone(pair: BartolonePair) -> SubspacePoint:
     if space.dim != n:
         raise AssertionError("parametrised block pair lost rank")
     return SubspacePoint(space, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_ids(field: FieldSpec, n: int):
+    """The parametrisation on entry tuples: (T1, T2) -> id of its point.
+
+    The returned function builds (T2*T1 - I | T2) as lists with the
+    field tables, row reduces it and reads the point id off the reduced
+    rows, with no Matrix, Subspace or SubspacePoint.  It is the map of
+    bartolone, with point ids for points.
+    """
+    add, mul, sub = field._add, field._mul, field._sub
+    q = field.q
+    layouts = _rref_layouts(q, 2 * n, n)
+    span = range(n)
+
+    def pair_id(t1: tuple, t2: tuple) -> int:
+        work = []
+        for i, row in enumerate(t2):
+            left = [0] * n
+            for x, t1_row in zip(row, t1):
+                if x:
+                    mx = mul[x]
+                    for j in span:
+                        left[j] = add[left[j]][mx[t1_row[j]]]
+            left[i] = sub[left[i]][1]
+            work.append(left + list(row))
+        pivots = _row_reduce(field, work, 2 * n)
+        if len(pivots) != n:
+            raise AssertionError("parametrised block pair lost rank")
+        return _rref_id(q, layouts, pivots, work)
+
+    return pair_id
 
 
 def embed_matrix_space(t1_0: Matrix, t2: Matrix) -> SubspacePoint:
@@ -297,12 +334,21 @@ def enumerate_points(field: FieldSpec, n: int) -> tuple[SubspacePoint, ...]:
     )
 
 
-def sweep_points(t1s, t2s) -> list[SubspacePoint]:
-    """The distinct points of all pairs in t1s x t2s, in canonical order.
+def point_from_id(field: FieldSpec, n: int, index: int) -> SubspacePoint:
+    """The point at position index of the enumerate_points order."""
+    return SubspacePoint(subspace_from_id(field, 2 * n, n, index), n)
 
-    t2s is iterated once for every T1, so it must be a sequence.
-    """
-    points = {bartolone(BartolonePair(t1, t2)) for t1 in t1s for t2 in t2s}
+
+def sweep_ids(field: FieldSpec, n: int, t1s, t2s) -> set[int]:
+    """The ids of the points of all pairs in t1s x t2s."""
+    pair_id = _pair_ids(field, n)
+    t2s = [t2.entries for t2 in t2s]
+    return {pair_id(t1.entries, t2) for t1 in t1s for t2 in t2s}
+
+
+def sweep_points(field: FieldSpec, n: int, t1s, t2s) -> list[SubspacePoint]:
+    """The distinct points of all pairs in t1s x t2s, in canonical order."""
+    points = [point_from_id(field, n, i) for i in sweep_ids(field, n, t1s, t2s)]
     return sorted(points, key=SubspacePoint.sort_key)
 
 
@@ -326,7 +372,7 @@ def sphere(field: FieldSpec, n: int, k: int) -> list[SubspacePoint]:
     if not 0 <= k <= n:
         raise ValueError(f"sphere radius must lie in 0..{n}")
     shells = [t2 for t2 in all_matrices(field, n, n) if t2.rank() == k]
-    return sweep_points(all_matrices(field, n, n), shells)
+    return sweep_points(field, n, all_matrices(field, n, n), shells)
 
 
 def star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]:
@@ -338,7 +384,7 @@ def star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]:
     """
     c0 = _check_parameter_vector(field, n, c0, "c0")
     t2s = [outer_product(field, c0, d) for d in all_vectors(field, n)]
-    return sweep_points(all_matrices(field, n, n), t2s)
+    return sweep_points(field, n, all_matrices(field, n, n), t2s)
 
 
 def top(field: FieldSpec, n: int, d0) -> list[SubspacePoint]:
@@ -350,7 +396,7 @@ def top(field: FieldSpec, n: int, d0) -> list[SubspacePoint]:
     """
     d0 = _check_parameter_vector(field, n, d0, "d0")
     t2s = [outer_product(field, c, d0) for c in all_vectors(field, n)]
-    return sweep_points(all_matrices(field, n, n), t2s)
+    return sweep_points(field, n, all_matrices(field, n, n), t2s)
 
 
 def pencil(field: FieldSpec, n: int, c0, d0) -> list[SubspacePoint]:
@@ -363,4 +409,4 @@ def pencil(field: FieldSpec, n: int, c0, d0) -> list[SubspacePoint]:
     d0 = _check_parameter_vector(field, n, d0, "d0")
     line = outer_product(field, c0, d0)
     t2s = [line.scale(t) for t in field.elements()]
-    return sweep_points([Matrix.zeros(field, n, n)], t2s)
+    return sweep_points(field, n, [Matrix.zeros(field, n, n)], t2s)

@@ -4,14 +4,58 @@
 ``hermitian.isotropic_meeting_perp``, ``check_distant_chain`` proves
 the "distant diameter at most two" claim with explicit middle points,
 and ``graph_from_edges`` builds a small graph from a hand-written edge
-list.  None of them runs from the command line.
+list.  ``subspace_id`` ranks a subspace object the way the pair kernel
+ranks its reduced rows.  ``hermitian_matrices_by_filter`` and
+``isotropic_points_by_filter`` are the plain filters that
+``hermitian_matrices`` and ``isotropic_ids`` replace.  None of them
+runs from the command line.
 """
 
 from hermline.fields import FieldSpec
-from hermline.hermitian import _ordered_frame, _skew_split
+from hermline.hermitian import _ordered_frame, _skew_split, standard_form
 from hermline.harness import RelationGraph, _result, pair_point_table
-from hermline.matrices import Matrix, Subspace
-from hermline.projline import SubspacePoint, base_point, is_distant, point_from_pair
+from hermline.matrices import Matrix, Subspace, _rref_id, _rref_layouts, all_matrices
+from hermline.projline import (
+    SubspacePoint,
+    base_point,
+    enumerate_points,
+    is_distant,
+    point_from_pair,
+)
+
+# The configurations ((p, k, involution), n) that the id and isotropy
+# tests run on, with their test ids.
+LADDER = [
+    ((2, 1, "identity"), 2),
+    ((3, 1, "identity"), 2),
+    ((2, 2, "frobenius"), 2),
+    ((3, 2, "frobenius"), 2),
+    ((2, 1, "identity"), 3),
+]
+LADDER_IDS = ["gf2-2", "gf3-2", "gf4-2", "gf9-2", "gf2-3"]
+
+
+def subspace_id(space: Subspace) -> int:
+    """The id of a subspace: its position in the enumerate_subspaces order."""
+    rows = space.basis.entries
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    q = space.field.q
+    return _rref_id(q, _rref_layouts(q, space.ambient_dim, space.dim), pivots, rows)
+
+
+def hermitian_matrices_by_filter(field: FieldSpec, n: int) -> tuple:
+    """Every n x n matrix that equals its involution transpose, in order."""
+    return tuple(m for m in all_matrices(field, n, n) if m.is_hermitian())
+
+
+def isotropic_points_by_filter(field: FieldSpec, n: int) -> tuple:
+    """Every point whose restricted Gram matrix is zero, in enumeration order."""
+    form = standard_form(field, n)
+    return tuple(
+        p
+        for p in enumerate_points(field, n)
+        if form.restricted_gram(p.space.basis).is_zero()
+    )
 
 
 def isotropic_meeting_perp_stepwise(

@@ -1,5 +1,6 @@
 """Configuration handling, budget gates, verification reports and graphs."""
 
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,7 @@ from hermline.harness import (
     pair_point_table,
     preimage_pair,
 )
+from hermline import harness
 from reference_checks import check_distant_chain, graph_from_edges
 
 CONFIGS = [
@@ -100,6 +102,58 @@ def test_verify_theorem1_reports(cfg, size):
     assert report["check"] == "theorem1"
     assert report["format_version"] == 1
     assert report["field_p"] == cfg.p and report["field_k"] == cfg.k
+
+
+# sha256 of the verify_theorem1 report when the hermitian set is wrong,
+# recorded before the theorem check moved from point objects to point
+# ids.  "dropped" keeps the first half of the hermitian matrices, which
+# leaves isotropic points without parameters; "added" appends the
+# non-hermitian [[0, 1], [0, 0]], which parametrises points that are not
+# isotropic.
+THEOREM1_FAILURES = {
+    ("gf3", "dropped"): (
+        "55ce40b65e62d04c38d32143d6f4e40d2801ea800e04a5419f005337a9698ec1"
+    ),
+    ("gf3", "added"): (
+        "5ca3de679fd8ab5867ee0113b7ce3083e89b5ae3c7295762f14455bcce513b9c"
+    ),
+    ("gf4", "dropped"): (
+        "246aeb7cf089cba000116e40e493621c4c01ab87c622e87fa76fd321b3ad9f71"
+    ),
+    ("gf4", "added"): (
+        "51823b953910414a9cccfee957217ce9f2ed3400266302d4700be8a5068579ca"
+    ),
+    ("gf9", "dropped"): (
+        "18ff5892912cfabda62f942869051fb7c87d480c692323f1ec4d7ed9c2955b2c"
+    ),
+    ("gf9", "added"): (
+        "3543a42a2f6a5eefe2fbefd104650af188021642faa618e32b15fd0909a6649f"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(THEOREM1_FAILURES), ids="-".join)
+def test_verify_theorem1_failure_reports(key, monkeypatch):
+    label, case = key
+    cfg = CONFIGS[["gf2", "gf3", "gf4", "gf9"].index(label)]
+    real = harness.hermitian_matrices
+
+    def wrong(field, n):
+        herm = real(field, n)
+        if case == "dropped":
+            return herm[: len(herm) // 2]
+        return herm + (Matrix(field, [[0, 1], [0, 0]]),)
+
+    monkeypatch.setattr(harness, "hermitian_matrices", wrong)
+    report = verify_theorem1(cfg)
+    assert not report["equal"]
+    kind = {
+        "dropped": "isotropic_without_parameters",
+        "added": "parametrised_but_not_isotropic",
+    }[case]
+    assert {w["kind"] for w in report["witnesses"]} == {kind}
+    text = report_to_json(report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == THEOREM1_FAILURES[key]
 
 
 def test_report_json_is_stable():

@@ -27,9 +27,16 @@ from hermline import (
     point_from_pair,
     standard_form,
 )
-from hermline.hermitian import _skew_split
+from hermline.hermitian import _skew_split, isotropic_ids
 from hermline.matrices import Subspace, all_vectors, outer_product
-from reference_checks import isotropic_meeting_perp_stepwise
+from reference_checks import (
+    LADDER,
+    LADDER_IDS,
+    hermitian_matrices_by_filter,
+    isotropic_meeting_perp_stepwise,
+    isotropic_points_by_filter,
+    subspace_id,
+)
 
 ALL_CONFIGS = [
     lambda: make_field(2),
@@ -109,11 +116,16 @@ def test_perp_dimensions_and_involution(f2):
                     assert form.evaluate(v, w) == 0
 
 
-def test_block_criterion_matches_form(f2, f4):
-    for field in (f2, f4):
-        form = standard_form(field, 2)
-        for p in enumerate_points(field, 2):
-            assert block_isotropy_criterion(p) == form.is_totally_isotropic(p)
+def test_block_criterion_matches_form():
+    """On every point of the ladder: the pairwise test, the Gram product and
+    the block criterion A * B^Sigma = B * A^Sigma agree."""
+    for field_args, n in LADDER:
+        field = make_field(*field_args)
+        form = standard_form(field, n)
+        for p in enumerate_points(field, n):
+            by_gram = form.restricted_gram(p.space.basis).is_zero()
+            assert form.is_totally_isotropic(p) == by_gram
+            assert block_isotropy_criterion(p) == by_gram
 
 
 @pytest.mark.parametrize("maker,expected", list(zip(ALL_CONFIGS, [8, 27, 16, 81])))
@@ -312,3 +324,24 @@ def test_jordan_axioms(maker, herm_count):
     assert report["inverse_closure_ok"]
     assert report["triple_product_closure_ok"]
     assert report["witnesses"] == {"inverse": [], "triple_product": []}
+
+
+@pytest.mark.parametrize(
+    "field_args,n",
+    LADDER + [((2, 4, "frobenius"), 2)],
+    ids=LADDER_IDS + ["gf16-2"],
+)
+def test_hermitian_matrices_match_the_filter(field_args, n):
+    field = make_field(*field_args)
+    assert hermitian_matrices(field, n) == hermitian_matrices_by_filter(field, n)
+
+
+@pytest.mark.parametrize("field_args,n", LADDER, ids=LADDER_IDS)
+def test_isotropic_scan_matches_the_filter(field_args, n):
+    """The ranked scan keeps the filter's points, in order, under their ids."""
+    field = make_field(*field_args)
+    reference = isotropic_points_by_filter(field, n)
+    count, ids = isotropic_ids(field, n)
+    assert count == len(enumerate_points(field, n))
+    assert list(ids) == [subspace_id(p.space) for p in reference]
+    assert enumerate_isotropic(field, n) == reference

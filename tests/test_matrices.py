@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hermline import Matrix, Subspace, all_matrices, enumerate_subspaces, make_field, nullspace
-from hermline.matrices import all_vectors, extend_independent, outer_product, unit_vector
+from hermline.matrices import (
+    _matrix_id,
+    all_vectors,
+    extend_independent,
+    outer_product,
+    subspace_from_id,
+    unit_vector,
+)
+from reference_checks import LADDER, LADDER_IDS, subspace_id
 
 
 def gf4_matrix(rows, cols):
@@ -303,3 +311,32 @@ def test_enumerate_subspaces_extremes(f2):
     full = list(enumerate_subspaces(f2, 3, 3))
     assert len(full) == 1
     assert full[0].basis == Matrix.identity(f2, 3)
+
+
+@pytest.mark.parametrize("field_args,n", LADDER, ids=LADDER_IDS)
+def test_subspace_ids_are_enumeration_positions(field_args, n):
+    """The id of the i-th enumerated n-space of K^(2n) is i, both ways."""
+    field = make_field(*field_args)
+    count = 0
+    for i, space in enumerate(enumerate_subspaces(field, 2 * n, n)):
+        assert subspace_id(space) == i
+        unranked = subspace_from_id(field, 2 * n, n, i)
+        assert unranked == space
+        assert subspace_id(unranked) == i
+        count += 1
+    with pytest.raises(ValueError):
+        subspace_from_id(field, 2 * n, n, count)
+    with pytest.raises(ValueError):
+        subspace_from_id(field, 2 * n, n, -1)
+
+
+@pytest.mark.parametrize("ambient,dim", [(3, 0), (3, 3), (5, 2), (4, 1), (4, 3)])
+def test_subspace_ids_other_shapes(f3, ambient, dim):
+    for i, space in enumerate(enumerate_subspaces(f3, ambient, dim)):
+        assert subspace_id(space) == i
+        assert subspace_from_id(f3, ambient, dim, i) == space
+
+
+def test_matrix_ids_are_enumeration_positions(f3):
+    for i, m in enumerate(all_matrices(f3, 2, 2)):
+        assert _matrix_id(3, m.entries) == i

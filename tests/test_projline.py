@@ -1,6 +1,7 @@
 """Points of the line, the parametrisation and the relations on points."""
 
 import itertools
+import random
 
 import pytest
 
@@ -30,7 +31,10 @@ from hermline import (
     star,
     top,
 )
+from hermline import projline
 from hermline.matrices import Subspace, all_vectors
+from hermline.projline import _pair_ids, point_from_id
+from reference_checks import LADDER, LADDER_IDS
 
 
 def all_pairs(field, n=2):
@@ -275,3 +279,46 @@ def test_parameter_vector_validation(f2):
         top(f2, 2, (1,))
     with pytest.raises(ValueError):
         pencil(f2, 2, (1, 2), (0, 1))
+
+
+def _assert_pair_ids_match_bartolone(field, n, pairs):
+    """The kernel's id is the enumeration index of bartolone's point."""
+    index = {p: i for i, p in enumerate(enumerate_points(field, n))}
+    pair_id = _pair_ids(field, n)
+    checked = 0
+    for t1, t2 in pairs:
+        point = bartolone(BartolonePair(t1, t2))
+        assert pair_id(t1.entries, t2.entries) == index[point]
+        assert point_from_id(field, n, index[point]) == point
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("field_args,n", LADDER[:2], ids=LADDER_IDS[:2])
+def test_pair_ids_match_bartolone_on_every_pair(field_args, n):
+    field = make_field(*field_args)
+    mats = list(all_matrices(field, n, n))
+    pairs = itertools.product(mats, repeat=2)
+    assert _assert_pair_ids_match_bartolone(field, n, pairs) == len(mats) ** 2
+
+
+@pytest.mark.parametrize("field_args,n", LADDER[2:], ids=LADDER_IDS[2:])
+def test_pair_ids_match_bartolone_on_samples(field_args, n):
+    field = make_field(*field_args)
+    rng = random.Random(0)
+
+    def draw():
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+        return Matrix(field, rows)
+
+    pairs = [(draw(), draw()) for _ in range(2000)]
+    assert _assert_pair_ids_match_bartolone(field, n, pairs) == 2000
+
+
+def test_pair_ids_raise_on_lost_rank(f2, monkeypatch):
+    """The rank-n postcondition is a raised error, not an assert statement."""
+    pair_id = _pair_ids(f2, 2)
+    ident = Matrix.identity(f2, 2).entries
+    monkeypatch.setattr(projline, "_row_reduce", lambda field, work, cols: [0])
+    with pytest.raises(AssertionError, match="lost rank"):
+        pair_id(ident, ident)
