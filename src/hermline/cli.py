@@ -90,6 +90,8 @@ def _load_json_argument(text: str) -> dict:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read JSON argument {text!r}: {exc}") from exc
+    except RecursionError:
+        raise ValueError("JSON argument is nested too deeply") from None
 
 
 def _matrix_argument(cfg: GeometryConfig, text: str, rows: int, cols: int) -> Matrix:

@@ -573,14 +573,17 @@ def check_rank_law(
 def check_annihilator(
     field: FieldSpec, n: int, seed: int = 0, samples: int = 1_000
 ) -> dict:
-    """(T2*T1 - I | T2) annihilates the stacked matrix, which has rank n."""
-    ident = Matrix.identity(field, n)
+    """The pair's point annihilates the stacked matrix, which has rank n.
+
+    The point's RREF basis spans the row space of (T2*T1 - I | T2), so
+    it annihilates the stacked matrix exactly when that generator does.
+    """
     cases = _PairCases(field, n, seed, samples)
+    basis = cases.per_point(lambda p: p.space.basis)
 
     def holds(t1, t2) -> bool:
-        t1, t2 = cases.matrix(t1), cases.matrix(t2)
-        ann = annihilator(BartolonePair(t1, t2))
-        return ((t2 * t1 - ident).hstack(t2) * ann).is_zero() and ann.rank() == n
+        ann = annihilator(BartolonePair(cases.matrix(t1), cases.matrix(t2)))
+        return (basis(t1, t2) * ann).is_zero() and ann.rank() == n
 
     return cases.check("annihilator", holds)
 

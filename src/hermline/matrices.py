@@ -340,15 +340,13 @@ class Matrix:
     def from_json(cls, field: FieldSpec, data) -> "Matrix":
         if not isinstance(data, dict):
             raise ValueError("matrix JSON must be an object")
-        try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
-            entries = data["entries"]
-        except (KeyError, TypeError, ValueError):
+        rows, cols, entries = data.get("rows"), data.get("cols"), data.get("entries")
+        # JSON integers only: bool is an int subclass, and floats truncate.
+        if type(rows) is not int or type(cols) is not int or type(entries) is not list:
             raise ValueError(
                 "matrix JSON needs integer 'rows', 'cols' and an 'entries' array"
-            ) from None
-        if not isinstance(entries, list) or len(entries) != rows:
+            )
+        if len(entries) != rows:
             raise ValueError("entry row count does not match 'rows'")
         parsed = []
         for row in entries:
@@ -400,13 +398,12 @@ def _row_reduce(
 class Subspace:
     """A subspace of K^d, stored by its canonical RREF basis."""
 
-    __slots__ = ("basis", "ambient_dim", "_hash")
+    __slots__ = ("basis", "ambient_dim")
 
     def __init__(self, matrix: Matrix):
         reduced, rank = matrix.rref()
         self.basis = reduced.block(0, rank, 0, matrix.cols)
         self.ambient_dim = matrix.cols
-        self._hash = hash((Subspace, self.basis))
 
     @classmethod
     def _from_canonical(cls, matrix: Matrix) -> "Subspace":
@@ -414,7 +411,6 @@ class Subspace:
         self = object.__new__(cls)
         self.basis = matrix
         self.ambient_dim = matrix.cols
-        self._hash = hash((Subspace, matrix))
         return self
 
     @classmethod
@@ -439,7 +435,7 @@ class Subspace:
         return self.basis == other.basis
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of K^{self.ambient_dim})"

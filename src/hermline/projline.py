@@ -8,11 +8,13 @@ parametrisation
 
     (T1, T2)  ->  row space of (T2*T1 - I, T2),
 
-the distant and adjacency relations with the arithmetical distance that
-refines them, and the constructions attached to the parametrisation:
-the embedding of the matrix space, spheres around the base point,
-stars, tops, pencils, annihilators, and the point maps induced by
-twisted ring isomorphisms and anti-isomorphisms.
+which one private kernel, _pair_ids, computes on entry tuples as a
+point id (bartolone unranks that id into a point), the distant and
+adjacency relations with the arithmetical distance that refines them,
+and the constructions attached to the parametrisation: the embedding of
+the matrix space, spheres around the base point, stars, tops, pencils,
+annihilators, and the point maps induced by twisted ring isomorphisms
+and anti-isomorphisms.
 """
 
 from __future__ import annotations
@@ -147,16 +149,13 @@ def base_point(field: FieldSpec, n: int) -> SubspacePoint:
 def bartolone(pair: BartolonePair) -> SubspacePoint:
     """The point parametrised by (T1, T2): row space of (T2*T1 - I, T2).
 
-    The block pair always has full rank; a failure here would be an
-    internal invariant violation, not a user error.
+    The point is unranked from the id that _pair_ids computes.  The
+    block pair always has full rank; a failure there is an internal
+    invariant violation, not a user error.
     """
-    field = pair.field
-    n = pair.n
-    left = pair.t2 * pair.t1 - Matrix.identity(field, n)
-    space = Subspace(left.hstack(pair.t2))
-    if space.dim != n:
-        raise AssertionError("parametrised block pair lost rank")
-    return SubspacePoint(space, n)
+    field, n = pair.field, pair.n
+    index = _pair_ids(field, n)(pair.t1.entries, pair.t2.entries)
+    return point_from_id(field, n, index)
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,8 +164,8 @@ def _pair_ids(field: FieldSpec, n: int):
 
     The returned function builds (T2*T1 - I | T2) as lists with the
     field tables, row reduces it and reads the point id off the reduced
-    rows, with no Matrix, Subspace or SubspacePoint.  It is the map of
-    bartolone, with point ids for points.
+    rows, with no Matrix, Subspace or SubspacePoint.  It is the only
+    code that forms this generator: bartolone unranks its ids.
     """
     add, mul, sub = field._add, field._mul, field._sub
     q = field.q
@@ -204,9 +203,7 @@ def _check_same_line(p: SubspacePoint, q: SubspacePoint) -> None:
 
 def is_distant(p: SubspacePoint, q: SubspacePoint) -> bool:
     """Whether the two point spaces are complementary in K^(2n)."""
-    _check_same_line(p, q)
-    stacked = p.space.basis.vstack(q.space.basis)
-    return stacked.rank() == 2 * p.n
+    return arithmetical_distance(p, q) == p.n
 
 
 def arithmetical_distance(p: SubspacePoint, q: SubspacePoint) -> int:
@@ -272,7 +269,7 @@ def annihilator(pair: BartolonePair) -> Matrix:
     """The 2n x n matrix (-T2 on top of T1*T2 - I).
 
     Its columns are annihilated by every row of (T2*T1 - I | T2), and
-    it always has rank n.
+    so by every vector of the pair's point; it always has rank n.
     """
     field = pair.field
     n = pair.n

@@ -5,10 +5,10 @@
 the "distant diameter at most two" claim with explicit middle points,
 and ``graph_from_edges`` builds a small graph from a hand-written edge
 list.  ``subspace_id`` ranks a subspace object the way the pair kernel
-ranks its reduced rows.  ``hermitian_matrices_by_filter`` and
-``isotropic_points_by_filter`` are the plain filters that
-``hermitian_matrices`` and ``isotropic_ids`` replace.  None of them
-runs from the command line.
+ranks its reduced rows.  ``bartolone_by_matrices``,
+``hermitian_matrices_by_filter`` and ``isotropic_points_by_filter`` are
+the plain versions that ``bartolone``, ``hermitian_matrices`` and
+``isotropic_ids`` replace.  None of them runs from the command line.
 """
 
 from hermline.fields import FieldSpec
@@ -16,6 +16,7 @@ from hermline.hermitian import _ordered_frame, _skew_split, standard_form
 from hermline.harness import RelationGraph, _result, pair_point_table
 from hermline.matrices import Matrix, Subspace, _rref_id, _rref_layouts, all_matrices
 from hermline.projline import (
+    BartolonePair,
     SubspacePoint,
     base_point,
     enumerate_points,
@@ -41,6 +42,21 @@ def subspace_id(space: Subspace) -> int:
     pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
     q = space.field.q
     return _rref_id(q, _rref_layouts(q, space.ambient_dim, space.dim), pivots, rows)
+
+
+def bartolone_by_matrices(pair: BartolonePair) -> SubspacePoint:
+    """The point parametrised by (T1, T2): row space of (T2*T1 - I, T2).
+
+    The block pair always has full rank; a failure here would be an
+    internal invariant violation, not a user error.
+    """
+    field = pair.field
+    n = pair.n
+    left = pair.t2 * pair.t1 - Matrix.identity(field, n)
+    space = Subspace(left.hstack(pair.t2))
+    if space.dim != n:
+        raise AssertionError("parametrised block pair lost rank")
+    return SubspacePoint(space, n)
 
 
 def hermitian_matrices_by_filter(field: FieldSpec, n: int) -> tuple:

@@ -253,6 +253,18 @@ def test_usage_errors(capsys):
     assert "2x4" in err
     code, out, err = run(capsys, "bartolone", "--p", "2", "--t1", IDENTITY_2)
     assert code == 2
+    hostile = [
+        '{"rows": Infinity, "cols": 4, "entries": []}',
+        '{"rows": 2.5, "cols": 4, "entries": [[0, 0, 0, 0], [0, 0, 0, 0]]}',
+        '{"rows": true, "cols": 4, "entries": [[1, 0, 0, 0]]}',
+        '{"rows": ' + "[" * 200_000,
+    ]
+    for point in hostile:
+        code, out, err = run(capsys, "decompose", "--p", "2", "--point", point)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_missing_file_argument(tmp_path, capsys):

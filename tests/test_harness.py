@@ -156,6 +156,34 @@ def test_verify_theorem1_failure_reports(key, monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == THEOREM1_FAILURES[key]
 
 
+# sha256 of the check_annihilator report when the annihilator drops its
+# "- I" (so (T2*T1 - I | T2) times it is T2, not zero), recorded while
+# the check still multiplied by the generator itself: GF(3) exhaustive
+# and GF(9)s sampled with seed 17 and 1,000 samples.
+ANNIHILATOR_FAILURES = {
+    "gf3": "0250e3f73daac9c24dfa222e4dd6cabbbda2991649fa9ece2eec6e3d1754710e",
+    "gf9": "b5165bc90592178a7cbc6d61a58dd3930df00bad8f8f304afc5a91edc2ab06bb",
+}
+
+
+@pytest.mark.parametrize("label", sorted(ANNIHILATOR_FAILURES))
+def test_check_annihilator_failure_reports(label, monkeypatch):
+    def without_shift(pair):
+        return (-pair.t2).vstack(pair.t1 * pair.t2)
+
+    monkeypatch.setattr(harness, "annihilator", without_shift)
+    if label == "gf3":
+        report = check_annihilator(make_field(3), 2)
+        assert report["mode"] == "exhaustive"
+    else:
+        field = make_field(3, 2, "frobenius")
+        report = check_annihilator(field, 2, seed=17, samples=1000)
+        assert report["mode"] == "sampled"
+    assert not report["passed"]
+    digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+    assert digest == ANNIHILATOR_FAILURES[label]
+
+
 def test_report_json_is_stable():
     report = verify_theorem1(CONFIGS[0])
     text = report_to_json(report)

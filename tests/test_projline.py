@@ -34,7 +34,7 @@ from hermline import (
 from hermline import projline
 from hermline.matrices import Subspace, all_vectors
 from hermline.projline import _pair_ids, point_from_id
-from reference_checks import LADDER, LADDER_IDS
+from reference_checks import LADDER, LADDER_IDS, bartolone_by_matrices
 
 
 def all_pairs(field, n=2):
@@ -282,19 +282,30 @@ def test_parameter_vector_validation(f2):
 
 
 def _assert_pair_ids_match_bartolone(field, n, pairs):
-    """The kernel's id is the enumeration index of bartolone's point."""
+    """The kernel's id and bartolone's point match the matrix reference.
+
+    The reference point is ranked by its enumeration index, so the
+    kernel, its unranking and the public bartolone are all checked
+    against code that forms (T2*T1 - I | T2) with Matrix objects.
+    """
     index = {p: i for i, p in enumerate(enumerate_points(field, n))}
     pair_id = _pair_ids(field, n)
     checked = 0
     for t1, t2 in pairs:
-        point = bartolone(BartolonePair(t1, t2))
+        pair = BartolonePair(t1, t2)
+        point = bartolone_by_matrices(pair)
         assert pair_id(t1.entries, t2.entries) == index[point]
         assert point_from_id(field, n, index[point]) == point
+        assert bartolone(pair) == point
         checked += 1
     return checked
 
 
-@pytest.mark.parametrize("field_args,n", LADDER[:2], ids=LADDER_IDS[:2])
+EVERY_PAIR = LADDER[:2] + [((p, 1, "identity"), 1) for p in (2, 3, 5)]
+EVERY_PAIR_IDS = LADDER_IDS[:2] + ["gf2-1", "gf3-1", "gf5-1"]
+
+
+@pytest.mark.parametrize("field_args,n", EVERY_PAIR, ids=EVERY_PAIR_IDS)
 def test_pair_ids_match_bartolone_on_every_pair(field_args, n):
     field = make_field(*field_args)
     mats = list(all_matrices(field, n, n))
