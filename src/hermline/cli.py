@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from typing import Callable, NamedTuple
 
@@ -89,7 +90,9 @@ def _load_json_argument(text: str) -> dict:
         with open(text, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read JSON argument {text!r}: {exc}") from exc
+        reason = exc.strerror if isinstance(exc, OSError) else exc  # no filename
+        shown = reprlib.repr(text)
+        raise ValueError(f"cannot read JSON argument {shown}: {reason}") from exc
     except RecursionError:
         raise ValueError("JSON argument is nested too deeply") from None
 

@@ -14,6 +14,7 @@ so serialising them is deterministic.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -31,6 +32,7 @@ from .hermitian import (
 from .matrices import (
     Matrix,
     Subspace,
+    _matrix_from_id,
     _matrix_id,
     all_matrices,
     enumerate_subspaces,
@@ -45,11 +47,9 @@ from .projline import (
     _pair_ids,
     annihilator,
     arithmetical_distance,
-    bartolone,
     base_point,
     enumerate_points,
     is_adjacent,
-    jordan_action,
     point_from_id,
     preimage_pair,
     sweep_ids,
@@ -144,27 +144,20 @@ def enumerate_grassmannian(cfg: GeometryConfig) -> tuple[SubspacePoint, ...]:
 
 
 @functools.lru_cache(maxsize=4)
-def square_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
-    return tuple(all_matrices(field, n, n))
-
-
-@functools.lru_cache(maxsize=4)
-def pair_point_table(field: FieldSpec, n: int):
+def pair_point_table(field: FieldSpec, n: int) -> list[list[int]]:
     """For every parameter pair, the id of the point it parametrises.
 
-    Returns (matrices, points, table) with table[i][j] the id of the
-    point of (matrices[i], matrices[j]), its index into points.  Only
-    built for pair spaces of exhaustible size.
+    table[i][j] is the id of the point of the matrices with ids i and j,
+    their positions in the all_matrices order.  Only built for pair
+    spaces of exhaustible size.
     """
     if not _exhaustible(field, n):
         raise ValueError("pair space too large for an exhaustive table")
-    mats = square_matrices(field, n)
-    points = enumerate_points(field, n)
     pair_id = _pair_ids(field, n)
-    entries = [m.entries for m in mats]
-    ids = list(range(len(points)))  # one int object per point, not one per pair
-    table = [[ids[pair_id(t1, t2)] for t2 in entries] for t1 in entries]
-    return mats, points, table
+    entries = [m.entries for m in all_matrices(field, n, n)]
+    # one int object per point, not one per pair
+    ids = list(range(gaussian_binomial(2 * n, n, field.q)))
+    return [[ids[pair_id(t1, t2)] for t2 in entries] for t1 in entries]
 
 
 @functools.lru_cache(maxsize=4)
@@ -179,18 +172,12 @@ def _exhaustible(field: FieldSpec, n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=8)
-def _matrix_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> list[int]:
-    """For each matrix of square_matrices, the index of its image under spec."""
-    mats = square_matrices(field, n)
-    return [_matrix_id(field.q, spec.apply(m).entries) for m in mats]
-
-
-@functools.lru_cache(maxsize=8)
 def _point_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> list[int]:
     """For each point id, the image under spec of the first pair reaching it."""
-    iota = _matrix_images(field, n, spec)
-    _, points, table = pair_point_table(field, n)
-    image_of = [None] * len(points)
+    mats = all_matrices(field, n, n)
+    iota = [_matrix_id(field.q, spec.apply(m).entries) for m in mats]
+    table = pair_point_table(field, n)
+    image_of = [None] * gaussian_binomial(2 * n, n, field.q)
     for i, row in enumerate(table):
         for j, p in enumerate(row):
             if image_of[p] is None:
@@ -228,7 +215,7 @@ def verify_theorem1(cfg: GeometryConfig) -> dict:
         points = sorted(
             (point_from_id(field, n, i) for i in ids), key=SubspacePoint.sort_key
         )
-        return [{"kind": kind, "basis": p.to_json()} for p in points[:_WITNESS_CAP]]
+        return _witnesses({"kind": kind, "basis": p.to_json()} for p in points)
 
     found = witnesses("isotropic_without_parameters", isotropic - image)
     found += witnesses("parametrised_but_not_isotropic", image - isotropic)
@@ -402,18 +389,21 @@ def graph_report(cfg: GeometryConfig, graph: RelationGraph) -> dict:
 # -- batch checks ---------------------------------------------------------------
 
 
+def _witnesses(found) -> list:
+    """The first _WITNESS_CAP items of found; the rest are not read."""
+    return list(itertools.islice(found, _WITNESS_CAP))
+
+
 def _result(name: str, mode: str, outcomes) -> dict:
     """Tally one outcome per case: None if it passed, else its witness."""
-    cases = 0
-    witnesses = []
-    for outcome in outcomes:
-        cases += 1
-        if outcome is not None and len(witnesses) < _WITNESS_CAP:
-            witnesses.append(outcome)
+    cases = itertools.count()  # zip draws from it once per outcome read
+    failures = (o for o, _ in zip(outcomes, cases) if o is not None)
+    witnesses = _witnesses(failures)
+    collections.deque(failures, maxlen=0)  # read the cases after the last witness
     return {
         "name": name,
         "mode": mode,
-        "cases": cases,
+        "cases": next(cases),
         "passed": not witnesses,
         "witnesses": witnesses,
     }
@@ -421,13 +411,12 @@ def _result(name: str, mode: str, outcomes) -> dict:
 
 def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     """The map T2 -> point is injective for T1 fixed at 0 and at I."""
-    mats = square_matrices(field, n)
     pair_id = _pair_ids(field, n)
 
     def outcomes():
         for t1_0 in (Matrix.zeros(field, n, n), Matrix.identity(field, n)):
             seen = {}
-            for t2 in mats:
+            for t2 in all_matrices(field, n, n):
                 other = seen.setdefault(pair_id(t1_0.entries, t2.entries), t2)
                 yield None if other is t2 else {
                     "t1_0": t1_0.to_json(), "t2": t2.to_json(), "clash": other.to_json()
@@ -436,57 +425,78 @@ def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     return _result("embedding_injectivity", "exhaustive", outcomes())
 
 
+class _Memo(dict):
+    """The map key -> f(key), each value computed on its first lookup."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
+
+
 class _PairCases:
     """The parameter pairs (T1, T2) that one batch check runs on.
 
-    Up to _EXHAUSTIVE_PAIR_LIMIT pairs the cases are all of them, as row
-    and column indices into pair_point_table, and values of a matrix or
-    a point are computed once.  Above it they are `samples` pairs of
-    random matrices drawn from random.Random(seed); checks draw more
+    A case is a pair of matrix ids, positions in the all_matrices order,
+    and table[t1][t2] is the id of its point.  Up to
+    _EXHAUSTIVE_PAIR_LIMIT pairs the cases are all of them, with
+    pair_point_table and enumerate_points.  Above it they are `samples`
+    pairs of random matrices drawn from random.Random(seed), and the
+    _pair_ids kernel fills in the table as it is read; checks draw more
     from the same rng between pairs, so a seed names the same cases on
-    every run.  per_matrix, per_point, image and other_images return
-    functions of a pair's two handles, so a check states its property
-    once for both modes.
+    every run.  Matrices, unranked points and per_matrix and per_point
+    values are memoised per id.  per_point, image and other_images
+    return functions of a pair's two ids that read the table the same
+    way in both modes, so a check states its property once for both.
     """
 
     def __init__(self, field: FieldSpec, n: int, seed: int, samples: int):
         self.field = field
         self.n = n
+        self.matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
         self.exhaustive = _exhaustible(field, n)
         if self.exhaustive:
             self.mode = "exhaustive"
-            self.mats, self.points, self.table = pair_point_table(field, n)
+            self.table = pair_point_table(field, n)
+            self.point = enumerate_points(field, n)
         else:
             self.mode = "sampled"
+            self.point = _Memo(functools.partial(point_from_id, field, n))
             self.rng = random.Random(seed)
             self.samples = samples
+            pair_id, m = _pair_ids(field, n), self.matrix
+            self.table = _Memo(
+                lambda a: _Memo(lambda b: pair_id(m[a].entries, m[b].entries))
+            )
 
-    def _draw(self) -> Matrix:
+    def _id(self, m: Matrix) -> int:
+        """The id of m; the matrix memo keeps m, so it is never unranked."""
+        t = _matrix_id(self.field.q, m.entries)
+        self.matrix[t] = m
+        return t
+
+    def _draw(self) -> int:
+        """The id of a random matrix, its entries drawn in row-major order."""
         q, n, rng = self.field.q, self.n, self.rng
-        rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
-        return Matrix._of(self.field, rows, n)
+        return _matrix_id(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
 
     def pairs(self):
         if self.exhaustive:
-            return itertools.product(range(len(self.mats)), repeat=2)
+            return itertools.product(range(len(self.table)), repeat=2)
         return ((self._draw(), self._draw()) for _ in range(self.samples))
 
-    def matrix(self, t) -> Matrix:
-        return self.mats[t] if self.exhaustive else t
-
     def per_matrix(self, f):
-        return [f(m) for m in self.mats].__getitem__ if self.exhaustive else f
+        return _Memo(lambda t: f(self.matrix[t]))
 
     def per_point(self, f):
-        if not self.exhaustive:
-            return lambda t1, t2: f(bartolone(BartolonePair(t1, t2)))
-        values, table = [f(p) for p in self.points], self.table
+        values, table = _Memo(lambda i: f(self.point[i])), self.table
         return lambda t1, t2: values[table[t1][t2]]
 
     def image(self, spec: JordanMapSpec):
-        if not self.exhaustive:
-            return lambda t1, t2: jordan_action(spec, BartolonePair(t1, t2))
-        iota, table = _matrix_images(self.field, self.n, spec), self.table
+        """The id of the point of (T1^spec, T2^spec), from the ids of (T1, T2)."""
+        iota, table = self.per_matrix(lambda m: self._id(spec.apply(m))), self.table
         return lambda t1, t2: table[iota[t1]][iota[t2]]
 
     def other_images(self, spec: JordanMapSpec):
@@ -498,34 +508,39 @@ class _PairCases:
         if self.exhaustive:
             image_of, table = _point_images(self.field, self.n, spec), self.table
             return lambda t1, t2: (image_of[table[t1][t2]],)
+        image = self.image(spec)
 
-        def images(t1: Matrix, t2: Matrix):
-            point = bartolone(BartolonePair(t1, t2))
+        def images(t1: int, t2: int):
+            point = self.point[self.table[t1][t2]]
             a, b = point.blocks()
             for _ in range(2):
-                alt_t1 = self._draw()
-                while not (b * alt_t1 - a).is_invertible():
-                    alt_t1 = self._draw()
-                yield jordan_action(spec, preimage_pair(point, alt_t1))
+                alt = self._draw()
+                while not (b * self.matrix[alt] - a).is_invertible():
+                    alt = self._draw()
+                yield image(alt, self._id(preimage_pair(point, self.matrix[alt]).t2))
 
         return images
 
     def adjacent_points(self, spec: JordanMapSpec):
-        """Yield adjacent points (p, q) with their images under spec.
+        """Yield adjacent points (p, q) and whether their images under spec are.
 
-        Exhaustive: every adjacent pair, images as point ids.  Sampled:
-        the point of each drawn pair and a random neighbour.
+        Exhaustive: every adjacent pair, tested on the adjacency table.
+        Sampled: the point of each drawn pair and a random neighbour.
         """
+        point = self.point
         if self.exhaustive:
             image_of = _point_images(self.field, self.n, spec)
-            for i, j in _edge_pairs(adjacency_pairs(self.field, self.n)):
-                yield self.points[i], self.points[j], image_of[i], image_of[j]
+            neighbours = adjacency_pairs(self.field, self.n)
+            for i, j in _edge_pairs(neighbours):
+                yield point[i], point[j], neighbours[image_of[i]] >> image_of[j] & 1
             return
         image = self.image(spec)
         for t1, t2 in self.pairs():
-            p = bartolone(BartolonePair(t1, t2))
+            p = point[self.table[t1][t2]]
             q = self._neighbour(p)
-            yield p, q, image(t1, t2), jordan_action(spec, preimage_pair(q))
+            pair = preimage_pair(q)
+            img_q = image(self._id(pair.t1), self._id(pair.t2))
+            yield p, q, is_adjacent(point[image(t1, t2)], point[img_q])
 
     def _neighbour(self, p: SubspacePoint) -> SubspacePoint:
         """A random point meeting p in dimension n - 1."""
@@ -539,19 +554,12 @@ class _PairCases:
             if space.dim == n:
                 return SubspacePoint(space, n)
 
-    def adjacency(self):
-        """The adjacency test on the images that adjacent_points yields."""
-        if not self.exhaustive:
-            return is_adjacent
-        neighbours = adjacency_pairs(self.field, self.n)
-        return lambda a, b: neighbours[a] >> b & 1
-
     def check(self, name: str, holds) -> dict:
         """Test holds(t1, t2) on every pair; failing pairs are witnesses."""
         outcomes = (
             None
             if holds(t1, t2)
-            else {"t1": self.matrix(t1).to_json(), "t2": self.matrix(t2).to_json()}
+            else {"t1": self.matrix[t1].to_json(), "t2": self.matrix[t2].to_json()}
             for t1, t2 in self.pairs()
         )
         return _result(name, self.mode, outcomes)
@@ -566,7 +574,7 @@ def check_rank_law(
     rank = cases.per_matrix(Matrix.rank)
     distance = cases.per_point(lambda p: arithmetical_distance(base, p))
     return cases.check(
-        "rank_distance_law", lambda t1, t2: distance(t1, t2) == rank(t2)
+        "rank_distance_law", lambda t1, t2: distance(t1, t2) == rank[t2]
     )
 
 
@@ -582,7 +590,7 @@ def check_annihilator(
     basis = cases.per_point(lambda p: p.space.basis)
 
     def holds(t1, t2) -> bool:
-        ann = annihilator(BartolonePair(cases.matrix(t1), cases.matrix(t2)))
+        ann = annihilator(BartolonePair(cases.matrix[t1], cases.matrix[t2]))
         return (basis(t1, t2) * ann).is_zero() and ann.rank() == n
 
     return cases.check("annihilator", holds)
@@ -646,10 +654,9 @@ def check_jordan_adjacency(
     mode over random points with a random neighbour each.
     """
     cases = _PairCases(field, n, seed, samples)
-    adjacent = cases.adjacency()
     outcomes = (
-        None if adjacent(img_p, img_q) else {"p": p.to_json(), "q": q.to_json()}
-        for p, q, img_p, img_q in cases.adjacent_points(spec)
+        None if kept else {"p": p.to_json(), "q": q.to_json()}
+        for p, q, kept in cases.adjacent_points(spec)
     )
     return _result(f"jordan_adjacency[{label}]", cases.mode, outcomes)
 
@@ -678,23 +685,22 @@ def jordan_system_axioms_check(field: FieldSpec, n: int) -> dict:
     """
     herm = hermitian_matrices(field, n)
     invertible = [m for m in herm if m.is_invertible()]
-    inverse_witnesses = [
+    inverse_witnesses = _witnesses(
         m.to_json() for m in invertible if not m.inverse().is_hermitian()
-    ]
-    failing_triples = (
+    )
+    triple_witnesses = _witnesses(
         {"a": a.to_json(), "b": b.to_json()}
         for a in herm
         for b in herm
         if not (a * b * a).is_hermitian()
     )
-    triple_witnesses = list(itertools.islice(failing_triples, _WITNESS_CAP))
     return {
         "hermitian_count": len(herm),
         "invertible_hermitian_count": len(invertible),
         "inverse_closure_ok": not inverse_witnesses,
         "triple_product_closure_ok": not triple_witnesses,
         "witnesses": {
-            "inverse": inverse_witnesses[:_WITNESS_CAP],
+            "inverse": inverse_witnesses,
             "triple_product": triple_witnesses,
         },
         "passed": not inverse_witnesses and not triple_witnesses,

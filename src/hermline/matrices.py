@@ -525,12 +525,8 @@ def nullspace(m: Matrix) -> Subspace:
 
 def all_matrices(field: FieldSpec, rows: int, cols: int):
     """All rows x cols matrices, in lexicographic row-major entry order."""
-    for values in itertools.product(field.elements(), repeat=rows * cols):
-        yield Matrix._of(
-            field,
-            tuple(values[i * cols : (i + 1) * cols] for i in range(rows)),
-            cols,
-        )
+    for index in range(field.q ** (rows * cols)):
+        yield _matrix_from_id(field, rows, cols, index)
 
 
 def _matrix_id(q: int, entries) -> int:
@@ -540,6 +536,15 @@ def _matrix_id(q: int, entries) -> int:
         for x in row:
             value = value * q + x
     return value
+
+
+def _matrix_from_id(field: FieldSpec, rows: int, cols: int, index: int) -> Matrix:
+    """The matrix at position index of the all_matrices order; inverts _matrix_id."""
+    entries = [[0] * cols for _ in range(rows)]
+    for row in reversed(entries):
+        for c in reversed(range(cols)):
+            index, row[c] = divmod(index, field.q)
+    return Matrix._of(field, tuple(map(tuple, entries)), cols)
 
 
 def all_vectors(field: FieldSpec, length: int):

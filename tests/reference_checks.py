@@ -131,7 +131,9 @@ def check_distant_chain(field: FieldSpec, n: int) -> dict:
     """
     base = base_point(field, n)
     ident = Matrix.identity(field, n)
-    mats, points, table = pair_point_table(field, n)
+    mats = list(all_matrices(field, n, n))
+    points = enumerate_points(field, n)
+    table = pair_point_table(field, n)
     middles = [point_from_pair(t1, ident) for t1 in mats]
 
     def outcomes():

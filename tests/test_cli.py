@@ -1,8 +1,11 @@
 """End-to-end command-line behaviour: formats, files, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermline import fields
 from hermline.cli import main
@@ -258,12 +261,15 @@ def test_usage_errors(capsys):
         '{"rows": 2.5, "cols": 4, "entries": [[0, 0, 0, 0], [0, 0, 0, 0]]}',
         '{"rows": true, "cols": 4, "entries": [[1, 0, 0, 0]]}',
         '{"rows": ' + "[" * 200_000,
+        "{" + "x" * 100_000,  # malformed inline JSON, not echoed in full
+        "p" * 5_000,  # unreadable path, which the OSError text would repeat
     ]
     for point in hostile:
         code, out, err = run(capsys, "decompose", "--p", "2", "--point", point)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
         assert "Traceback" not in err
 
 
@@ -272,6 +278,74 @@ def test_missing_file_argument(tmp_path, capsys):
     code, out, err = run(capsys, "decompose", "--p", "2", "--point", str(missing))
     assert code == 2
     assert "cannot read" in err
+
+
+_ENTRY = st.one_of(
+    st.integers(-1, 4),
+    st.sampled_from(["1", "x", "", "1.0"]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+_SIZE = st.one_of(
+    st.integers(-1, 5), st.floats(), st.booleans(), st.none(), st.just("2")
+)
+
+
+def _matrices(rows: int, cols: int):
+    """Well-formed GF(2) matrix JSON of one shape."""
+    entries = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+    return st.lists(entries, min_size=rows, max_size=rows).map(
+        lambda e: {"rows": rows, "cols": cols, "entries": e}
+    )
+
+
+def _matrix_arguments(rows: int, cols: int):
+    """JSON text for a rows x cols matrix over GF(2), or for a wrong one.
+
+    Well-formed points are often rank deficient or not isotropic.
+    """
+    other_shape = st.tuples(st.integers(0, 3), st.integers(0, 5))
+    malformed = st.fixed_dictionaries(
+        {
+            "rows": _SIZE,
+            "cols": _SIZE,
+            "entries": st.lists(st.lists(_ENTRY, max_size=5), max_size=5),
+        }
+    )
+    text = st.one_of(
+        _matrices(rows, cols),
+        other_shape.flatmap(lambda shape: _matrices(*shape)),
+        malformed,
+        st.lists(_ENTRY, max_size=3),
+    ).map(json.dumps)
+    return st.one_of(text, st.text(max_size=12).map(lambda s: "{" + s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_json_inputs_fail_cleanly(data):
+    command, flags, shape = data.draw(
+        st.sampled_from(
+            [
+                ("bartolone", ("--t1", "--t2"), (2, 2)),
+                ("decompose", ("--point",), (2, 4)),
+                ("complement", ("--u1", "--u2"), (2, 4)),
+            ]
+        )
+    )
+    argv = [command, "--p", "2"]
+    for flag in flags:
+        argv += [flag, data.draw(_matrix_arguments(*shape))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2)
+    assert err.count("\n") == (code == 2)
+    assert err == "" or err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_file_path_argument(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -332,6 +333,34 @@ def test_sampled_checks_pass_on_big_field():
     assert wd["cases"] == 50
     adj = check_jordan_adjacency(field, 2, spec, label, seed=1, samples=50)
     assert adj["mode"] == "sampled" and adj["passed"]
+
+
+@pytest.mark.parametrize(
+    "field", [make_field(3), make_field(2, 2, "frobenius")], ids=["gf3", "gf4"]
+)
+def test_sampled_cases_match_the_exhaustive_table(field, monkeypatch):
+    """Forced into sampled mode, the cases agree with the exhaustive table."""
+    table = pair_point_table(field, 2)
+    monkeypatch.setattr(harness, "_EXHAUSTIVE_PAIR_LIMIT", 0)
+    cases = harness._PairCases(field, 2, seed=11, samples=300)
+    assert cases.mode == "sampled"
+    q, rng = field.q, random.Random(11)
+    for t1, t2 in cases.pairs():
+        for t in (t1, t2):
+            drawn = tuple(tuple(rng.randrange(q) for _ in range(2)) for _ in range(2))
+            assert cases.matrix[t].entries == drawn
+        assert cases.table[t1][t2] == table[t1][t2]
+    results = [
+        (check_rank_law(field, 2, seed=4, samples=200), 200),
+        (check_annihilator(field, 2, seed=4, samples=100), 100),
+    ]
+    for label, spec in default_jordan_specs(field, 2):
+        for check in (check_jordan_well_defined, check_jordan_adjacency):
+            results.append((check(field, 2, spec, label, seed=4, samples=40), 40))
+    for result, samples in results:
+        assert result["mode"] == "sampled"
+        assert result["passed"]
+        assert result["cases"] == samples
 
 
 def test_twisted_map_checks_catch_a_map_without_point_map():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from hermline import Matrix, Subspace, all_matrices, enumerate_subspaces, make_field, nullspace
 from hermline.matrices import (
+    _matrix_from_id,
     _matrix_id,
     all_vectors,
     extend_independent,
@@ -338,5 +339,13 @@ def test_subspace_ids_other_shapes(f3, ambient, dim):
 
 
 def test_matrix_ids_are_enumeration_positions(f3):
-    for i, m in enumerate(all_matrices(f3, 2, 2)):
-        assert _matrix_id(3, m.entries) == i
+    for rows, cols in ((2, 2), (1, 3), (3, 2), (0, 2)):
+        entries = itertools.product(range(3), repeat=rows * cols)
+        for i, (values, m) in enumerate(
+            itertools.zip_longest(entries, all_matrices(f3, rows, cols))
+        ):
+            assert m.entries == tuple(
+                values[r * cols : (r + 1) * cols] for r in range(rows)
+            )
+            assert _matrix_id(3, m.entries) == i
+            assert _matrix_from_id(f3, rows, cols, i) == m
