@@ -7,8 +7,8 @@ degree sequence.  Matrices and points are passed as JSON, either
 inline or as a path to a JSON file, and point bases are canonicalised
 before use.  Exit status is 0 on success, 1 when a verification check
 fails and 2 on usage errors, including configurations whose predicted
-point count exceeds the budget, json and dot graphs with more edges than
-the budget and an --out file that cannot be written.
+point count or field-table size exceeds the budget, json and dot graphs
+with more edges than the budget and an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="largest predicted point count accepted for enumeration, and "
-        "largest edge count written by graph in json or dot",
+        help="largest predicted point count or field-table size (q^2) accepted, "
+        "and largest edge count written by graph in json or dot",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--out", default=None, help="write output to this file")
@@ -199,10 +199,10 @@ class _Subcommand(NamedTuple):
     """A subcommand: its handler, help text and extra arguments.
 
     The handler returns the output (a report dict, or text for the dot
-    and csv graph formats) and whether its checks passed.  A budgeted
-    subcommand has its predicted point count checked before any field
-    table is built: it enumerates points, or sweeps matrices, of which
-    there are q^(n^2) <= [2n,n]_q.
+    and csv graph formats) and whether its checks passed.  Before any
+    field table is built, every subcommand has its q^2 table entries and
+    a budgeted one its predicted point count checked: it enumerates
+    points, or sweeps matrices, of which there are q^(n^2) <= [2n,n]_q.
     """
 
     run: Callable
@@ -276,7 +276,8 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write --out {out!r}: {exc}") from exc
+        shown = reprlib.repr(out)
+        raise ValueError(f"cannot write --out {shown}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:

@@ -61,7 +61,7 @@ _WITNESS_CAP = 10
 
 
 class BudgetExceededError(Exception):
-    """Raised when the predicted point count exceeds the configured budget."""
+    """Raised when a predicted count or table size exceeds the budget."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +82,13 @@ class GeometryConfig:
         check_field_parameters(self.p, self.k, self.involution)
 
     def field(self) -> FieldSpec:
+        """The field, refused before its q^2-entry tables exceed the budget."""
+        entries = _capped_power(self.p, 2 * self.k, self.budget)
+        if entries > self.budget:
+            raise BudgetExceededError(
+                f"field tables of at least {entries} entries exceed the budget "
+                f"{self.budget}; raise --budget to build them"
+            )
         return make_field(self.p, self.k, self.involution)
 
     def report_header(self, check: str) -> dict:
@@ -109,6 +116,16 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return num // den
 
 
+def _capped_power(base: int, exponent: int, cap: int) -> int:
+    """base**exponent, or as a lower bound its first partial power past cap."""
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > cap:
+            break
+    return power
+
+
 def predicted_point_count(cfg: GeometryConfig) -> int:
     """The point count [2n,n]_q, q = p^k, from p, k and n alone.
 
@@ -117,11 +134,9 @@ def predicted_point_count(cfg: GeometryConfig) -> int:
     the budget, returned as a lower bound instead: a huge k or n then
     costs at most log2(budget) + 1 multiplications.
     """
-    bound = 1
-    for _ in range(cfg.k * cfg.n * cfg.n):
-        bound *= cfg.p
-        if bound > cfg.budget:
-            return bound
+    bound = _capped_power(cfg.p, cfg.k * cfg.n * cfg.n, cfg.budget)
+    if bound > cfg.budget:
+        return bound
     return gaussian_binomial(2 * cfg.n, cfg.n, cfg.p**cfg.k)
 
 
@@ -172,8 +187,8 @@ def _exhaustible(field: FieldSpec, n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=8)
-def _point_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> list[int]:
-    """For each point id, the image under spec of the first pair reaching it."""
+def _spec_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> tuple[list, list]:
+    """The image under spec of each matrix id and, by its first pair, point id."""
     mats = all_matrices(field, n, n)
     iota = [_matrix_id(field.q, spec.apply(m).entries) for m in mats]
     table = pair_point_table(field, n)
@@ -183,7 +198,7 @@ def _point_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> list[int]:
             if image_of[p] is None:
                 image_of[p] = table[iota[i]][iota[j]]
     assert None not in image_of
-    return image_of
+    return iota, image_of
 
 
 # -- reports ------------------------------------------------------------------
@@ -496,7 +511,11 @@ class _PairCases:
 
     def image(self, spec: JordanMapSpec):
         """The id of the point of (T1^spec, T2^spec), from the ids of (T1, T2)."""
-        iota, table = self.per_matrix(lambda m: self._id(spec.apply(m))), self.table
+        if self.exhaustive:
+            iota = _spec_images(self.field, self.n, spec)[0]
+        else:
+            iota = self.per_matrix(lambda m: self._id(spec.apply(m)))
+        table = self.table
         return lambda t1, t2: table[iota[t1]][iota[t2]]
 
     def other_images(self, spec: JordanMapSpec):
@@ -506,7 +525,7 @@ class _PairCases:
         pairs, drawn only as they are compared.
         """
         if self.exhaustive:
-            image_of, table = _point_images(self.field, self.n, spec), self.table
+            image_of, table = _spec_images(self.field, self.n, spec)[1], self.table
             return lambda t1, t2: (image_of[table[t1][t2]],)
         image = self.image(spec)
 
@@ -529,7 +548,7 @@ class _PairCases:
         """
         point = self.point
         if self.exhaustive:
-            image_of = _point_images(self.field, self.n, spec)
+            image_of = _spec_images(self.field, self.n, spec)[1]
             neighbours = adjacency_pairs(self.field, self.n)
             for i, j in _edge_pairs(neighbours):
                 yield point[i], point[j], neighbours[image_of[i]] >> image_of[j] & 1

@@ -70,14 +70,6 @@ class SesquilinearForm:
             if g
         )
 
-    def evaluate(self, x, y) -> int:
-        """beta(x, y) for two coefficient tuples of length 2n."""
-        x = tuple(x)
-        y = tuple(y)
-        if len(x) != 2 * self.n or len(y) != 2 * self.n:
-            raise ValueError(f"vectors must have length {2 * self.n}")
-        return self._pairing(x, y)
-
     def _pairing(self, x, y) -> int:
         """beta(x, y) = sum of x_i * g_ij * sigma(y_j) over the nonzero g_ij."""
         field = self.field

@@ -474,10 +474,6 @@ class Subspace:
         stacked = self.basis.vstack(Matrix.row_vector(self.field, vec))
         return stacked.rank() == self.dim
 
-    def contains(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return self.basis.vstack(other.basis).rank() == self.dim
-
 
 def unit_vector(length: int, index: int) -> tuple[int, ...]:
     return tuple(int(i == index) for i in range(length))

@@ -8,11 +8,31 @@ list.  ``subspace_id`` ranks a subspace object the way the pair kernel
 ranks its reduced rows.  ``bartolone_by_matrices``,
 ``hermitian_matrices_by_filter`` and ``isotropic_points_by_filter`` are
 the plain versions that ``bartolone``, ``hermitian_matrices`` and
-``isotropic_ids`` replace.  None of them runs from the command line.
+``isotropic_ids`` replace, and ``field_tables_by_polynomials`` builds
+the field tables from polynomial sums and products, the way
+``FieldSpec`` did before its log/antilog tables.  ``contains``,
+``evaluate`` and ``from_coeffs`` test subspace containment, evaluate
+the form and pack polynomial-basis coefficients into an element.  None
+of them runs from the command line.
 """
 
-from hermline.fields import FieldSpec
-from hermline.hermitian import _ordered_frame, _skew_split, standard_form
+import functools
+
+from hermline.fields import (
+    FROBENIUS,
+    FieldSpec,
+    _digits,
+    _find_modulus,
+    _pack,
+    _poly_mul,
+    _poly_rem,
+)
+from hermline.hermitian import (
+    SesquilinearForm,
+    _ordered_frame,
+    _skew_split,
+    standard_form,
+)
 from hermline.harness import RelationGraph, _result, pair_point_table
 from hermline.matrices import Matrix, Subspace, _rref_id, _rref_layouts, all_matrices
 from hermline.projline import (
@@ -42,6 +62,96 @@ def subspace_id(space: Subspace) -> int:
     pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
     q = space.field.q
     return _rref_id(q, _rref_layouts(q, space.ambient_dim, space.dim), pivots, rows)
+
+
+def contains(big: Subspace, small: Subspace) -> bool:
+    """Whether small lies in big: stacking their bases keeps big's rank."""
+    big._check_compatible(small)
+    return big.basis.vstack(small.basis).rank() == big.dim
+
+
+def evaluate(form: SesquilinearForm, x, y) -> int:
+    """beta(x, y) for two coefficient tuples of length 2n."""
+    x, y = tuple(x), tuple(y)
+    if len(x) != 2 * form.n or len(y) != 2 * form.n:
+        raise ValueError(f"vectors must have length {2 * form.n}")
+    return form._pairing(x, y)
+
+
+def from_coeffs(field: FieldSpec, coeffs) -> int:
+    """The element with these polynomial-basis coefficients, constant first."""
+    coeffs = tuple(int(c) for c in coeffs)
+    if len(coeffs) != field.k or any(not 0 <= c < field.p for c in coeffs):
+        raise ValueError(f"need {field.k} coefficients in [0, {field.p})")
+    return _pack(coeffs, field.p)
+
+
+@functools.lru_cache(maxsize=1)
+def _tables_by_polynomials(p: int, k: int) -> tuple:
+    """add, neg, sub, mul, inv and frob of GF(p^k), entry by entry."""
+    q = p**k
+    modulus = _find_modulus(p, k)
+
+    # Both operations commute, so entry (a, b) with b < a is read from
+    # row b; every other entry is a polynomial sum or product.
+    digits = [_digits(a, p, k) for a in range(q)]
+    add = []
+    neg = []
+    for a, da in enumerate(digits):
+        neg.append(_pack(((p - c) % p for c in da), p))
+        add.append(
+            tuple(row[a] for row in add)
+            + tuple(
+                _pack(((x + y) % p for x, y in zip(da, db)), p) for db in digits[a:]
+            )
+        )
+    sub = tuple(tuple(add[a][neg[b]] for b in range(q)) for a in range(q))
+
+    mul = []
+    for a, da in enumerate(digits):
+        row = [r[a] for r in mul]
+        for db in digits[a:]:
+            prod = _poly_mul(da, db, p)
+            row.append(_pack(_poly_rem(prod + [0], modulus, p), p))
+        mul.append(tuple(row))
+
+    inv = [0] * q
+    for a in range(1, q):
+        inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
+
+    def power(a: int, e: int) -> int:
+        out, base = 1, a
+        while e:
+            if e & 1:
+                out = mul[out][base]
+            base = mul[base][base]
+            e >>= 1
+        return out
+
+    frob = tuple(tuple(power(a, p**j) for a in range(q)) for j in range(k))
+    return tuple(add), tuple(neg), sub, tuple(mul), tuple(inv), frob
+
+
+def field_tables_by_polynomials(p: int, k: int, involution: str) -> dict:
+    """The eight tables of FieldSpec(p, k, involution), by FieldSpec's names.
+
+    Each add and mul entry on or above the diagonal is a polynomial sum
+    or product reduced by the modulus, with no log tables; the build
+    costs O(q^2 k^2).
+    """
+    add, neg, sub, mul, inv, frob = _tables_by_polynomials(p, k)
+    sig = frob[k // 2 if involution == FROBENIUS else 0]
+    assert all(sig[sig[a]] == a for a in range(p**k))
+    return {
+        "_add": add,
+        "_sub": sub,
+        "_neg": neg,
+        "_mul": mul,
+        "_inv": inv,
+        "_frob": frob,
+        "_sigma": sig,
+        "fixed_elements": tuple(a for a in range(p**k) if sig[a] == a),
+    }
 
 
 def bartolone_by_matrices(pair: BartolonePair) -> SubspacePoint:

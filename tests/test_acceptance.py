@@ -38,7 +38,7 @@ from hermline.harness import (
     check_rank_law,
 )
 from hermline.projline import ANTIAUTOMORPHISM, AUTOMORPHISM, base_point
-from reference_checks import check_distant_chain
+from reference_checks import check_distant_chain, contains
 
 CONFIGS = [
     GeometryConfig(p=2),
@@ -103,7 +103,7 @@ def test_criterion_03_meeting_perp_postconditions():
     form = standard_form(f2, 2)
 
     def inside(u, d):
-        return [s for s in enumerate_subspaces(f2, 4, d) if u.space.contains(s)]
+        return [s for s in enumerate_subspaces(f2, 4, d) if contains(u.space, s)]
 
     ok = True
     checked = 0

@@ -71,6 +71,43 @@ def test_budget_checked_before_field_tables(command, capsys, monkeypatch):
         assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "command,inputs",
+    [
+        ("bartolone", ["--t1", IDENTITY_2, "--t2", IDENTITY_2]),
+        ("decompose", ["--point", ZERO_POINT]),
+        ("complement", ["--u1", ZERO_POINT, "--u2", ZERO_POINT]),
+    ],
+)
+def test_table_size_checked_before_field_tables(command, inputs, capsys, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("field tables built before the table-size check")
+
+    monkeypatch.setattr(fields, "FieldSpec", no_tables)
+    for argv in (
+        ["--p", "1000003"],
+        ["--p", "2", "--k", str(10**18)],
+        ["--p", "2", "--k", "20"],
+    ):
+        code, out, err = run(capsys, command, *inputs, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "field tables" in err and "budget" in err
+
+
+def test_table_size_budget_override(capsys):
+    """GF(2^10) has 2^20 table entries, more than the default budget of 10^6."""
+    argv = ["bartolone", "--p", "2", "--k", "10"]
+    argv += ["--t1", IDENTITY_2, "--t2", IDENTITY_2]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "1048576 entries" in err
+    code, out, err = run(capsys, *argv, "--budget", str(2**20))
+    assert code == 0
+    assert json.loads(out)["isotropic"] is True
+
+
 def test_enumerate_points_listing(capsys):
     code, out, err = run(capsys, "enumerate", "--p", "2")
     assert code == 0
@@ -271,6 +308,12 @@ def test_usage_errors(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 200
         assert "Traceback" not in err
+    # an unwritable --out path, which the OSError text would repeat
+    code, out, err = run(capsys, "enumerate", "--p", "2", "--out", "p" * 5_000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+    assert len(err.encode()) < 300
 
 
 def test_missing_file_argument(tmp_path, capsys):

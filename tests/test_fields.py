@@ -1,9 +1,23 @@
 """Field construction, arithmetic tables and involutions."""
 
-import pytest
-from hypothesis import given, strategies as st
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from hermline import FROBENIUS, IDENTITY, make_field
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from hermline import FROBENIUS, IDENTITY, fields, make_field
+from reference_checks import field_tables_by_polynomials, from_coeffs
+
+PRIME_POWERS = [
+    (p, k)
+    for p in range(2, 257)
+    if fields.is_prime(p)
+    for k in range(1, 9)
+    if p**k <= 256
+]
 
 
 def test_prime_field_arithmetic_is_mod_p():
@@ -115,9 +129,9 @@ def test_coeffs_roundtrip(f9):
     for a in f9.elements():
         coeffs = f9.coeffs(a)
         assert len(coeffs) == f9.k
-        assert f9.from_coeffs(coeffs) == a
+        assert from_coeffs(f9, coeffs) == a
     with pytest.raises(ValueError):
-        f9.from_coeffs((1, 2, 3))
+        from_coeffs(f9, (1, 2, 3))
 
 
 def test_element_string_roundtrip(f4):
@@ -179,3 +193,75 @@ def test_gf49_power_law_property(a, e):
     f = make_field(7, 2, FROBENIUS)
     assert f.pow(a, e + 1) == f.mul(f.pow(a, e), a)
     assert f.sigma(f.pow(a, e)) == f.pow(f.sigma(a), e)
+
+
+def test_tables_match_polynomial_reference():
+    """Every table of every GF(q), q <= 256, equals the entry-by-entry build."""
+    assert len(PRIME_POWERS) == 70
+    for p, k in PRIME_POWERS:
+        for involution in (IDENTITY, FROBENIUS)[: 2 - k % 2]:
+            field = fields.FieldSpec(p, k, involution)
+            for name, table in field_tables_by_polynomials(p, k, involution).items():
+                assert getattr(field, name) == table, (p, k, involution, name)
+
+
+@pytest.mark.parametrize("p,k,involution", [(2, 10, IDENTITY), (3, 6, FROBENIUS)])
+def test_large_field_axioms_sampled(p, k, involution):
+    f = make_field(p, k, involution)
+    element = st.integers(min_value=0, max_value=f.q - 1)
+
+    @seed(p * k)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(element, element, element)
+    def axioms(a, b, c):
+        assert f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a)
+        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.sub(f.add(a, b), b) == a and f.add(a, f.neg(a)) == 0
+        assert f.mul(a, 1) == a and f.mul(a, 0) == 0
+        if a:
+            assert f.mul(a, f.inv(a)) == 1 and f.pow(a, f.q - 1) == 1
+        assert f.sigma(f.sigma(a)) == a
+        assert f.sigma(f.mul(a, b)) == f.mul(f.sigma(a), f.sigma(b))
+        assert f.sigma(f.add(a, b)) == f.add(f.sigma(a), f.sigma(b))
+        assert f.frobenius(a, 1) == f.pow(a, p)
+
+    axioms()
+    assert len(f.fixed_elements) == (p ** (k // 2) if involution == FROBENIUS else f.q)
+
+
+REDUCIBLE = [
+    (2, 2, (1, 0, 1)),
+    (3, 2, (2, 0, 1)),
+    (2, 3, (1, 0, 0, 1)),
+    (2, 4, (1, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("p,k,modulus", REDUCIBLE)
+def test_reducible_modulus_raises(p, k, modulus, monkeypatch):
+    monkeypatch.setattr(fields, "_find_modulus", lambda p, k: modulus)
+    with pytest.raises(RuntimeError, match="reducible"):
+        fields.FieldSpec(p, k, IDENTITY)
+
+
+def test_reducible_modulus_raises_under_optimize():
+    """The order check is not an assert, so python -O keeps it."""
+    code = (
+        "import hermline.fields as f\n"
+        "f._find_modulus = lambda p, k: (1, 0, 1)\n"
+        "try:\n"
+        "    f.FieldSpec(2, 2, 'identity')\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout.startswith("raised ") and "reducible" in proc.stdout
