@@ -34,6 +34,7 @@ from .matrices import (
     Subspace,
     _matrix_from_id,
     _matrix_id,
+    _product,
     all_matrices,
     enumerate_subspaces,
     unit_vector,
@@ -267,11 +268,15 @@ def _relation_neighbours(field: FieldSpec, n: int, points, kind: str) -> list[in
     thus name D, with no elimination.
     """
     distant = kind == "distant"
-    bases = [c.basis for c in enumerate_subspaces(field, n, 1 if distant else n - 1)]
+    dim = 1 if distant else n - 1
+    bases = [c.basis.entries for c in enumerate_subspaces(field, n, dim)]
     ids: dict = {}
     spaces = [
-        [ids.setdefault((c * point.space.basis).entries, len(ids)) for c in bases]
-        for point in points
+        [
+            ids.setdefault(tuple(map(tuple, _product(field, c, b, 2 * n))), len(ids))
+            for c in bases
+        ]
+        for b in (point.space.basis.entries for point in points)
     ]
     through = [0] * len(ids)
     for i, ts in enumerate(spaces):

@@ -86,9 +86,7 @@ class SesquilinearForm:
 
     def perp(self, space: Subspace) -> Subspace:
         """The perpendicular subspace {x : beta(v, x) = 0 for all v}."""
-        field = self.field
-        conditions = (space.basis * self.gram).map_entries(lambda a: field._sigma[a])
-        return nullspace(conditions)
+        return nullspace((space.basis * self.gram)._map(self.field._sigma))
 
     def is_totally_isotropic(self, obj) -> bool:
         """Whether the form vanishes on the subspace (or point space).
@@ -342,12 +340,7 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
 
     pairing = w1.basis * form.gram * w2.basis.sigma_transpose()
     scaled = pairing.inverse() * w1.basis
-    add = field._add
-    w_rows = [
-        tuple(add[x][y] for x, y in zip(r1, r2))
-        for r1, r2 in zip(scaled.entries, w2.basis.entries)
-    ]
-    w = Subspace.from_rows(field, 2 * n, w_rows)
+    w = Subspace(scaled + w2.basis)
     assert w.dim == n - k
 
     both = w1 + w2

@@ -14,12 +14,20 @@ Validation happens once, at the boundary: the public constructor,
 their inputs: arithmetic, reshaping, elimination and the enumerations
 build their results with ``Matrix._of``, which skips the checks.
 Hashes are computed on first use.
+
+Arithmetic has one path.  ``_product`` is the only matrix-product loop
+and ``_row_reduce`` the only elimination; both take entry rows, so the
+kernels of the other modules call them with no Matrix in between.
+Entrywise arithmetic is ``Matrix._map`` (x -> table[x]) and
+``Matrix._zip`` (x, y -> table[x][y]) over a field table.  ``src/`` has
+no other product loop and no other entry loop over a field table.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from operator import getitem
 
 from .fields import FieldSpec
 
@@ -102,23 +110,16 @@ class Matrix:
 
     @classmethod
     def from_blocks(cls, blocks) -> "Matrix":
-        """Assemble a matrix from a 2d grid of conformal blocks."""
+        """Assemble a matrix from a 2d grid of conformal blocks.
+
+        Each block row is joined by hstack and the rows by vstack, whose
+        checks reject blocks of other fields or of non-conformal shapes.
+        """
         grid = [list(row) for row in blocks]
-        field = grid[0][0].field
-        out = []
-        for brow in grid:
-            height = brow[0].rows
-            if any(b.rows != height for b in brow):
-                raise ValueError("block row heights differ")
-            for i in range(height):
-                row = []
-                for b in brow:
-                    row.extend(b.entries[i])
-                out.append(tuple(row))
-        width = sum(b.cols for b in grid[0])
-        if any(sum(b.cols for b in brow) != width for brow in grid):
-            raise ValueError("block row widths differ")
-        return cls(field, out, cols=width)
+        if not grid or not all(grid):
+            raise ValueError("a block grid needs at least one block in every row")
+        rows = [functools.reduce(Matrix.hstack, brow) for brow in grid]
+        return functools.reduce(Matrix.vstack, rows)
 
     # -- identity --------------------------------------------------------
 
@@ -149,41 +150,30 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
-    def __add__(self, other):
+    def _map(self, table) -> "Matrix":
+        """The matrix of table[x] over the entries x: the unary entry helper."""
+        get = table.__getitem__
+        entries = tuple([tuple(map(get, row)) for row in self.entries])
+        return Matrix._of(self.field, entries, self.cols)
+
+    def _zip(self, other, table):
+        """The matrix of table[x][y] over paired entries: the binary entry helper."""
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        add = self.field._add
-        return Matrix._of(
-            self.field,
-            tuple(
-                tuple(add[x][y] for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-            self.cols,
-        )
+        get = table.__getitem__
+        pairs = zip(self.entries, other.entries)
+        entries = tuple([tuple(map(getitem, map(get, r1), r2)) for r1, r2 in pairs])
+        return Matrix._of(self.field, entries, self.cols)
+
+    def __add__(self, other):
+        return self._zip(other, self.field._add)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._same_shape(other)
-        sub = self.field._sub
-        return Matrix._of(
-            self.field,
-            tuple(
-                tuple(sub[x][y] for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-            self.cols,
-        )
+        return self._zip(other, self.field._sub)
 
     def __neg__(self):
-        neg = self.field._neg
-        return Matrix._of(
-            self.field,
-            tuple(tuple(neg[x] for x in row) for row in self.entries),
-            self.cols,
-        )
+        return self._map(self.field._neg)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -192,42 +182,18 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        add = self.field._add
-        mul = self.field._mul
-        ocols = other.cols
-        span = range(ocols)
-        out = []
-        for row in self.entries:
-            new = [0] * ocols
-            for x, orow in zip(row, other.entries):
-                if x:
-                    mx = mul[x]
-                    for j in span:
-                        y = orow[j]
-                        if y:
-                            new[j] = add[new[j]][mx[y]]
-            out.append(tuple(new))
-        return Matrix._of(self.field, tuple(out), ocols)
+        rows = _product(self.field, self.entries, other.entries, other.cols)
+        return Matrix._of(self.field, tuple(map(tuple, rows)), other.cols)
 
     def scale(self, c: int) -> "Matrix":
-        mc = self.field._mul[self.field.check_element(c)]
-        return Matrix._of(
-            self.field,
-            tuple(tuple(mc[x] for x in row) for row in self.entries),
-            self.cols,
-        )
+        return self._map(self.field._mul[self.field.check_element(c)])
 
     # -- shape manipulation ------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(
-            self.field,
-            tuple(
-                tuple(self.entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-            self.rows,
-        )
+        # zip(*rows) yields no columns at all when there are no rows.
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._of(self.field, entries, self.rows)
 
     def map_entries(self, fn) -> "Matrix":
         return Matrix(
@@ -238,15 +204,7 @@ class Matrix:
 
     def sigma_transpose(self) -> "Matrix":
         """Transpose with the field involution applied entrywise."""
-        sig = self.field._sigma
-        return Matrix._of(
-            self.field,
-            tuple(
-                tuple(sig[self.entries[i][j]] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-            self.rows,
-        )
+        return self._map(self.field._sigma).transpose()
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.rows != other.rows:
@@ -316,11 +274,7 @@ class Matrix:
         """Whether the matrix equals its involution transpose."""
         if self.rows != self.cols:
             raise ValueError("hermitian only makes sense for square matrices")
-        sig = self.field._sigma
-        e = self.entries
-        return all(
-            e[i][j] == sig[e[j][i]] for i in range(self.rows) for j in range(self.rows)
-        )
+        return self.sigma_transpose() == self
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
@@ -354,6 +308,28 @@ class Matrix:
                 raise ValueError("entry column count does not match 'cols'")
             parsed.append(tuple(field.parse_element(str(x)) for x in row))
         return cls(field, parsed, cols=cols)
+
+
+def _product(field: FieldSpec, a, b, cols: int) -> list[list[int]]:
+    """The rows, as lists, of the product of the entry rows a and b.
+
+    b has cols columns.  This is the one matrix-product loop: zero
+    entries of a are skipped, and entries of b are looked up untested,
+    since a zero there adds zero.
+    """
+    add = field._add
+    mul = field._mul
+    span = range(cols)
+    out = []
+    for row in a:
+        new = [0] * cols
+        for x, b_row in zip(row, b):
+            if x:
+                mx = mul[x]
+                for j in span:
+                    new[j] = add[new[j]][mx[b_row[j]]]
+        out.append(new)
+    return out
 
 
 def _row_reduce(
@@ -500,21 +476,17 @@ def extend_independent(field: FieldSpec, ambient_dim: int, rows, candidates):
 
 def nullspace(m: Matrix) -> Subspace:
     """The right kernel {x : m x^T = 0} as a subspace of K^cols."""
-    reduced, rank = m.rref()
-    pivots = []
-    c = 0
-    for row in reduced.entries[:rank]:
-        while not row[c]:
-            c += 1
-        pivots.append(c)
+    work = [list(row) for row in m.entries]
+    pivots = _row_reduce(m.field, work, m.cols)
     neg = m.field._neg
-    free = [c for c in range(m.cols) if c not in pivots]
     rows = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivots:
+            continue
         vec = [0] * m.cols
         vec[f] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = neg[reduced.entries[i][f]]
+        for row, pc in zip(work, pivots):
+            vec[pc] = neg[row[f]]
         rows.append(tuple(vec))
     return Subspace(Matrix._of(m.field, tuple(rows), m.cols))
 
@@ -550,11 +522,9 @@ def all_vectors(field: FieldSpec, length: int):
 
 def outer_product(field: FieldSpec, u, v) -> Matrix:
     """The matrix (u_i * v_j) for two coefficient tuples."""
-    mul = field._mul
     v = tuple(v)
-    return Matrix._of(
-        field, tuple(tuple(mul[x][y] for y in v) for x in u), len(v)
-    )
+    column = Matrix._of(field, tuple((x,) for x in u), 1)
+    return column * Matrix._of(field, (v,), len(v))
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ from .fields import FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
+    _product,
     _row_reduce,
     _rref_id,
     _rref_layouts,
@@ -121,11 +122,12 @@ def point_from_pair(a: Matrix, b: Matrix) -> SubspacePoint:
         raise ValueError("blocks live over different fields")
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("blocks must be square matrices of equal size")
-    stacked = a.hstack(b)
-    space = Subspace(stacked)
-    if space.dim != a.rows:
-        raise ValueError("(A, B) has rank below n and does not define a point")
-    return SubspacePoint(space, a.rows)
+    try:
+        return point_from_matrix(a.field, a.rows, a.hstack(b))
+    except ValueError:
+        raise ValueError(
+            "(A, B) has rank below n and does not define a point"
+        ) from None
 
 
 def point_from_matrix(field: FieldSpec, n: int, m: Matrix) -> SubspacePoint:
@@ -162,27 +164,20 @@ def bartolone(pair: BartolonePair) -> SubspacePoint:
 def _pair_ids(field: FieldSpec, n: int):
     """The parametrisation on entry tuples: (T1, T2) -> id of its point.
 
-    The returned function builds (T2*T1 - I | T2) as lists with the
-    field tables, row reduces it and reads the point id off the reduced
-    rows, with no Matrix, Subspace or SubspacePoint.  It is the only
-    code that forms this generator: bartolone unranks its ids.
+    The returned function builds (T2*T1 - I | T2) as lists from the
+    rows of _product, row reduces it and reads the point id off the
+    reduced rows, with no Matrix, Subspace or SubspacePoint.  It is the
+    only code that forms this generator: bartolone unranks its ids.
     """
-    add, mul, sub = field._add, field._mul, field._sub
+    sub = field._sub
     q = field.q
     layouts = _rref_layouts(q, 2 * n, n)
-    span = range(n)
 
     def pair_id(t1: tuple, t2: tuple) -> int:
-        work = []
-        for i, row in enumerate(t2):
-            left = [0] * n
-            for x, t1_row in zip(row, t1):
-                if x:
-                    mx = mul[x]
-                    for j in span:
-                        left[j] = add[left[j]][mx[t1_row[j]]]
+        work = _product(field, t2, t1, n)
+        for i, (left, row) in enumerate(zip(work, t2)):
             left[i] = sub[left[i]][1]
-            work.append(left + list(row))
+            left.extend(row)
         pivots = _row_reduce(field, work, 2 * n)
         if len(pivots) != n:
             raise AssertionError("parametrised block pair lost rank")
@@ -298,10 +293,7 @@ class JordanMapSpec:
         self._q_inv = q_matrix.inverse()
 
     def apply(self, m: Matrix) -> Matrix:
-        frob = m.field._frob[self.frobenius_power]
-        twisted = Matrix._of(
-            m.field, tuple(tuple(frob[x] for x in row) for row in m.entries), m.cols
-        )
+        twisted = m._map(m.field._frob[self.frobenius_power])
         if self.kind == ANTIAUTOMORPHISM:
             twisted = twisted.transpose()
         return self._q_inv * twisted * self.q_matrix

@@ -8,12 +8,14 @@ list.  ``subspace_id`` ranks a subspace object the way the pair kernel
 ranks its reduced rows.  ``bartolone_by_matrices``,
 ``hermitian_matrices_by_filter`` and ``isotropic_points_by_filter`` are
 the plain versions that ``bartolone``, ``hermitian_matrices`` and
-``isotropic_ids`` replace, and ``field_tables_by_polynomials`` builds
-the field tables from polynomial sums and products, the way
-``FieldSpec`` did before its log/antilog tables.  ``contains``,
-``evaluate`` and ``from_coeffs`` test subspace containment, evaluate
-the form and pack polynomial-basis coefficients into an element.  None
-of them runs from the command line.
+``isotropic_ids`` replace; ``bartolone_by_matrices`` multiplies through
+the same kernel as ``bartolone``, so ``product_by_entries`` checks that
+kernel against the product written from its definition.
+``field_tables_by_polynomials`` builds the field tables from
+polynomial sums and products, the way ``FieldSpec`` did before its
+log/antilog tables.  ``contains``, ``evaluate`` and ``from_coeffs``
+test subspace containment, evaluate the form and pack polynomial-basis
+coefficients into an element.  None of them runs from the command line.
 """
 
 import functools
@@ -167,6 +169,24 @@ def bartolone_by_matrices(pair: BartolonePair) -> SubspacePoint:
     if space.dim != n:
         raise AssertionError("parametrised block pair lost rank")
     return SubspacePoint(space, n)
+
+
+def product_by_entries(field: FieldSpec, a: Matrix, b: Matrix) -> tuple:
+    """The entries of a * b as c_ij = sum_k a_ik * b_kj, by field.add and mul.
+
+    No table rows are bound and no zero entry is skipped, so this checks
+    the product kernel with nothing in common with it but the field.
+    """
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = 0
+            for k in range(a.cols):
+                acc = field.add(acc, field.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def hermitian_matrices_by_filter(field: FieldSpec, n: int) -> tuple:

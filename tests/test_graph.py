@@ -409,6 +409,46 @@ def test_relations_match_arithmetical_distance_on_samples(label, n, point_set):
         assert adj[i] >> j & 1 == (dist == 1)
 
 
+# sha256 of the comma-joined ``_relation_neighbours`` masks, recorded before
+# the d-spaces were named through ``matrices._product``; GOLDEN covers n = 2
+# over GF(2), GF(3) and GF(4) only.
+MASK_PINS = {
+    ("gf9", 2, "all", "distant"): (
+        "4c7bdb3ff3cbed378a6b19f8cde09ec8910787a11d793b30169a3037eb275da1"
+    ),
+    ("gf9", 2, "all", "adjacency"): (
+        "7b730e4329f77dd8654964d96479427a5d6a8935e9ea9b890a7b6740382f7432"
+    ),
+    ("gf9", 2, "isotropic", "distant"): (
+        "bd81ebca4ae2656a472b9a6965b625291a20306fc78d14dcf6d06a5c0f342c22"
+    ),
+    ("gf9", 2, "isotropic", "adjacency"): (
+        "0a58f5287a6519f4fd2713c13bf5ab2a4ce206fc71c395f9f122626418311dbb"
+    ),
+    ("gf2", 3, "all", "distant"): (
+        "6b2338799afe37cb40027c87e030caee05a72cb427bfa8fcd306b00a77fedc98"
+    ),
+    ("gf2", 3, "all", "adjacency"): (
+        "969f505b170191d756e52a15f42152e20b92ee1b5f39bc33434447815f55a97d"
+    ),
+    ("gf3", 3, "isotropic", "distant"): (
+        "a0bfb6f2ee4f7e0188612cfbf760c35e44b5bb520f6471d83b9319a28fd3011c"
+    ),
+    ("gf3", 3, "isotropic", "adjacency"): (
+        "affa85f7b0ea33dbec84a01f33976403b09b2b39f32107762032015c9bffc4d0"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MASK_PINS), ids=lambda k: "-".join(map(str, k)))
+def test_relation_masks_pinned(key):
+    label, n, point_set, kind = key
+    field = make_field(*FIELDS[label])
+    masks = harness._relation_neighbours(field, n, _points(label, n, point_set), kind)
+    digest = hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+    assert digest == MASK_PINS[key]
+
+
 @pytest.mark.parametrize("label,n,point_set", SMALL_GRAPHS + LARGE_GRAPHS)
 def test_distant_is_the_last_adjacency_level(label, n, point_set):
     """Distant points are exactly those at distance n in the adjacency graph.

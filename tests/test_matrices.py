@@ -1,6 +1,7 @@
 """Exact matrix arithmetic and canonical subspaces."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +10,20 @@ from hermline import Matrix, Subspace, all_matrices, enumerate_subspaces, make_f
 from hermline.matrices import (
     _matrix_from_id,
     _matrix_id,
+    _product,
     all_vectors,
     extend_independent,
     outer_product,
     subspace_from_id,
     unit_vector,
 )
-from reference_checks import LADDER, LADDER_IDS, contains, subspace_id
+from reference_checks import (
+    LADDER,
+    LADDER_IDS,
+    contains,
+    product_by_entries,
+    subspace_id,
+)
 
 
 def gf4_matrix(rows, cols):
@@ -78,6 +86,44 @@ def test_shape_and_field_mismatch(f2, f3):
         a + Matrix(f3, [[1, 0]])
     with pytest.raises(ValueError):
         a * Matrix(f2, [[1, 0]])
+    with pytest.raises(ValueError):
+        Matrix.from_blocks([[Matrix.identity(f3, 2), Matrix.identity(f2, 2)]])
+    with pytest.raises(ValueError):
+        Matrix.from_blocks([[a], [Matrix(f3, [[1, 0]])]])
+    with pytest.raises(ValueError):
+        Matrix.from_blocks([])
+    with pytest.raises(ValueError):
+        Matrix.from_blocks([[]])
+    with pytest.raises(ValueError):
+        Matrix.from_blocks([[a], []])
+
+
+@pytest.mark.parametrize("label", ["f2", "f3", "f4", "f9"])
+def test_product_matches_entry_reference(label, request):
+    """r x m times m x c for r, m, c in 0..4, with seeded entries.
+
+    Zero-row, zero-column and zero-inner shapes are included; zeros are
+    drawn often, so the skipped left entries are exercised too.
+    """
+    field = request.getfixturevalue(label)
+    rng = random.Random(label)
+
+    def draw(rows, cols):
+        entries = [
+            [rng.choice((0, rng.randrange(field.q))) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        return Matrix(field, entries, cols=cols)
+
+    for r, m, c in itertools.product(range(5), repeat=3):
+        for _ in range(3):
+            a, b = draw(r, m), draw(m, c)
+            want = product_by_entries(field, a, b)
+            product = a * b
+            assert (product.rows, product.cols) == (r, c)
+            assert product.entries == want
+            rows = _product(field, a.entries, b.entries, c)
+            assert rows == [list(row) for row in want]
 
 
 def test_transpose_and_sigma_transpose(f4):
