@@ -611,11 +611,12 @@ def check_annihilator(
     it annihilates the stacked matrix exactly when that generator does.
     """
     cases = _PairCases(field, n, seed, samples)
-    basis = cases.per_point(lambda p: p.space.basis)
+    basis = cases.per_point(lambda p: p.space.basis.entries)
 
     def holds(t1, t2) -> bool:
         ann = annihilator(BartolonePair(cases.matrix[t1], cases.matrix[t2]))
-        return (basis(t1, t2) * ann).is_zero() and ann.rank() == n
+        product = _product(field, basis(t1, t2), ann.entries, n)
+        return not any(map(any, product)) and ann.rank() == n
 
     return cases.check("annihilator", holds)
 

@@ -219,18 +219,23 @@ def _skew_split(g: Matrix) -> Matrix:
         if d is None:
             raise AssertionError("diagonal entry is not of trace form")
         rows[i][i] = d
-    out = Matrix(field, (tuple(r) for r in rows), cols=n)
+    out = Matrix._of(field, tuple(map(tuple, rows)), n)
     assert out - out.sigma_transpose() == g
     return out
+
+
+def _meets_trivially(a: Subspace, b: Subspace) -> bool:
+    """Whether a meet b = 0: the stacked bases have rank dim a + dim b."""
+    return a.basis.vstack(b.basis).rank() == a.dim + b.dim
 
 
 def _ordered_frame(u: SubspacePoint, v: Subspace, w: Subspace):
     """Validate U = V (+) W and build an ordered frame of K^(2n).
 
-    Returns (form, k, rows): rows list a basis of K^(2n) ordered as
-    V-basis, W-basis, a completion of perp(V) to the full space, and a
-    completion of U inside perp(V).  The middle two groups are the rows
-    the construction will shear.
+    Returns (form, k, rows, vperp): rows list a basis of K^(2n) ordered
+    as V-basis, W-basis, a completion of perp(V) to the full space, and
+    a completion of U inside perp(V).  The middle two groups are the
+    rows the construction will shear.
     """
     field = u.field
     n = u.n
@@ -240,7 +245,7 @@ def _ordered_frame(u: SubspacePoint, v: Subspace, w: Subspace):
         raise ValueError("v lives in the wrong space")
     if w.field != field or w.ambient_dim != 2 * n:
         raise ValueError("w lives in the wrong space")
-    if v.intersect(w).dim != 0 or (v + w) != u.space:
+    if not _meets_trivially(v, w) or (v + w) != u.space:
         raise ValueError("u = v (+) w must be a direct sum decomposition")
     k = v.dim
     v_rows = list(v.basis.entries)
@@ -253,7 +258,7 @@ def _ordered_frame(u: SubspacePoint, v: Subspace, w: Subspace):
         field, 2 * n, u_rows + tail_rows, (unit_vector(2 * n, i) for i in range(2 * n))
     )[2 * n - k :]
     assert len(arb_rows) == k
-    return form, k, v_rows + w_rows + arb_rows + tail_rows
+    return form, k, v_rows + w_rows + arb_rows + tail_rows, vperp
 
 
 def isotropic_meeting_perp(
@@ -268,8 +273,8 @@ def isotropic_meeting_perp(
     """
     field = u.field
     n = u.n
-    form, k, rows = _ordered_frame(u, v, w)
-    frame = Matrix(field, rows, cols=2 * n)
+    form, k, rows, vperp = _ordered_frame(u, v, w)
+    frame = Matrix._of(field, tuple(rows), 2 * n)
     m = form.restricted_gram(frame)
 
     a = m.block(0, k, n, n + k)
@@ -298,14 +303,14 @@ def isotropic_meeting_perp(
             [z(field, n - k, k), z(field, n - k, n - k), z(field, n - k, k), ident_nk],
         ]
     )
-    sheared = form.restricted_gram(transition * frame)
+    new_frame = transition * frame
+    sheared = form.restricted_gram(new_frame)
     assert sheared.block(k, n + k, k, n + k).is_zero()
 
-    new_frame = transition * frame
     x_rows = new_frame.entries[k : n + k]
-    x = SubspacePoint(Subspace.from_rows(field, 2 * n, x_rows), n)
+    x = SubspacePoint(Subspace(Matrix._of(field, x_rows, 2 * n)), n)
     assert form.is_totally_isotropic(x)
-    assert x.space.intersect(form.perp(v)) == w
+    assert x.space.intersect(vperp) == w
     return x
 
 
@@ -334,8 +339,8 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
             field, 2 * n, v.basis.entries, u.space.basis.entries
         )[k:]
 
-    w1 = Subspace.from_rows(field, 2 * n, complement_rows(u1))
-    w2 = Subspace.from_rows(field, 2 * n, complement_rows(u2))
+    w1 = Subspace(Matrix._of(field, tuple(complement_rows(u1)), 2 * n))
+    w2 = Subspace(Matrix._of(field, tuple(complement_rows(u2)), 2 * n))
     assert w1.dim == n - k and w2.dim == n - k
 
     pairing = w1.basis * form.gram * w2.basis.sigma_transpose()
@@ -346,13 +351,13 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     both = w1 + w2
     assert both.dim == 2 * (n - k)
     assert (w1 + w) == both and (w2 + w) == both
-    assert w.intersect(w1).dim == 0 and w.intersect(w2).dim == 0
+    assert _meets_trivially(w, w1) and _meets_trivially(w, w2)
 
     u_space = v + w
     assert u_space.dim == n and form.is_totally_isotropic(u_space)
     x = isotropic_meeting_perp(SubspacePoint(u_space, n), v, w)
-    assert x.space.intersect(u1.space).dim == 0
-    assert x.space.intersect(u2.space).dim == 0
+    assert _meets_trivially(x.space, u1.space)
+    assert _meets_trivially(x.space, u2.space)
     return x
 
 

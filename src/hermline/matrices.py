@@ -21,6 +21,11 @@ kernels of the other modules call them with no Matrix in between.
 Entrywise arithmetic is ``Matrix._map`` (x -> table[x]) and
 ``Matrix._zip`` (x, y -> table[x][y]) over a field table.  ``src/`` has
 no other product loop and no other entry loop over a field table.
+Eliminations stop at echelon form where that suffices:
+``extend_independent`` carries an echelon form of the rows kept so far
+and eliminates only each candidate's row against it, and
+``Subspace.intersect`` reads the intersection off an echelon form of
+the Zassenhaus block.
 """
 
 from __future__ import annotations
@@ -430,14 +435,15 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus block trick.
 
-        Row reduce [U | U; W | 0]; the right halves of the rows whose
-        left half vanished form a basis of the intersection.
+        Row reduce [U | U; W | 0] to echelon form; the right halves of
+        the rows whose left half vanished form a basis of the
+        intersection, which the constructor then canonicalises.
         """
         self._check_compatible(other)
         d = self.ambient_dim
         work = [list(row) + list(row) for row in self.basis.entries]
         work += [list(row) + [0] * d for row in other.basis.entries]
-        _row_reduce(self.field, work, 2 * d)
+        _row_reduce(self.field, work, 2 * d, below_only=True)
         rows = tuple(
             tuple(r[d:]) for r in work if not any(r[:d]) and any(r[d:])
         )
@@ -460,17 +466,18 @@ def extend_independent(field: FieldSpec, ambient_dim: int, rows, candidates):
 
     Returns the combined list; the relative order of the kept candidate
     rows follows the iteration order, so the result is deterministic.
+    An echelon form of the rows kept so far is carried along, so each
+    candidate costs one elimination of its own row against it.
     """
     rows = [tuple(r) for r in rows]
-    rank = Matrix(field, rows, cols=ambient_dim).rank()
-    if rank != len(rows):
+    echelon = [list(r) for r in rows]
+    if len(_row_reduce(field, echelon, ambient_dim, below_only=True)) != len(rows):
         raise ValueError("starting rows are not independent")
     for cand in candidates:
-        cand = tuple(cand)
-        trial = Matrix(field, rows + [cand], cols=ambient_dim)
-        if trial.rank() > rank:
-            rows.append(cand)
-            rank += 1
+        trial = echelon + [list(cand)]
+        if len(_row_reduce(field, trial, ambient_dim, below_only=True)) > len(echelon):
+            rows.append(tuple(cand))
+            echelon = trial
     return rows
 
 

@@ -267,8 +267,13 @@ def annihilator(pair: BartolonePair) -> Matrix:
     so by every vector of the pair's point; it always has rank n.
     """
     field = pair.field
-    n = pair.n
-    return (-pair.t2).vstack(pair.t1 * pair.t2 - Matrix.identity(field, n))
+    neg, sub = field._neg.__getitem__, field._sub
+    t2 = pair.t2.entries
+    lower = _product(field, pair.t1.entries, t2, pair.n)
+    for i, row in enumerate(lower):
+        row[i] = sub[row[i]][1]
+    upper = tuple(tuple(map(neg, row)) for row in t2)
+    return Matrix._of(field, upper + tuple(map(tuple, lower)), pair.n)
 
 
 class JordanMapSpec:

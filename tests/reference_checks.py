@@ -6,8 +6,9 @@ the "distant diameter at most two" claim with explicit middle points,
 and ``graph_from_edges`` builds a small graph from a hand-written edge
 list.  ``subspace_id`` ranks a subspace object the way the pair kernel
 ranks its reduced rows.  ``bartolone_by_matrices``,
-``hermitian_matrices_by_filter`` and ``isotropic_points_by_filter`` are
-the plain versions that ``bartolone``, ``hermitian_matrices`` and
+``extend_independent_by_rebuild``, ``hermitian_matrices_by_filter`` and
+``isotropic_points_by_filter`` are the plain versions that
+``bartolone``, ``extend_independent``, ``hermitian_matrices`` and
 ``isotropic_ids`` replace; ``bartolone_by_matrices`` multiplies through
 the same kernel as ``bartolone``, so ``product_by_entries`` checks that
 kernel against the product written from its definition.
@@ -189,6 +190,25 @@ def product_by_entries(field: FieldSpec, a: Matrix, b: Matrix) -> tuple:
     return tuple(out)
 
 
+def extend_independent_by_rebuild(field: FieldSpec, ambient_dim: int, rows, candidates):
+    """``extend_independent`` by ranking every trial matrix from scratch.
+
+    Each candidate builds a validating Matrix of the rows kept so far
+    plus the candidate and keeps the candidate when the rank rises.
+    """
+    rows = [tuple(r) for r in rows]
+    rank = Matrix(field, rows, cols=ambient_dim).rank()
+    if rank != len(rows):
+        raise ValueError("starting rows are not independent")
+    for cand in candidates:
+        cand = tuple(cand)
+        trial = Matrix(field, rows + [cand], cols=ambient_dim)
+        if trial.rank() > rank:
+            rows.append(cand)
+            rank += 1
+    return rows
+
+
 def hermitian_matrices_by_filter(field: FieldSpec, n: int) -> tuple:
     """Every n x n matrix that equals its involution transpose, in order."""
     return tuple(m for m in all_matrices(field, n, n) if m.is_hermitian())
@@ -215,7 +235,7 @@ def isotropic_meeting_perp_stepwise(
     """
     field = u.field
     n = u.n
-    form, k, rows = _ordered_frame(u, v, w)
+    form, k, rows, _ = _ordered_frame(u, v, w)
     add, mul = field._add, field._mul
 
     def shear(target_rows, coeff: Matrix, source_rows):

@@ -1,5 +1,6 @@
 """The anti-hermitian form, isotropic points and the subspace constructions."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -253,12 +254,65 @@ def test_common_complement_validation(f2):
 
 @pytest.mark.parametrize("maker", ALL_CONFIGS)
 def test_decompose_roundtrip(maker):
+    """Every isotropic point at n = 2, and at n = 3 over GF(2) (135 points)
+    and GF(4) with Frobenius (891 points)."""
     field = maker()
-    for p in enumerate_isotropic(field, 2):
+    sizes = (2, 3) if field.q in (2, 4) else (2,)
+    for n in sizes:
+        for p in enumerate_isotropic(field, n):
+            pair = decompose_isotropic(p)
+            assert pair.t1.is_hermitian()
+            assert pair.t2.is_hermitian()
+            assert bartolone_hermitian(pair) == p
+
+
+# sha256 of decompose_isotropic on every isotropic point, one
+# "t1 entries t2 entries" line each, and of common_complement on each
+# cyclically consecutive pair of those points, one basis line each;
+# recorded before extend_independent carried its echelon form.
+CONSTRUCTION_PINS = {
+    "gf2-2": (
+        "f59d766f0b92af6667c33d9465eb4c0c301b2cfb04aba41b0d25c707ac887a58",
+        "a10e08bf7052d12dae18a43b3a263eb5e58b4c60356e41caf033bb1a607aa131",
+    ),
+    "gf3-2": (
+        "257476631af20f6ccf5a9683b35cc7b15d3feb6b3b6191e66716760e164774b0",
+        "b2ed97200e07e8d69c5eb3e92cc4fdcb8f72137839c479de2e0b09b3de351d34",
+    ),
+    "gf4-2": (
+        "99507a48bdbe2293a0500679d6dcf1a9ef15b4786c4b05e1c1fbd7a8bfd301cf",
+        "2f0b26d5f49f7e4fa48c90b9c8972f7355000d555ec71a605064bbe1f6526295",
+    ),
+    "gf9-2": (
+        "69b1c8b8448ebd37b760170f88392e8a4d11bb8efe4b6e5d2977ad145180cdb9",
+        "1a50adec5d6667d137ab00f40582fe5d1595aaf9a30dd75bb101792a39548d4d",
+    ),
+    "gf2-3": (
+        "a55a4ceb8079301583b9d5cb63cba1ed1c90bfc424a591c061351ab9235de930",
+        "bfe475c923307327dd6fa3a4f5df98c6b92a98b4c897257f3874f4047e96c307",
+    ),
+    "gf4-3": (
+        "72bc0b1d3d65db4e47567b594b1a678350fa34aba81efa30abea1323710934b5",
+        "2c5dbeb8ec0b03a6fdbbdeecdb2c5ee580cdfc86379456e1e0c8c04b31f80c0f",
+    ),
+}
+
+
+PINNED_CONFIGS = dict(zip(LADDER_IDS, LADDER), **{"gf4-3": ((2, 2, "frobenius"), 3)})
+
+
+@pytest.mark.parametrize("key", sorted(CONSTRUCTION_PINS))
+def test_construction_outputs_are_pinned(key):
+    field_args, n = PINNED_CONFIGS[key]
+    points = enumerate_isotropic(make_field(*field_args), n)
+    pairs = hashlib.sha256()
+    complements = hashlib.sha256()
+    for i, p in enumerate(points):
         pair = decompose_isotropic(p)
-        assert pair.t1.is_hermitian()
-        assert pair.t2.is_hermitian()
-        assert bartolone_hermitian(pair) == p
+        pairs.update(f"{pair.t1.entries}{pair.t2.entries}\n".encode())
+        x = common_complement(p, points[(i + 1) % len(points)])
+        complements.update(f"{x.space.basis.entries}\n".encode())
+    assert (pairs.hexdigest(), complements.hexdigest()) == CONSTRUCTION_PINS[key]
 
 
 def test_decompose_frozen_example(f4):

@@ -21,6 +21,7 @@ from reference_checks import (
     LADDER,
     LADDER_IDS,
     contains,
+    extend_independent_by_rebuild,
     product_by_entries,
     subspace_id,
 )
@@ -266,24 +267,43 @@ def test_subspace_canonical_equality(f2):
     assert a.basis == a.basis.rref()[0]
 
 
-def test_subspace_sum_and_intersection_oracle(f2):
-    """Zassenhaus intersection agrees with brute-force vector membership."""
-    planes = list(enumerate_subspaces(f2, 4, 2))
-    vectors = list(all_vectors(f2, 4))
-    for a in planes[:12]:
-        overlaps = []
-        for b in planes:
-            meet = a.intersect(b)
-            expected = [
-                v for v in vectors if a.contains_vector(v) and b.contains_vector(v)
-            ]
-            assert len(expected) == f2.q**meet.dim
-            assert all(meet.contains_vector(v) for v in expected)
-            join = a + b
-            assert join.dim == a.dim + b.dim - meet.dim
-            assert contains(join, a) and contains(join, b)
-            overlaps.append(meet.dim)
-        assert max(overlaps) == 2
+def test_subspace_sum_and_intersection_oracle(f2, f3, f4):
+    """Zassenhaus intersection agrees with brute-force vector membership.
+
+    Over GF(2) planes meet every plane; over GF(3) and GF(4) spaces of
+    unequal dimensions meet every third space of the other dimension and
+    one space that contains, or lies in, the first.
+    """
+    shapes = {f2: [(2, 2)], f3: [(1, 2), (2, 3), (3, 1)], f4: [(1, 3), (2, 1), (3, 2)]}
+    for field, pairs in shapes.items():
+        vectors = list(all_vectors(field, 4))
+
+        def members(space):
+            return {v for v in vectors if space.contains_vector(v)}
+
+        for da, db in pairs:
+            step = 1 if field is f2 else 3
+            others = [(b, members(b)) for b in list(enumerate_subspaces(field, 4, db))[::step]]
+            for a in list(enumerate_subspaces(field, 4, da))[:12]:
+                inside_a = members(a)
+                if db <= da:
+                    related = Subspace(a.basis.block(0, db, 0, 4))
+                else:
+                    units = [unit_vector(4, i) for i in range(4)]
+                    rows = extend_independent(field, 4, a.basis.entries, units)[:db]
+                    related = Subspace(Matrix(field, rows, cols=4))
+                overlaps = []
+                for b, inside_b in others + [(related, members(related))]:
+                    meet = a.intersect(b)
+                    expected = inside_a & inside_b
+                    assert len(expected) == field.q**meet.dim
+                    assert all(meet.contains_vector(v) for v in expected)
+                    assert meet == Subspace(meet.basis)
+                    join = a + b
+                    assert join.dim == a.dim + b.dim - meet.dim
+                    assert contains(join, a) and contains(join, b)
+                    overlaps.append(meet.dim)
+                assert max(overlaps) == min(da, db)
 
 
 def test_subspace_contains(f2):
@@ -313,6 +333,55 @@ def test_extend_independent(f2):
     assert Matrix(f2, out[:3], cols=4).rank() == 3
     with pytest.raises(ValueError):
         extend_independent(f2, 4, [(1, 0, 0, 0), (1, 0, 0, 0)], [])
+
+
+@pytest.mark.parametrize(
+    "field_args",
+    [(2, 1, "identity"), (3, 1, "identity"), (2, 2, "frobenius"), (3, 2, "frobenius")],
+    ids=["gf2", "gf3", "gf4", "gf9"],
+)
+def test_extend_independent_matches_rebuild(field_args):
+    """The carried echelon keeps the same rows, in the same order, as
+    ranking every trial from scratch; zero, repeated and dependent
+    candidates are among the inputs."""
+    field = make_field(*field_args)
+    rng = random.Random(13)
+    add, mul = field._add, field._mul
+
+    def sparse(d):
+        return tuple(rng.randrange(field.q) if rng.random() < 0.4 else 0 for _ in range(d))
+
+    def combination(pool, d):
+        vec = [0] * d
+        for row in pool:
+            c = rng.randrange(field.q)
+            vec = [add[x][mul[c][y]] for x, y in zip(vec, row)]
+        return tuple(vec)
+
+    for d in range(2, 9):
+        for _ in range(12):
+            start = extend_independent_by_rebuild(
+                field, d, [], [sparse(d) for _ in range(rng.randrange(d))]
+            )
+            pool = list(start)
+            candidates = []
+            for _ in range(d + 4):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    cand = (0,) * d
+                elif kind == 1 and pool:
+                    cand = combination(rng.sample(pool, rng.randint(1, len(pool))), d)
+                else:
+                    cand = sparse(d)
+                candidates.append(cand)
+                pool.append(cand)
+            expected = extend_independent_by_rebuild(field, d, start, candidates)
+            assert extend_independent(field, d, start, candidates) == expected
+            assert extend_independent(field, d, start, iter(candidates)) == expected
+            if start:
+                dependent = start + [combination(start, d)]
+                with pytest.raises(ValueError):
+                    extend_independent(field, d, dependent, candidates)
 
 
 def test_nullspace(f3):
