@@ -45,6 +45,8 @@ from .projline import (
     BartolonePair,
     JordanMapSpec,
     SubspacePoint,
+    _Memo,
+    _pair_columns,
     _pair_ids,
     annihilator,
     arithmetical_distance,
@@ -169,11 +171,13 @@ def pair_point_table(field: FieldSpec, n: int) -> list[list[int]]:
     """
     if not _exhaustible(field, n):
         raise ValueError("pair space too large for an exhaustive table")
-    pair_id = _pair_ids(field, n)
     entries = [m.entries for m in all_matrices(field, n, n)]
     # one int object per point, not one per pair
-    ids = list(range(gaussian_binomial(2 * n, n, field.q)))
-    return [[ids[pair_id(t1, t2)] for t2 in entries] for t1 in entries]
+    ids = list(range(gaussian_binomial(2 * n, n, field.q))).__getitem__
+    columns = [
+        list(map(ids, column)) for column in _pair_columns(field, n, entries, entries)
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 @functools.lru_cache(maxsize=4)
@@ -443,17 +447,6 @@ def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
                 }
 
     return _result("embedding_injectivity", "exhaustive", outcomes())
-
-
-class _Memo(dict):
-    """The map key -> f(key), each value computed on its first lookup."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __missing__(self, key):
-        self[key] = value = self.f(key)
-        return value
 
 
 class _PairCases:

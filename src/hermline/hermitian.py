@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .fields import FieldSpec
+from .fields import FROBENIUS, FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
@@ -122,7 +122,9 @@ def hermitian_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
     entries above it over the field; each entry below the diagonal is
     sigma of its mirror, which comes earlier in row-major order, so
     running the free entries lexicographically keeps the matrices in
-    lexicographic order.
+    lexicographic order.  Raises RuntimeError unless the result holds
+    |F0|^n * q^(n(n-1)/2) pairwise distinct matrices, F0 the fixed field
+    of order q, or sqrt(q) for the frobenius involution.
     """
     sig = field._sigma
     free = [(i, j) for i in range(n) for j in range(i, n)]
@@ -134,6 +136,10 @@ def hermitian_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
             rows[i][j] = x
             rows[j][i] = sig[x]
         out.append(Matrix._of(field, tuple(map(tuple, rows)), n))
+    fixed = field.p ** (field.k // 2) if field.involution == FROBENIUS else field.q
+    count = fixed**n * field.q ** (n * (n - 1) // 2)
+    if len(out) != count or len(set(out)) != count:
+        raise RuntimeError(f"the hermitian matrices of {field!r} are incomplete")
     return tuple(out)
 
 
@@ -224,9 +230,15 @@ def _skew_split(g: Matrix) -> Matrix:
     return out
 
 
+def _stacked_rank(*spaces: Subspace) -> int:
+    """The dimension of the sum of the spaces: the rank of their stacked bases."""
+    rows = tuple(row for space in spaces for row in space.basis.entries)
+    return Matrix._of(spaces[0].field, rows, spaces[0].ambient_dim).rank()
+
+
 def _meets_trivially(a: Subspace, b: Subspace) -> bool:
     """Whether a meet b = 0: the stacked bases have rank dim a + dim b."""
-    return a.basis.vstack(b.basis).rank() == a.dim + b.dim
+    return _stacked_rank(a, b) == a.dim + b.dim
 
 
 def _ordered_frame(u: SubspacePoint, v: Subspace, w: Subspace):
@@ -245,7 +257,13 @@ def _ordered_frame(u: SubspacePoint, v: Subspace, w: Subspace):
         raise ValueError("v lives in the wrong space")
     if w.field != field or w.ambient_dim != 2 * n:
         raise ValueError("w lives in the wrong space")
-    if not _meets_trivially(v, w) or (v + w) != u.space:
+    # v + w = u: v and w meet trivially, their dimensions add up to n,
+    # and both lie in u, so stacking u on them keeps rank n
+    if (
+        not _meets_trivially(v, w)
+        or v.dim + w.dim != n
+        or _stacked_rank(u.space, v, w) != n
+    ):
         raise ValueError("u = v (+) w must be a direct sum decomposition")
     k = v.dim
     v_rows = list(v.basis.entries)
@@ -348,9 +366,9 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     w = Subspace(scaled + w2.basis)
     assert w.dim == n - k
 
-    both = w1 + w2
-    assert both.dim == 2 * (n - k)
-    assert (w1 + w) == both and (w2 + w) == both
+    # w1 + w = w2 + w = w1 (+) w2: w lies in w1 (+) w2 and meets both trivially
+    assert _meets_trivially(w1, w2)
+    assert _stacked_rank(w1, w2, w) == 2 * (n - k)
     assert _meets_trivially(w, w1) and _meets_trivially(w, w2)
 
     u_space = v + w

@@ -467,13 +467,16 @@ def extend_independent(field: FieldSpec, ambient_dim: int, rows, candidates):
     Returns the combined list; the relative order of the kept candidate
     rows follows the iteration order, so the result is deterministic.
     An echelon form of the rows kept so far is carried along, so each
-    candidate costs one elimination of its own row against it.
+    candidate costs one elimination of its own row against it; once
+    the rows span the whole space, no candidate is looked at.
     """
     rows = [tuple(r) for r in rows]
     echelon = [list(r) for r in rows]
     if len(_row_reduce(field, echelon, ambient_dim, below_only=True)) != len(rows):
         raise ValueError("starting rows are not independent")
     for cand in candidates:
+        if len(echelon) == ambient_dim:
+            break
         trial = echelon + [list(cand)]
         if len(_row_reduce(field, trial, ambient_dim, below_only=True)) > len(echelon):
             rows.append(tuple(cand))

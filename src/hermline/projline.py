@@ -8,8 +8,11 @@ parametrisation
 
     (T1, T2)  ->  row space of (T2*T1 - I, T2),
 
-which one private kernel, _pair_ids, computes on entry tuples as a
-point id (bartolone unranks that id into a point), the distant and
+which private kernels compute on entry tuples as point ids: _pair_ids
+for one pair (bartolone unranks its id into a point), and _pair_columns
+for the pair sweeps, one T2 at a time, which reads the id for an
+invertible T2 off the chart point (T1 - T2^-1 | I), since
+T2^-1 * (T2*T1 - I | T2) = (T1 - T2^-1 | I); the distant and
 adjacency relations with the arithmetical distance that refines them,
 and the constructions attached to the parametrisation: the embedding of
 the matrix space, spheres around the base point, stars, tops, pencils,
@@ -20,6 +23,7 @@ and anti-isomorphisms.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .fields import FieldSpec
 from .matrices import (
@@ -167,7 +171,8 @@ def _pair_ids(field: FieldSpec, n: int):
     The returned function builds (T2*T1 - I | T2) as lists from the
     rows of _product, row reduces it and reads the point id off the
     reduced rows, with no Matrix, Subspace or SubspacePoint.  It is the
-    only code that forms this generator: bartolone unranks its ids.
+    single-pair kernel: bartolone unranks its ids, and _pair_columns
+    falls back on it for singular T2.
     """
     sub = field._sub
     q = field.q
@@ -184,6 +189,76 @@ def _pair_ids(field: FieldSpec, n: int):
         return _rref_id(q, layouts, pivots, work)
 
     return pair_id
+
+
+class _Memo(dict):
+    """The map key -> f(key), each value computed on its first lookup."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
+
+
+def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
+    """For each T2 in t2s, the list of the ids of (T1, T2) for T1 in t1s.
+
+    t1s is a list and t2s an iterable of entry tuples; the columns come
+    lazily, one per T2.  When T2 is invertible, multiplying the
+    generator on the left by T2^-1 keeps its row space:
+
+        T2^-1 * (T2*T1 - I | T2) = (T1 - T2^-1 | I),
+
+    so the id of (T1, T2) is F(T1 - T2^-1), where F(M) is the id of the
+    row space of (M | I).  F is memoised by the matrix id of M, so each
+    M is row reduced once per call, whatever pairs reach it.  Row
+    reducing (T2 | I) decides the case: T2 is invertible exactly when
+    its pivots are the columns 0..n-1, and then the right half is
+    T2^-1.  For a singular T2 the column comes from _pair_ids.
+
+    The matrix id of T1 - W is a sum of n table reads: for row index i,
+    a table maps each distinct row of the t1s to the base-q value of
+    (that row - row i of W), shifted to the place of row i.
+    """
+    q, sub = field.q, field._sub
+    layouts = _rref_layouts(q, 2 * n, n)
+    pair_id = _pair_ids(field, n)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    distinct = {}
+    slots = [
+        [distinct.setdefault(t1[i], len(distinct)) for t1 in t1s] for i in range(n)
+    ]
+    distinct = list(distinct)
+    shifts = [q ** (n * (n - 1 - i)) for i in range(n)]
+
+    def chart_id(key: int) -> int:
+        work = [[0] * n + row for row in ident]
+        for row in reversed(work):
+            for c in reversed(range(n)):
+                key, row[c] = divmod(key, q)
+        pivots = _row_reduce(field, work, 2 * n)
+        return _rref_id(q, layouts, pivots, work)
+
+    chart = _Memo(chart_id)
+    for t2 in t2s:
+        work = [list(row) + unit for row, unit in zip(t2, ident)]
+        if _row_reduce(field, work, 2 * n)[-1] >= n:
+            yield [pair_id(t1, t2) for t1 in t1s]
+            continue
+        keys = None
+        for shift, w, slot in zip(shifts, work, slots):
+            w = w[n:]
+            table = []
+            for row in distinct:
+                value = 0
+                for x, y in zip(row, w):
+                    value = value * q + sub[x][y]
+                table.append(value * shift)
+            reads = map(table.__getitem__, slot)
+            keys = reads if keys is None else map(operator.add, keys, reads)
+        yield list(map(chart.__getitem__, keys))
 
 
 def embed_matrix_space(t1_0: Matrix, t2: Matrix) -> SubspacePoint:
@@ -335,9 +410,11 @@ def point_from_id(field: FieldSpec, n: int, index: int) -> SubspacePoint:
 
 def sweep_ids(field: FieldSpec, n: int, t1s, t2s) -> set[int]:
     """The ids of the points of all pairs in t1s x t2s."""
-    pair_id = _pair_ids(field, n)
-    t2s = [t2.entries for t2 in t2s]
-    return {pair_id(t1.entries, t2) for t1 in t1s for t2 in t2s}
+    t1s = [t1.entries for t1 in t1s]
+    ids = set()
+    for column in _pair_columns(field, n, t1s, (t2.entries for t2 in t2s)):
+        ids.update(column)
+    return ids
 
 
 def sweep_points(field: FieldSpec, n: int, t1s, t2s) -> list[SubspacePoint]:

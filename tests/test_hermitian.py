@@ -1,5 +1,6 @@
 """The anti-hermitian form, isotropic points and the subspace constructions."""
 
+import copy
 import hashlib
 import itertools
 
@@ -391,6 +392,15 @@ def test_jordan_axioms(maker, herm_count):
 def test_hermitian_matrices_match_the_filter(field_args, n):
     field = make_field(*field_args)
     assert hermitian_matrices(field, n) == hermitian_matrices_by_filter(field, n)
+
+
+@pytest.mark.parametrize("field_args", [(3, 1, "identity"), (3, 2, "frobenius")])
+def test_hermitian_matrices_check_they_are_complete(field_args):
+    """A fixed field missing an element yields too few matrices: a raise."""
+    field = copy.copy(make_field(*field_args))
+    field.fixed_elements = field.fixed_elements[:-1]
+    with pytest.raises(RuntimeError, match="incomplete"):
+        hermitian_matrices.__wrapped__(field, 2)
 
 
 @pytest.mark.parametrize("field_args,n", LADDER, ids=LADDER_IDS)

@@ -33,7 +33,8 @@ from hermline import (
 )
 from hermline import projline
 from hermline.matrices import Subspace, all_vectors
-from hermline.projline import _pair_ids, point_from_id
+from hermline.harness import pair_point_table
+from hermline.projline import _pair_columns, _pair_ids, point_from_id
 from reference_checks import LADDER, LADDER_IDS, bartolone_by_matrices, contains
 
 
@@ -324,6 +325,57 @@ def test_pair_ids_match_bartolone_on_samples(field_args, n):
 
     pairs = [(draw(), draw()) for _ in range(2000)]
     assert _assert_pair_ids_match_bartolone(field, n, pairs) == 2000
+
+
+def _assert_pair_columns_match_bartolone(field, n, t1s, t2s):
+    """_pair_columns gives the reference's ranked point on all of t1s x t2s.
+
+    Returns the number of invertible T2, so that a test can show both
+    the chart lookup and the single-pair fallback ran.
+    """
+    index = {p: i for i, p in enumerate(enumerate_points(field, n))}
+    t1_entries = [t1.entries for t1 in t1s]
+    columns = list(_pair_columns(field, n, t1_entries, [t2.entries for t2 in t2s]))
+    assert len(columns) == len(t2s)
+    for t2, column in zip(t2s, columns):
+        reference = [bartolone_by_matrices(BartolonePair(t1, t2)) for t1 in t1s]
+        assert column == [index[p] for p in reference]
+    return sum(t2.is_invertible() for t2 in t2s)
+
+
+@pytest.mark.parametrize("field_args,n", EVERY_PAIR, ids=EVERY_PAIR_IDS)
+def test_pair_columns_match_bartolone_on_every_pair(field_args, n):
+    field = make_field(*field_args)
+    mats = list(all_matrices(field, n, n))
+    invertible = _assert_pair_columns_match_bartolone(field, n, mats, mats)
+    assert 0 < invertible < len(mats)
+
+
+@pytest.mark.parametrize("field_args,n", LADDER[2:], ids=LADDER_IDS[2:])
+def test_pair_columns_match_bartolone_on_samples(field_args, n):
+    """2,000 seeded pairs, as 40 T1 against 50 T2."""
+    field = make_field(*field_args)
+    rng = random.Random(0)
+
+    def draw():
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)]
+        return Matrix(field, rows)
+
+    t1s = [draw() for _ in range(40)]
+    t2s = [draw() for _ in range(50)]
+    invertible = _assert_pair_columns_match_bartolone(field, n, t1s, t2s)
+    assert 0 < invertible < len(t2s)
+
+
+@pytest.mark.parametrize(
+    "field_args", [(3, 1, "identity"), (2, 2, "frobenius")], ids=["gf3-2", "gf4-2"]
+)
+def test_pair_point_table_matches_pair_ids(field_args):
+    field = make_field(*field_args)
+    pair_id = _pair_ids(field, 2)
+    entries = [m.entries for m in all_matrices(field, 2, 2)]
+    literal = [[pair_id(t1, t2) for t2 in entries] for t1 in entries]
+    assert pair_point_table(field, 2) == literal
 
 
 def test_pair_ids_raise_on_lost_rank(f2, monkeypatch):
