@@ -9,10 +9,10 @@ Zero-row and zero-column matrices are permitted throughout; the block
 constructions in the isotropic-subspace algorithms rely on them.
 
 Validation happens once, at the boundary: the public constructor,
-``from_json``, ``map_entries``, ``scale``, ``row_vector`` and
-``Subspace.from_rows`` check shapes and entries.  Internal paths trust
-their inputs: arithmetic, reshaping, elimination and the enumerations
-build their results with ``Matrix._of``, which skips the checks.
+``from_json``, ``scale``, ``row_vector`` and ``Subspace.from_rows``
+check shapes and entries.  Internal paths trust their inputs:
+arithmetic, reshaping, elimination and the enumerations build their
+results with ``Matrix._of``, which skips the checks.
 Hashes are computed on first use.
 
 Arithmetic has one path.  ``_product`` is the only matrix-product loop
@@ -199,13 +199,6 @@ class Matrix:
         # zip(*rows) yields no columns at all when there are no rows.
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return Matrix._of(self.field, entries, self.rows)
-
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(
-            self.field,
-            tuple(tuple(fn(x) for x in row) for row in self.entries),
-            cols=self.cols,
-        )
 
     def sigma_transpose(self) -> "Matrix":
         """Transpose with the field involution applied entrywise."""

@@ -12,7 +12,9 @@ which private kernels compute on entry tuples as point ids: _pair_ids
 for one pair (bartolone unranks its id into a point), and _pair_columns
 for the pair sweeps, one T2 at a time, which reads the id for an
 invertible T2 off the chart point (T1 - T2^-1 | I), since
-T2^-1 * (T2*T1 - I | T2) = (T1 - T2^-1 | I); the distant and
+T2^-1 * (T2*T1 - I | T2) = (T1 - T2^-1 | I), and for a singular T2 of
+rank r from a memo on the r x r matrix R*T1*C, where T2 = C*R is a rank
+factorisation with R in reduced row echelon form; the distant and
 adjacency relations with the arithmetical distance that refines them,
 and the constructions attached to the parametrisation: the embedding of
 the matrix space, spheres around the base point, stars, tops, pencils,
@@ -172,7 +174,7 @@ def _pair_ids(field: FieldSpec, n: int):
     rows of _product, row reduces it and reads the point id off the
     reduced rows, with no Matrix, Subspace or SubspacePoint.  It is the
     single-pair kernel: bartolone unranks its ids, and _pair_columns
-    falls back on it for singular T2.
+    calls it once per distinct key of a singular T2's column.
     """
     sub = field._sub
     q = field.q
@@ -206,23 +208,37 @@ def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
     """For each T2 in t2s, the list of the ids of (T1, T2) for T1 in t1s.
 
     t1s is a list and t2s an iterable of entry tuples; the columns come
-    lazily, one per T2.  When T2 is invertible, multiplying the
-    generator on the left by T2^-1 keeps its row space:
+    lazily, one per T2.  Row reducing (T2 | I) to (R, E_top ; 0, E_bot)
+    gives the rank r of T2, its r nonzero RREF rows R and the invertible
+    E = (E_top ; E_bot) with E*T2 = (R ; 0).  Left multiplication by E
+    keeps the row space of the generator:
 
-        T2^-1 * (T2*T1 - I | T2) = (T1 - T2^-1 | I),
+        E * (T2*T1 - I | T2) = (R*T1 - E_top | R ; -E_bot | 0).
 
-    so the id of (T1, T2) is F(T1 - T2^-1), where F(M) is the id of the
-    row space of (M | I).  F is memoised by the matrix id of M, so each
-    M is row reduced once per call, whatever pairs reach it.  Row
-    reducing (T2 | I) decides the case: T2 is invertible exactly when
-    its pivots are the columns 0..n-1, and then the right half is
-    T2^-1.  For a singular T2 the column comes from _pair_ids.
+    When T2 is invertible (r = n, pivots 0..n-1), R = I and E = T2^-1,
+    so the point is the chart point (T1 - T2^-1 | I), and the id of
+    (T1, T2) is F(T1 - T2^-1), where F(M) is the id of the row space of
+    (M | I).  F is memoised by the matrix id of M, so each M is row
+    reduced once per call, whatever pairs reach it.  The matrix id of
+    T1 - W is a sum of n table reads: for row index i, a table maps
+    each distinct row of the t1s to the base-q value of (that row -
+    row i of W), shifted to the place of row i.
 
-    The matrix id of T1 - W is a sum of n table reads: for row index i,
-    a table maps each distinct row of the t1s to the base-q value of
-    (that row - row i of W), shifted to the place of row i.
+    When T2 is singular, let C be T2's columns at the pivots of R, so
+    T2 = C*R and E_top*C = I_r.  The rows (-E_bot | 0) span the
+    (v | 0) with v*T2 = 0, that is v*C = 0, as R has full rank; so
+    modulo them a row of R*T1 - E_top is fixed by its image under C,
+    and the point depends on T1 only through the r x r matrix
+    K = R*T1*C (R*T1*C - I_r is that image).  The column keys each
+    pair by K, packed as a base-q numeral, and row reduces one pair per
+    key with _pair_ids: at most q^(r^2) eliminations per column, and
+    one for T2 = 0.  K is read from per-column tables on the distinct
+    rows d of the t1s, which hold d*C: row a of K is the sum over i of
+    R[a][i] * (row i of T1)*C, a single read of a packed row when the
+    pivot is the only nonzero entry of row a of R, and otherwise summed
+    entry by entry with the field's add and mul tables.
     """
-    q, sub = field.q, field._sub
+    q, add, mul, sub = field.q, field._add, field._mul, field._sub
     layouts = _rref_layouts(q, 2 * n, n)
     pair_id = _pair_ids(field, n)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -242,14 +258,10 @@ def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
         return _rref_id(q, layouts, pivots, work)
 
     chart = _Memo(chart_id)
-    for t2 in t2s:
-        work = [list(row) + unit for row, unit in zip(t2, ident)]
-        if _row_reduce(field, work, 2 * n)[-1] >= n:
-            yield [pair_id(t1, t2) for t1 in t1s]
-            continue
+
+    def chart_column(inverse):
         keys = None
-        for shift, w, slot in zip(shifts, work, slots):
-            w = w[n:]
+        for shift, w, slot in zip(shifts, inverse, slots):
             table = []
             for row in distinct:
                 value = 0
@@ -258,7 +270,49 @@ def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
                 table.append(value * shift)
             reads = map(table.__getitem__, slot)
             keys = reads if keys is None else map(operator.add, keys, reads)
-        yield list(map(chart.__getitem__, keys))
+        return list(map(chart.__getitem__, keys))
+
+    def singular_column(t2, r_rows, pivots):
+        r = len(pivots)
+        images = _product(field, distinct, [[row[c] for c in pivots] for row in t2], r)
+        keys = [0] * len(t1s)
+        place = 1
+        for r_row in r_rows:
+            terms = [(mul[c], slot) for c, slot in zip(r_row, slots) if c]
+            if len(terms) == 1:
+                # Row a of K is the image of one row of T1, read whole.
+                table = []
+                for image in images:
+                    value = 0
+                    for x in image:
+                        value = value * q + x
+                    table.append(value * place)
+                keys = map(operator.add, keys, map(table.__getitem__, terms[0][1]))
+                place *= q**r
+                continue
+            for b in range(r):
+                entries = None
+                for scaled, slot in terms:
+                    table = [scaled[image[b]] for image in images]
+                    reads = map(table.__getitem__, slot)
+                    entries = (
+                        reads
+                        if entries is None
+                        else map(operator.getitem, map(add.__getitem__, entries), reads)
+                    )
+                keys = map(operator.add, keys, map(place.__mul__, entries))
+                place *= q
+        keys = list(keys)
+        ids = {key: pair_id(t1, t2) for key, t1 in dict(zip(keys, t1s)).items()}
+        return list(map(ids.__getitem__, keys))
+
+    for t2 in t2s:
+        work = [list(row) + unit for row, unit in zip(t2, ident)]
+        pivots = [c for c in _row_reduce(field, work, 2 * n) if c < n]
+        if len(pivots) == n:
+            yield chart_column([row[n:] for row in work])
+        else:
+            yield singular_column(t2, [row[:n] for row in work[: len(pivots)]], pivots)
 
 
 def embed_matrix_space(t1_0: Matrix, t2: Matrix) -> SubspacePoint:

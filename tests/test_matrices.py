@@ -58,8 +58,6 @@ def test_public_boundary_validation(f3):
     with pytest.raises(ValueError):
         Matrix.from_json(f3, {"rows": 1, "cols": 2, "entries": [["0", "3"]]})
     with pytest.raises(ValueError):
-        m.map_entries(lambda x: f3.q)
-    with pytest.raises(ValueError):
         m.scale(f3.q)
     with pytest.raises(ValueError):
         Subspace.from_rows(f3, 2, [(1, 3)])

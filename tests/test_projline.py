@@ -19,6 +19,7 @@ from hermline import (
     base_point,
     embed_matrix_space,
     enumerate_points,
+    hermitian_matrices,
     is_adjacent,
     is_distant,
     jordan_action,
@@ -365,6 +366,90 @@ def test_pair_columns_match_bartolone_on_samples(field_args, n):
     t2s = [draw() for _ in range(50)]
     invertible = _assert_pair_columns_match_bartolone(field, n, t1s, t2s)
     assert 0 < invertible < len(t2s)
+
+
+@pytest.mark.parametrize(
+    "field_args",
+    [(2, 1, "identity"), (3, 1, "identity"), (2, 2, "frobenius")],
+    ids=["gf2-3", "gf3-3", "gf4-3"],
+)
+def test_pair_columns_match_bartolone_at_every_rank(field_args):
+    """Singular T2 of every rank against all hermitian T1, at n = 3.
+
+    The fixed T2 give rank 0, rank 1 with a repeated row, rank 2 in
+    reduced form with a nonzero free entry, so that row 0 of R has two
+    nonzero entries, and rank 2 whose rows of R are unit vectors; seeded
+    sums of outer products add ranks 1 and 2 with entries from the whole
+    field.  Each id is unranked and compared
+    with the reference point, as enumerating all points of these lines
+    would cost more than the check.
+    """
+    field = make_field(*field_args)
+    n = 3
+    rng = random.Random(0)
+    t2s = [
+        Matrix.zeros(field, n, n),
+        Matrix(field, [[0, 1, 1], [0, 0, 0], [0, 1, 1]]),
+        Matrix(field, [[1, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        Matrix(field, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+    ]
+    for rank in (1, 2):
+        total = Matrix.zeros(field, n, n)
+        for _ in range(rank):
+            column = [[rng.randrange(1, field.q)] for _ in range(n)]
+            row = [[rng.randrange(field.q) for _ in range(n - 1)] + [1]]
+            total = total + Matrix(field, column) * Matrix(field, row)
+        t2s.append(total)
+    t1s = list(hermitian_matrices(field, n))
+    entries = [t1.entries for t1 in t1s]
+    columns = _pair_columns(field, n, entries, [t2.entries for t2 in t2s])
+    for t2, column in zip(t2s, columns, strict=True):
+        for t1, index in zip(t1s, column, strict=True):
+            assert point_from_id(field, n, index) == bartolone_by_matrices(
+                BartolonePair(t1, t2)
+            )
+    assert {t2.rank() for t2 in t2s} == set(range(n))
+
+
+@pytest.mark.parametrize(
+    "field_args,n,hermitian",
+    [((3, 1, "identity"), 2, False), ((2, 1, "identity"), 3, True)],
+    ids=["gf3-2-all", "gf2-3-hermitian"],
+)
+def test_pair_columns_eliminate_once_per_key(monkeypatch, field_args, n, hermitian):
+    """A singular column of rank r row reduces at most q^(r^2) pairs.
+
+    The key R*T1*C of such a column takes at most q^(r^2) values, and
+    _pair_ids is called once per value; T2 = 0 costs one call.
+    """
+    field = make_field(*field_args)
+    mats = list(
+        hermitian_matrices(field, n) if hermitian else all_matrices(field, n, n)
+    )
+    entries = [m.entries for m in mats]
+    kernel = projline._pair_ids
+    calls = {}
+
+    def counting(field, n):
+        pair_id = kernel(field, n)
+
+        def counted(t1, t2):
+            calls[t2] = calls.get(t2, 0) + 1
+            return pair_id(t1, t2)
+
+        return counted
+
+    monkeypatch.setattr(projline, "_pair_ids", counting)
+    columns = list(_pair_columns(field, n, entries, entries))
+    literal = kernel(field, n)
+    assert columns == [[literal(t1, t2) for t1 in entries] for t2 in entries]
+    ranks = {m.entries: m.rank() for m in mats}
+    singular = [t2 for t2 in entries if ranks[t2] < n]
+    assert set(calls) == set(singular)
+    for t2 in singular:
+        assert calls[t2] <= field.q ** (ranks[t2] ** 2)
+    assert sum(calls.values()) <= sum(field.q ** (ranks[t2] ** 2) for t2 in singular)
+    assert calls[Matrix.zeros(field, n, n).entries] == 1
 
 
 @pytest.mark.parametrize(
