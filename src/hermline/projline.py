@@ -234,9 +234,8 @@ def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
     key with _pair_ids: at most q^(r^2) eliminations per column, and
     one for T2 = 0.  K is read from per-column tables on the distinct
     rows d of the t1s, which hold d*C: row a of K is the sum over i of
-    R[a][i] * (row i of T1)*C, a single read of a packed row when the
-    pivot is the only nonzero entry of row a of R, and otherwise summed
-    entry by entry with the field's add and mul tables.
+    R[a][i] * (row i of T1)*C, summed entry by entry with the field's
+    add and mul tables.
     """
     q, add, mul, sub = field.q, field._add, field._mul, field._sub
     layouts = _rref_layouts(q, 2 * n, n)
@@ -279,17 +278,6 @@ def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
         place = 1
         for r_row in r_rows:
             terms = [(mul[c], slot) for c, slot in zip(r_row, slots) if c]
-            if len(terms) == 1:
-                # Row a of K is the image of one row of T1, read whole.
-                table = []
-                for image in images:
-                    value = 0
-                    for x in image:
-                        value = value * q + x
-                    table.append(value * place)
-                keys = map(operator.add, keys, map(table.__getitem__, terms[0][1]))
-                place *= q**r
-                continue
             for b in range(r):
                 entries = None
                 for scaled, slot in terms:
