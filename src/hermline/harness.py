@@ -22,7 +22,7 @@ import json
 import operator
 import random
 
-from .fields import FieldSpec, check_field_parameters, make_field
+from .fields import FieldSpec, _digits, check_field_parameters, make_field
 from .hermitian import (
     enumerate_isotropic,
     hermitian_adjacent_star,
@@ -42,13 +42,12 @@ from .matrices import (
 from .projline import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
-    BartolonePair,
     JordanMapSpec,
     SubspacePoint,
     _Memo,
+    _annihilator_shares,
     _pair_columns,
     _pair_ids,
-    annihilator,
     arithmetical_distance,
     base_point,
     enumerate_points,
@@ -600,16 +599,44 @@ def check_annihilator(
 ) -> dict:
     """The pair's point annihilates the stacked matrix, which has rank n.
 
-    The point's RREF basis spans the row space of (T2*T1 - I | T2), so
-    it annihilates the stacked matrix exactly when that generator does.
+    The point's RREF basis B spans the row space of (T2*T1 - I | T2), so
+    it annihilates the matrix exactly when that generator does.  Its
+    columns are packed in one id, the sum of _annihilator_shares.  Each
+    point tests each column v once for B*v = 0 and keeps v's entries at
+    B's free columns, onto which the kernel of B projects isomorphically;
+    with every column in the kernel, rank n means an invertible minor on
+    the free rows, looked up by its matrix id.
     """
+    q, qn, width = field.q, field.q**n, field.q ** (2 * n)
     cases = _PairCases(field, n, seed, samples)
-    basis = cases.per_point(lambda p: p.space.basis.entries)
+    shares = _Memo(lambda t2: _annihilator_shares(field, n, cases.matrix[t2].entries))
+    vectors = _Memo(lambda column: _digits(column, q, 2 * n)[::-1])
+    invertible = cases.per_matrix(Matrix.is_invertible)
+
+    def kernel_coordinates(p: int) -> _Memo:
+        basis = cases.point[p].space.basis.entries
+        transposed, pivots = tuple(zip(*basis)), {row.index(1) for row in basis}
+
+        def free_entries(column: int) -> int | None:
+            v = vectors[column]
+            if any(_product(field, (v,), transposed, n)[0]):
+                return None
+            return _matrix_id(q, [[x for c, x in enumerate(v) if c not in pivots]])
+
+        return _Memo(free_entries)
+
+    kernel = _Memo(kernel_coordinates)
 
     def holds(t1, t2) -> bool:
-        ann = annihilator(BartolonePair(cases.matrix[t1], cases.matrix[t2]))
-        product = _product(field, basis(t1, t2), ann.entries, n)
-        return not any(map(any, product)) and ann.rank() == n
+        packed = sum(map(operator.getitem, shares[t2], cases.matrix[t1].entries))
+        coordinates, minor = kernel[cases.table[t1][t2]], 0
+        for _ in range(n):  # the columns, last first
+            packed, column = divmod(packed, width)
+            x = coordinates[column]
+            if x is None:
+                return False
+            minor = minor * qn + x
+        return invertible[minor]
 
     return cases.check("annihilator", holds)
 
@@ -647,15 +674,10 @@ def check_jordan_well_defined(
     """
     cases = _PairCases(field, n, seed, samples)
     image, other_images = cases.image(spec), cases.other_images(spec)
-
-    def holds(t1, t2) -> bool:
-        img = image(t1, t2)
-        for other in other_images(t1, t2):
-            if other != img:
-                return False
-        return True
-
-    return cases.check(f"jordan_well_defined[{label}]", holds)
+    return cases.check(
+        f"jordan_well_defined[{label}]",
+        lambda t1, t2: all(o == image(t1, t2) for o in other_images(t1, t2)),
+    )
 
 
 def check_jordan_adjacency(

@@ -31,6 +31,7 @@ from .fields import FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
+    _matrix_id,
     _product,
     _row_reduce,
     _rref_id,
@@ -66,10 +67,8 @@ class SubspacePoint:
 
     def blocks(self) -> tuple[Matrix, Matrix]:
         """The (A, B) block pair of the canonical basis matrix."""
-        n = self.n
-        return self.space.basis.block(0, n, 0, n), self.space.basis.block(
-            0, n, n, 2 * n
-        )
+        basis, n = self.space.basis, self.n
+        return basis.block(0, n, 0, n), basis.block(0, n, n, 2 * n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubspacePoint):
@@ -383,14 +382,31 @@ def annihilator(pair: BartolonePair) -> Matrix:
     Its columns are annihilated by every row of (T2*T1 - I | T2), and
     so by every vector of the pair's point; it always has rank n.
     """
-    field = pair.field
-    neg, sub = field._neg.__getitem__, field._sub
-    t2 = pair.t2.entries
-    lower = _product(field, pair.t1.entries, t2, pair.n)
-    for i, row in enumerate(lower):
-        row[i] = sub[row[i]][1]
-    upper = tuple(tuple(map(neg, row)) for row in t2)
-    return Matrix._of(field, upper + tuple(map(tuple, lower)), pair.n)
+    field, t2 = pair.field, pair.t2.entries
+    rows = [_annihilator_rows(field, t2, i, d) for i, d in enumerate(pair.t1.entries)]
+    upper, lower = zip(*rows)
+    return Matrix._of(field, upper + lower, pair.n)
+
+
+def _annihilator_rows(field: FieldSpec, t2: tuple, i: int, d: tuple) -> tuple:
+    """Rows i and n + i of the annihilator for T1[i] = d: -T2[i] and d*T2 - e_i."""
+    lower = _product(field, (d,), t2, len(t2))[0]
+    lower[i] = field._sub[lower[i]][1]
+    return tuple(map(field._neg.__getitem__, t2[i])), tuple(lower)
+
+
+def _annihilator_shares(field: FieldSpec, n: int, t2: tuple) -> list[_Memo]:
+    """For each i, the map d -> share of rows i and n + i of the annihilator.
+
+    The annihilator's columns, as base-q numerals, are the rows of its
+    transpose, whose matrix id is the sum of the shares of T1's rows.
+    """
+    def share(i: int, d: tuple) -> int:
+        q, rows = field.q, _annihilator_rows(field, t2, i, d)
+        upper, lower = (_matrix_id(q ** (2 * n), (row,)) for row in rows)
+        return upper * q ** (2 * n - 1 - i) + lower * q ** (n - 1 - i)
+
+    return [_Memo(functools.partial(share, i)) for i in range(n)]
 
 
 class JordanMapSpec:

@@ -12,11 +12,16 @@ ranks its reduced rows.  ``bartolone_by_matrices``,
 ``isotropic_ids`` replace; ``bartolone_by_matrices`` multiplies through
 the same kernel as ``bartolone``, so ``product_by_entries`` checks that
 kernel against the product written from its definition.
+``check_annihilator_by_products`` is ``harness.check_annihilator``
+as it was before its row tables: per pair it builds the annihilator,
+multiplies the point's basis by it and row reduces it.
 ``field_tables_by_polynomials`` builds the field tables from
 polynomial sums and products, the way ``FieldSpec`` did before its
-log/antilog tables.  ``contains``, ``evaluate`` and ``from_coeffs``
-test subspace containment, evaluate the form and pack polynomial-basis
-coefficients into an element.  None of them runs from the command line.
+log/antilog tables.  ``field_power`` is the square-and-multiply power
+that ``FieldSpec`` had as its ``pow`` method.  ``contains``,
+``evaluate`` and ``from_coeffs`` test subspace containment, evaluate the
+form and pack polynomial-basis coefficients into an element.  None of
+them runs from the command line.
 """
 
 import functools
@@ -36,11 +41,19 @@ from hermline.hermitian import (
     _skew_split,
     standard_form,
 )
-from hermline.harness import RelationGraph, _result, pair_point_table
-from hermline.matrices import Matrix, Subspace, _rref_id, _rref_layouts, all_matrices
+from hermline.harness import RelationGraph, _PairCases, _result, pair_point_table
+from hermline.matrices import (
+    Matrix,
+    Subspace,
+    _product,
+    _rref_id,
+    _rref_layouts,
+    all_matrices,
+)
 from hermline.projline import (
     BartolonePair,
     SubspacePoint,
+    annihilator,
     base_point,
     enumerate_points,
     is_distant,
@@ -87,6 +100,19 @@ def from_coeffs(field: FieldSpec, coeffs) -> int:
     if len(coeffs) != field.k or any(not 0 <= c < field.p for c in coeffs):
         raise ValueError(f"need {field.k} coefficients in [0, {field.p})")
     return _pack(coeffs, field.p)
+
+
+def field_power(field: FieldSpec, a: int, e: int) -> int:
+    """a^e by square and multiply; a negative e inverts a first."""
+    if e < 0:
+        a, e = field.inv(a), -e
+    out = 1
+    while e:
+        if e & 1:
+            out = field.mul(out, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -310,3 +336,18 @@ def graph_from_edges(kind: str, point_set: str, size: int, edges) -> RelationGra
         neighbours[i] |= 1 << j
         neighbours[j] |= 1 << i
     return RelationGraph(kind, point_set, neighbours)
+
+
+def check_annihilator_by_products(
+    field: FieldSpec, n: int, seed: int = 0, samples: int = 1_000
+) -> dict:
+    """The annihilator check on the same cases, by a product and a rank per pair."""
+    cases = _PairCases(field, n, seed, samples)
+    basis = cases.per_point(lambda p: p.space.basis.entries)
+
+    def holds(t1, t2) -> bool:
+        ann = annihilator(BartolonePair(cases.matrix[t1], cases.matrix[t2]))
+        product = _product(field, basis(t1, t2), ann.entries, n)
+        return not any(map(any, product)) and ann.rank() == n
+
+    return cases.check("annihilator", holds)

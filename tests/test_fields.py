@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from hermline import FROBENIUS, IDENTITY, fields, make_field
-from reference_checks import field_tables_by_polynomials, from_coeffs
+from reference_checks import field_power, field_tables_by_polynomials, from_coeffs
 
 PRIME_POWERS = [
     (p, k)
@@ -80,7 +80,7 @@ def test_frobenius_involution_properties(p, k):
     fixed = []
     for a in f.elements():
         assert f.sigma(f.sigma(a)) == a
-        assert f.sigma(a) == f.pow(a, p ** (k // 2))
+        assert f.sigma(a) == field_power(f, a, p ** (k // 2))
         if f.sigma(a) == a:
             fixed.append(a)
         for b in f.elements():
@@ -105,23 +105,23 @@ def test_pow_matches_repeated_multiplication(f4):
     for a in f4.elements():
         acc = 1
         for e in range(10):
-            assert f4.pow(a, e) == acc
+            assert field_power(f4, a, e) == acc
             acc = f4.mul(acc, a)
-    assert f4.pow(2, -1) == f4.inv(2)
-    assert f4.pow(3, -2) == f4.inv(f4.mul(3, 3))
+    assert field_power(f4, 2, -1) == f4.inv(2)
+    assert field_power(f4, 3, -2) == f4.inv(f4.mul(3, 3))
 
 
 def test_multiplicative_group_order(f9):
     """Nonzero elements satisfy a^(q-1) = 1."""
     for a in f9.elements():
         if a:
-            assert f9.pow(a, f9.q - 1) == 1
+            assert field_power(f9, a, f9.q - 1) == 1
 
 
 def test_frobenius_power_maps(f9):
     for a in f9.elements():
         assert f9.frobenius(a, 0) == a
-        assert f9.frobenius(a, 1) == f9.pow(a, 3)
+        assert f9.frobenius(a, 1) == field_power(f9, a, 3)
         assert f9.frobenius(a, 2) == a
 
 
@@ -191,8 +191,8 @@ def test_gf27_commutativity_property(a, b):
 @given(st.integers(min_value=1, max_value=48), st.integers(min_value=0, max_value=20))
 def test_gf49_power_law_property(a, e):
     f = make_field(7, 2, FROBENIUS)
-    assert f.pow(a, e + 1) == f.mul(f.pow(a, e), a)
-    assert f.sigma(f.pow(a, e)) == f.pow(f.sigma(a), e)
+    assert field_power(f, a, e + 1) == f.mul(field_power(f, a, e), a)
+    assert f.sigma(field_power(f, a, e)) == field_power(f, f.sigma(a), e)
 
 
 def test_tables_match_polynomial_reference():
@@ -221,11 +221,11 @@ def test_large_field_axioms_sampled(p, k, involution):
         assert f.sub(f.add(a, b), b) == a and f.add(a, f.neg(a)) == 0
         assert f.mul(a, 1) == a and f.mul(a, 0) == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1 and f.pow(a, f.q - 1) == 1
+            assert f.mul(a, f.inv(a)) == 1 and field_power(f, a, f.q - 1) == 1
         assert f.sigma(f.sigma(a)) == a
         assert f.sigma(f.mul(a, b)) == f.mul(f.sigma(a), f.sigma(b))
         assert f.sigma(f.add(a, b)) == f.add(f.sigma(a), f.sigma(b))
-        assert f.frobenius(a, 1) == f.pow(a, p)
+        assert f.frobenius(a, 1) == field_power(f, a, p)
 
     axioms()
     assert len(f.fixed_elements) == (p ** (k // 2) if involution == FROBENIUS else f.q)
@@ -265,3 +265,11 @@ def test_reducible_modulus_raises_under_optimize():
         check=True,
     )
     assert proc.stdout.startswith("raised ") and "reducible" in proc.stdout
+
+
+@pytest.mark.parametrize("involution", [IDENTITY, FROBENIUS])
+def test_sigma_check_rejects_a_table_that_is_no_automorphism(involution, monkeypatch):
+    """Powers that are no permutation make sigma no automorphism; both checks see it."""
+    monkeypatch.setattr(fields, "_primitive_powers", lambda p, k, modulus: [1] * 8)
+    with pytest.raises(RuntimeError, match="not an involution"):
+        fields.FieldSpec(3, 2, involution)

@@ -35,8 +35,12 @@ from hermline.harness import (
     pair_point_table,
     preimage_pair,
 )
-from hermline import harness
-from reference_checks import check_distant_chain, graph_from_edges
+from hermline import harness, projline
+from reference_checks import (
+    check_annihilator_by_products,
+    check_distant_chain,
+    graph_from_edges,
+)
 
 CONFIGS = [
     GeometryConfig(p=2),
@@ -167,12 +171,36 @@ ANNIHILATOR_FAILURES = {
 }
 
 
+def _annihilator_mutant(change):
+    """The annihilator row kernel with change(field, i, d, upper, lower) applied."""
+    real = projline._annihilator_rows
+
+    def rows(field, t2, i, d):
+        upper, lower = map(list, real(field, t2, i, d))
+        change(field, i, d, upper, lower)
+        return tuple(upper), tuple(lower)
+
+    return rows
+
+
+def _drop_shift(field, i, d, upper, lower):
+    """Undo the - e_i of row n + i, so the lower block is T1*T2."""
+    lower[i] = field.add(lower[i], 1)
+
+
+def _drop_shift_where_t1_00_nonzero(field, i, d, upper, lower):
+    if i == 0 and d[0]:
+        _drop_shift(field, i, d, upper, lower)
+
+
+def _copy_column_0_to_1(field, i, d, upper, lower):
+    """Columns stay annihilated by the point, but two of them agree."""
+    upper[1], lower[1] = upper[0], lower[0]
+
+
 @pytest.mark.parametrize("label", sorted(ANNIHILATOR_FAILURES))
 def test_check_annihilator_failure_reports(label, monkeypatch):
-    def without_shift(pair):
-        return (-pair.t2).vstack(pair.t1 * pair.t2)
-
-    monkeypatch.setattr(harness, "annihilator", without_shift)
+    monkeypatch.setattr(projline, "_annihilator_rows", _annihilator_mutant(_drop_shift))
     if label == "gf3":
         report = check_annihilator(make_field(3), 2)
         assert report["mode"] == "exhaustive"
@@ -183,6 +211,60 @@ def test_check_annihilator_failure_reports(label, monkeypatch):
     assert not report["passed"]
     digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
     assert digest == ANNIHILATOR_FAILURES[label]
+
+
+@pytest.mark.parametrize(
+    "mutant", [None, "partial", "rank_only"], ids=["correct", "partial", "rank_only"]
+)
+def test_check_annihilator_matches_products(mutant, monkeypatch):
+    """The table check and the per-pair product check agree on every pair.
+
+    Their reports are byte-identical and the verdicts, recorded pair by
+    pair, are equal.  The partial mutant breaks only pairs with
+    T1[0][0] != 0; the rank-only one keeps every column in the point's
+    kernel but makes two of them equal, so the rank half alone must fail
+    every pair.
+    """
+    change = {
+        "partial": _drop_shift_where_t1_00_nonzero,
+        "rank_only": _copy_column_0_to_1,
+    }
+    if mutant:
+        monkeypatch.setattr(
+            projline, "_annihilator_rows", _annihilator_mutant(change[mutant])
+        )
+    real_check, verdicts = harness._PairCases.check, []
+
+    def recording_check(cases, name, holds):
+        def recorded(t1, t2):
+            verdicts.append((t1, t2, holds(t1, t2)))
+            return verdicts[-1][2]
+
+        return real_check(cases, name, recorded)
+
+    monkeypatch.setattr(harness._PairCases, "check", recording_check)
+    runs = [
+        (make_field(3), {}, "exhaustive"),
+        (make_field(2, 2, "frobenius"), {}, "exhaustive"),
+        (make_field(3, 2, "frobenius"), {"seed": 17, "samples": 1000}, "sampled"),
+    ]
+    for field, options, mode in runs:
+        report = check_annihilator(field, 2, **options)
+        assert report["mode"] == mode
+        tables, verdicts[:] = verdicts[:], []
+        reference = check_annihilator_by_products(field, 2, **options)
+        assert report_to_json(report) == report_to_json(reference)
+        assert tables == verdicts
+        failed = [(t1, t2) for t1, t2, holds in verdicts if not holds]
+        verdicts.clear()
+        if mutant is None:
+            assert report["passed"] and not failed
+        elif mutant == "partial":
+            assert 0 < len(failed) < report["cases"]
+            # T1[0][0] is the leading base-q digit of the id of T1
+            assert all(t1 >= field.q**3 for t1, _ in failed)
+        else:
+            assert len(failed) == report["cases"]
 
 
 def test_report_json_is_stable():

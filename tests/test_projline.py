@@ -33,7 +33,7 @@ from hermline import (
     top,
 )
 from hermline import projline
-from hermline.matrices import Subspace, all_vectors
+from hermline.matrices import Subspace, _matrix_from_id, _matrix_id, all_vectors
 from hermline.harness import pair_point_table
 from hermline.projline import _pair_columns, _pair_ids, point_from_id
 from reference_checks import LADDER, LADDER_IDS, bartolone_by_matrices, contains
@@ -156,9 +156,26 @@ def test_annihilator_exhaustive(f2):
     for pair in all_pairs(f2):
         ann = annihilator(pair)
         assert ann.rows == 4 and ann.cols == 2
+        assert ann == (-pair.t2).vstack(pair.t1 * pair.t2 - ident)
         assert ann.rank() == 2
         left = (pair.t2 * pair.t1 - ident).hstack(pair.t2)
         assert (left * ann).is_zero()
+
+
+@pytest.mark.parametrize("config", LADDER, ids=LADDER_IDS)
+def test_annihilator_shares_pack_the_columns(config):
+    """The shares of the rows of T1 sum to the id of the transposed annihilator."""
+    (p, k, involution), n = config
+    field, rng = make_field(p, k, involution), random.Random(5)
+    for _ in range(200):
+        t1, t2 = (
+            _matrix_from_id(field, n, n, rng.randrange(field.q ** (n * n)))
+            for _ in range(2)
+        )
+        shares = projline._annihilator_shares(field, n, t2.entries)
+        packed = sum(share[d] for share, d in zip(shares, t1.entries))
+        ann = annihilator(BartolonePair(t1, t2))
+        assert packed == _matrix_id(field.q, ann.transpose().entries)
 
 
 def test_embedding_injectivity(f2, f3):
