@@ -10,16 +10,16 @@ parametrisation
 
 which private kernels compute on entry tuples as point ids: _pair_ids
 for one pair (bartolone unranks its id into a point), and _pair_columns
-for the pair sweeps, one T2 at a time, which reads the id for an
-invertible T2 off the chart point (T1 - T2^-1 | I), since
-T2^-1 * (T2*T1 - I | T2) = (T1 - T2^-1 | I), and for a singular T2 of
-rank r from a memo on the r x r matrix R*T1*C, where T2 = C*R is a rank
-factorisation with R in reduced row echelon form; the distant and
-adjacency relations with the arithmetical distance that refines them,
-and the constructions attached to the parametrisation: the embedding of
-the matrix space, spheres around the base point, stars, tops, pencils,
-annihilators, and the point maps induced by twisted ring isomorphisms
-and anti-isomorphisms.
+for the pair sweeps, one T2 at a time, which names the point of each
+pair by the triple (R, C, N): R and C the reduced bases of T2's row and
+column spaces, and N an r x r matrix read off T1 by table lookups.  One
+memo over the sweep maps the triple to the id, filled by _pair_ids on
+the first pair that reaches it.  The module also provides the distant
+and adjacency relations with the arithmetical distance that refines
+them, and the constructions attached to the parametrisation: the
+embedding of the matrix space, spheres around the base point, stars,
+tops, pencils, annihilators, and the point maps induced by twisted ring
+isomorphisms and anti-isomorphisms.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _pair_ids(field: FieldSpec, n: int):
     rows of _product, row reduces it and reads the point id off the
     reduced rows, with no Matrix, Subspace or SubspacePoint.  It is the
     single-pair kernel: bartolone unranks its ids, and _pair_columns
-    calls it once per distinct key of a singular T2's column.
+    calls it once per point that a sweep reaches.
     """
     sub = field._sub
     q = field.q
@@ -214,92 +214,84 @@ def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
 
         E * (T2*T1 - I | T2) = (R*T1 - E_top | R ; -E_bot | 0).
 
-    When T2 is invertible (r = n, pivots 0..n-1), R = I and E = T2^-1,
-    so the point is the chart point (T1 - T2^-1 | I), and the id of
-    (T1, T2) is F(T1 - T2^-1), where F(M) is the id of the row space of
-    (M | I).  F is memoised by the matrix id of M, so each M is row
-    reduced once per call, whatever pairs reach it.  The matrix id of
-    T1 - W is a sum of n table reads: for row index i, a table maps
-    each distinct row of the t1s to the base-q value of (that row -
-    row i of W), shifted to the place of row i.
+    Let C be the n x r matrix whose columns are the RREF basis of T2's
+    column space, the nonzero rows of the row reduced transpose of T2.
+    Then T2 = C*g*R for an invertible g, and E_top*C = g^-1.  The rows
+    (-E_bot | 0) span the (v | 0) with v*T2 = 0, that is v*C = 0, so the
+    point is {(x | a*R) : x*C = a*N} with N = R*T1*C - E_top*C.  R spans
+    the point's projection onto the second block, C fixes its meet with
+    K^n + 0, and N is then unique: each point has exactly one triple
+    (R, C, N).  For an invertible T2, R = C = I and N = T1 - T2^-1.
 
-    When T2 is singular, let C be T2's columns at the pivots of R, so
-    T2 = C*R and E_top*C = I_r.  The rows (-E_bot | 0) span the
-    (v | 0) with v*T2 = 0, that is v*C = 0, as R has full rank; so
-    modulo them a row of R*T1 - E_top is fixed by its image under C,
-    and the point depends on T1 only through the r x r matrix
-    K = R*T1*C (R*T1*C - I_r is that image).  The column keys each
-    pair by K, packed as a base-q numeral, and row reduces one pair per
-    key with _pair_ids: at most q^(r^2) eliminations per column, and
-    one for T2 = 0.  K is read from per-column tables on the distinct
-    rows d of the t1s, which hold d*C: row a of K is the sum over i of
-    R[a][i] * (row i of T1)*C, summed entry by entry with the field's
-    add and mul tables.
+    One memo, shared by all columns, maps (R, C) to the products d*C for
+    the distinct rows d at each row index of the t1s, and to a dict from
+    N to the id.  N is packed as a base-q numeral, row a at place
+    q^(a*r) and entry b of a row at q^(r-1-b).  The first pair that
+    reaches a key is row reduced with _pair_ids, so a sweep eliminates
+    once per point it reaches.  When row a of R is the unit vector e_i,
+    row a of N is one read at the slot of T1's row i, of d*C minus row a
+    of E_top*C, packed.  Otherwise it is summed over the i with R[a][i]
+    nonzero, entry by entry with the field's add and mul tables, the
+    first table of each entry taking off E_top*C.
     """
     q, add, mul, sub = field.q, field._add, field._mul, field._sub
-    layouts = _rref_layouts(q, 2 * n, n)
     pair_id = _pair_ids(field, n)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    distinct = {}
+    distinct = [{} for _ in range(n)]
     slots = [
-        [distinct.setdefault(t1[i], len(distinct)) for t1 in t1s] for i in range(n)
+        [d.setdefault(t1[i], len(d)) for t1 in t1s] for i, d in enumerate(distinct)
     ]
-    distinct = list(distinct)
-    shifts = [q ** (n * (n - 1 - i)) for i in range(n)]
-
-    def chart_id(key: int) -> int:
-        work = [[0] * n + row for row in ident]
-        for row in reversed(work):
-            for c in reversed(range(n)):
-                key, row[c] = divmod(key, q)
-        pivots = _row_reduce(field, work, 2 * n)
-        return _rref_id(q, layouts, pivots, work)
-
-    chart = _Memo(chart_id)
-
-    def chart_column(inverse):
-        keys = None
-        for shift, w, slot in zip(shifts, inverse, slots):
-            table = []
-            for row in distinct:
-                value = 0
-                for x, y in zip(row, w):
-                    value = value * q + sub[x][y]
-                table.append(value * shift)
-            reads = map(table.__getitem__, slot)
-            keys = reads if keys is None else map(operator.add, keys, reads)
-        return list(map(chart.__getitem__, keys))
-
-    def singular_column(t2, r_rows, pivots):
-        r = len(pivots)
-        images = _product(field, distinct, [[row[c] for c in pivots] for row in t2], r)
-        keys = [0] * len(t1s)
-        place = 1
-        for r_row in r_rows:
-            terms = [(mul[c], slot) for c, slot in zip(r_row, slots) if c]
-            for b in range(r):
-                entries = None
-                for scaled, slot in terms:
-                    table = [scaled[image[b]] for image in images]
-                    reads = map(table.__getitem__, slot)
-                    entries = (
-                        reads
-                        if entries is None
-                        else map(operator.getitem, map(add.__getitem__, entries), reads)
-                    )
-                keys = map(operator.add, keys, map(place.__mul__, entries))
-                place *= q
-        keys = list(keys)
-        ids = {key: pair_id(t1, t2) for key, t1 in dict(zip(keys, t1s)).items()}
-        return list(map(ids.__getitem__, keys))
+    distinct = [list(d) for d in distinct]
+    memo = {}
 
     for t2 in t2s:
         work = [list(row) + unit for row, unit in zip(t2, ident)]
-        pivots = [c for c in _row_reduce(field, work, 2 * n) if c < n]
-        if len(pivots) == n:
-            yield chart_column([row[n:] for row in work])
-        else:
-            yield singular_column(t2, [row[:n] for row in work[: len(pivots)]], pivots)
+        r = sum(p < n for p in _row_reduce(field, work, 2 * n))
+        basis = [list(column) for column in zip(*t2)]
+        _row_reduce(field, basis, n)
+        c = list(zip(*basis[:r]))
+        r_rows = tuple(tuple(row[:n]) for row in work[:r])
+        key = r_rows, tuple(map(tuple, basis[:r]))
+        if key not in memo:
+            memo[key] = [_product(field, rows, c, r) for rows in distinct], {}
+        images, ids = memo[key]
+        folds = _product(field, [row[n:] for row in work[:r]], c, r)
+        keys = [0] * len(t1s)
+        place = 1
+        for r_row, fold in zip(r_rows, folds):
+            terms = [(mul[x], s, dc) for x, s, dc in zip(r_row, slots, images) if x]
+            if len(terms) == 1:
+                _, slot, dc = terms[0]
+                table = []
+                for image in dc:
+                    value = 0
+                    for x, y in zip(image, fold):
+                        value = value * q + sub[x][y]
+                    table.append(value * place)
+                keys = map(operator.add, keys, map(table.__getitem__, slot))
+            else:
+                for b, y in enumerate(fold):
+                    (scaled, slot, dc), *rest = terms
+                    table = [sub[scaled[image[b]]][y] for image in dc]
+                    entries = map(table.__getitem__, slot)
+                    for scaled, slot, dc in rest:
+                        table = [scaled[image[b]] for image in dc]
+                        reads = map(table.__getitem__, slot)
+                        entries = map(
+                            operator.getitem, map(add.__getitem__, entries), reads
+                        )
+                    shift = place * q ** (r - 1 - b)
+                    keys = map(operator.add, keys, map(shift.__mul__, entries))
+            place *= q**r
+        keys = list(keys)
+        try:
+            column = list(map(ids.__getitem__, keys))
+        except KeyError:
+            reach = dict(zip(keys, t1s))
+            for key in reach.keys() - ids.keys():
+                ids[key] = pair_id(reach[key], t2)
+            column = list(map(ids.__getitem__, keys))
+        yield column
 
 
 def embed_matrix_space(t1_0: Matrix, t2: Matrix) -> SubspacePoint:

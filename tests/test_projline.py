@@ -348,8 +348,9 @@ def test_pair_ids_match_bartolone_on_samples(field_args, n):
 def _assert_pair_columns_match_bartolone(field, n, t1s, t2s):
     """_pair_columns gives the reference's ranked point on all of t1s x t2s.
 
-    Returns the number of invertible T2, so that a test can show both
-    the chart lookup and the single-pair fallback ran.
+    Returns how many rows of R, the RREF rows of the t2s, are unit
+    vectors and how many are not, so that a test can show both the
+    unit-row read and the entry-by-entry sum ran.
     """
     index = {p: i for i, p in enumerate(enumerate_points(field, n))}
     t1_entries = [t1.entries for t1 in t1s]
@@ -358,15 +359,19 @@ def _assert_pair_columns_match_bartolone(field, n, t1s, t2s):
     for t2, column in zip(t2s, columns):
         reference = [bartolone_by_matrices(BartolonePair(t1, t2)) for t1 in t1s]
         assert column == [index[p] for p in reference]
-    return sum(t2.is_invertible() for t2 in t2s)
+    r_rows = [row for t2 in t2s for row in Subspace(t2).basis.entries]
+    unit = sum(sum(map(bool, row)) == 1 for row in r_rows)
+    return unit, len(r_rows) - unit
 
 
 @pytest.mark.parametrize("field_args,n", EVERY_PAIR, ids=EVERY_PAIR_IDS)
 def test_pair_columns_match_bartolone_on_every_pair(field_args, n):
+    """At n = 1 every row of R is the unit vector (1)."""
     field = make_field(*field_args)
     mats = list(all_matrices(field, n, n))
-    invertible = _assert_pair_columns_match_bartolone(field, n, mats, mats)
-    assert 0 < invertible < len(mats)
+    unit, summed = _assert_pair_columns_match_bartolone(field, n, mats, mats)
+    assert unit > 0
+    assert (summed > 0) == (n > 1)
 
 
 @pytest.mark.parametrize("field_args,n", LADDER[2:], ids=LADDER_IDS[2:])
@@ -381,8 +386,8 @@ def test_pair_columns_match_bartolone_on_samples(field_args, n):
 
     t1s = [draw() for _ in range(40)]
     t2s = [draw() for _ in range(50)]
-    invertible = _assert_pair_columns_match_bartolone(field, n, t1s, t2s)
-    assert 0 < invertible < len(t2s)
+    unit, summed = _assert_pair_columns_match_bartolone(field, n, t1s, t2s)
+    assert unit > 0 and summed > 0
 
 
 @pytest.mark.parametrize(
@@ -428,22 +433,8 @@ def test_pair_columns_match_bartolone_at_every_rank(field_args):
     assert {t2.rank() for t2 in t2s} == set(range(n))
 
 
-@pytest.mark.parametrize(
-    "field_args,n,hermitian",
-    [((3, 1, "identity"), 2, False), ((2, 1, "identity"), 3, True)],
-    ids=["gf3-2-all", "gf2-3-hermitian"],
-)
-def test_pair_columns_eliminate_once_per_key(monkeypatch, field_args, n, hermitian):
-    """A singular column of rank r row reduces at most q^(r^2) pairs.
-
-    The key R*T1*C of such a column takes at most q^(r^2) values, and
-    _pair_ids is called once per value; T2 = 0 costs one call.
-    """
-    field = make_field(*field_args)
-    mats = list(
-        hermitian_matrices(field, n) if hermitian else all_matrices(field, n, n)
-    )
-    entries = [m.entries for m in mats]
+def _count_pair_ids(monkeypatch) -> dict:
+    """Count _pair_ids calls per T2, in the dict returned, from now on."""
     kernel = projline._pair_ids
     calls = {}
 
@@ -457,16 +448,67 @@ def test_pair_columns_eliminate_once_per_key(monkeypatch, field_args, n, hermiti
         return counted
 
     monkeypatch.setattr(projline, "_pair_ids", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "field_args,n,hermitian",
+    [
+        ((3, 1, "identity"), 2, False),
+        ((2, 1, "identity"), 3, True),
+        ((3, 2, "frobenius"), 2, True),
+    ],
+    ids=["gf3-2-all", "gf2-3-hermitian", "gf9-2-hermitian"],
+)
+def test_pair_columns_eliminate_once_per_key(monkeypatch, field_args, n, hermitian):
+    """A sweep row reduces one pair per point it reaches.
+
+    The key (R, C, N) of a pair names its point, and one memo keyed by
+    it serves all columns, so _pair_ids is called once per distinct id
+    across the columns; T2 = 0 costs one call.  Over GF(9) with sigma,
+    a hermitian T2 has C = sigma(R)^T, which is not R^T for some T2.
+    """
+    field = make_field(*field_args)
+    mats = list(
+        hermitian_matrices(field, n) if hermitian else all_matrices(field, n, n)
+    )
+    entries = [m.entries for m in mats]
+    calls = _count_pair_ids(monkeypatch)
     columns = list(_pair_columns(field, n, entries, entries))
-    literal = kernel(field, n)
+    literal = _pair_ids(field, n)
     assert columns == [[literal(t1, t2) for t1 in entries] for t2 in entries]
-    ranks = {m.entries: m.rank() for m in mats}
-    singular = [t2 for t2 in entries if ranks[t2] < n]
-    assert set(calls) == set(singular)
-    for t2 in singular:
-        assert calls[t2] <= field.q ** (ranks[t2] ** 2)
-    assert sum(calls.values()) <= sum(field.q ** (ranks[t2] ** 2) for t2 in singular)
+    assert sum(calls.values()) == len(set().union(*columns))
     assert calls[Matrix.zeros(field, n, n).entries] == 1
+    if field.involution != "identity":
+        assert any(Subspace(m.transpose()).basis != Subspace(m).basis for m in mats)
+
+
+def test_pair_columns_share_the_memo_across_columns(monkeypatch):
+    """Columns with the same row space share the memo only by (R, C).
+
+    c*T2 has T2's row and column spaces, but another g, so its key N
+    differs from T2's by E_top*C; T2' has T2's row space and another
+    column space, so only C tells its keys from T2's.  The row (1, 0, 1)
+    of R is summed entry by entry and the row (0, 1, 0) is a unit read.
+    """
+    field = make_field(3)
+    n = 3
+    t2 = Matrix(field, [[1, 0, 1], [0, 1, 0], [0, 0, 0]])
+    other = Matrix(field, [[0, 0, 0], [1, 0, 1], [0, 1, 0]])
+    t2s = [t2, t2.scale(2), other]
+    assert len({Subspace(m).basis for m in t2s}) == 1
+    assert len({Subspace(m.transpose()).basis for m in t2s}) == 2
+    t1s = list(hermitian_matrices(field, n))
+    entries = [t1.entries for t1 in t1s]
+    calls = _count_pair_ids(monkeypatch)
+    columns = list(_pair_columns(field, n, entries, [m.entries for m in t2s]))
+    assert sum(calls.values()) == len(set().union(*columns))
+    assert calls.get(t2s[1].entries, 0) < len(set(columns[1]))
+    for m, column in zip(t2s, columns, strict=True):
+        for t1, index in zip(t1s, column, strict=True):
+            assert point_from_id(field, n, index) == bartolone_by_matrices(
+                BartolonePair(t1, m)
+            )
 
 
 @pytest.mark.parametrize(
