@@ -31,10 +31,13 @@ from .hermitian import (
 )
 from .matrices import (
     Matrix,
-    Subspace,
     _matrix_from_id,
     _matrix_id,
     _product,
+    _row_reduce,
+    _rref_id,
+    _rref_layouts,
+    _rref_rows,
     all_matrices,
     enumerate_subspaces,
     unit_vector,
@@ -48,12 +51,12 @@ from .projline import (
     _annihilator_shares,
     _pair_columns,
     _pair_ids,
+    _preimages,
+    _witness_ids,
     arithmetical_distance,
     base_point,
     enumerate_points,
-    is_adjacent,
     point_from_id,
-    preimage_pair,
     sweep_ids,
 )
 
@@ -114,7 +117,8 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     for i in range(r):
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"[{m},{r}]_{q} is not an integer")
     return num // den
 
 
@@ -201,7 +205,8 @@ def _spec_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> tuple[list, l
         for j, p in enumerate(row):
             if image_of[p] is None:
                 image_of[p] = table[iota[i]][iota[j]]
-    assert None not in image_of
+    if None in image_of:
+        raise AssertionError("a point has no parameter pair")
     return iota, image_of
 
 
@@ -433,16 +438,21 @@ def _result(name: str, mode: str, outcomes) -> dict:
 
 
 def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
-    """The map T2 -> point is injective for T1 fixed at 0 and at I."""
-    pair_id = _pair_ids(field, n)
+    """The map T2 -> point is injective for T1 fixed at 0 and at I.
+
+    T2 runs over entry tuples in the all_matrices order; matrices are
+    built only for a witness.
+    """
+    pair_id, to_json = _pair_ids(field, n), lambda m: Matrix._of(field, m, n).to_json()
+    rows = list(itertools.product(field.elements(), repeat=n))
 
     def outcomes():
-        for t1_0 in (Matrix.zeros(field, n, n), Matrix.identity(field, n)):
+        for t1_0 in (((0,) * n,) * n, tuple(unit_vector(n, i) for i in range(n))):
             seen = {}
-            for t2 in all_matrices(field, n, n):
-                other = seen.setdefault(pair_id(t1_0.entries, t2.entries), t2)
+            for t2 in itertools.product(rows, repeat=n):
+                other = seen.setdefault(pair_id(t1_0, t2), t2)
                 yield None if other is t2 else {
-                    "t1_0": t1_0.to_json(), "t2": t2.to_json(), "clash": other.to_json()
+                    "t1_0": to_json(t1_0), "t2": to_json(t2), "clash": to_json(other)
                 }
 
     return _result("embedding_injectivity", "exhaustive", outcomes())
@@ -458,16 +468,21 @@ class _PairCases:
     pairs of random matrices drawn from random.Random(seed), and the
     _pair_ids kernel fills in the table as it is read; checks draw more
     from the same rng between pairs, so a seed names the same cases on
-    every run.  Matrices, unranked points and per_matrix and per_point
-    values are memoised per id.  per_point, image and other_images
-    return functions of a pair's two ids that read the table the same
-    way in both modes, so a check states its property once for both.
+    every run.  Matrices, per_matrix and per_point values and each
+    point's RREF rows are memoised per id, and points are unranked only
+    when read.  per_point, image and other_images return functions of a
+    pair's two ids that read the table the same way in both modes, so a
+    check states its property once for both.  The sampled twisted-map
+    cases run on entry tuples and ids: other pairs of a point come from
+    the _preimages kernel on the point's rows, its neighbours from one
+    elimination, and a point object is built only for a witness.
     """
 
     def __init__(self, field: FieldSpec, n: int, seed: int, samples: int):
         self.field = field
         self.n = n
         self.matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
+        self.rows = _Memo(functools.partial(_rref_rows, field.q, 2 * n, n))
         self.exhaustive = _exhaustible(field, n)
         if self.exhaustive:
             self.mode = "exhaustive"
@@ -491,8 +506,10 @@ class _PairCases:
 
     def _draw(self) -> int:
         """The id of a random matrix, its entries drawn in row-major order."""
-        q, n, rng = self.field.q, self.n, self.rng
-        return _matrix_id(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+        q, draw, t = self.field.q, self.rng.randrange, 0
+        for _ in range(self.n * self.n):
+            t = t * q + draw(q)
+        return t
 
     def pairs(self):
         if self.exhaustive:
@@ -518,57 +535,71 @@ class _PairCases:
     def other_images(self, spec: JordanMapSpec):
         """Images of other pairs with the same point as a given pair.
 
-        Exhaustive: the first pair of that point.  Sampled: two random
-        pairs, drawn only as they are compared.
+        Exhaustive: the first pair of that point.  Sampled: two pairs
+        whose T1 is drawn, again until B*T1 - A is invertible for the
+        point's rows (A | B), only as they are compared.
         """
         if self.exhaustive:
             image_of, table = _spec_images(self.field, self.n, spec)[1], self.table
             return lambda t1, t2: (image_of[table[t1][t2]],)
-        image = self.image(spec)
-
-        def images(t1: int, t2: int):
-            point = self.point[self.table[t1][t2]]
-            a, b = point.blocks()
-            for _ in range(2):
-                alt = self._draw()
-                while not (b * self.matrix[alt] - a).is_invertible():
-                    alt = self._draw()
-                yield image(alt, self._id(preimage_pair(point, self.matrix[alt]).t2))
-
-        return images
+        image, drawn = self.image(spec), iter(self._draw, None)
+        return lambda t1, t2: (
+            image(*self._preimage(self.table[t1][t2], drawn)) for _ in range(2)
+        )
 
     def adjacent_points(self, spec: JordanMapSpec):
-        """Yield adjacent points (p, q) and whether their images under spec are.
+        """Yield the ids of adjacent points p, q and whether their images are.
 
         Exhaustive: every adjacent pair, tested on the adjacency table.
-        Sampled: the point of each drawn pair and a random neighbour.
+        Sampled: the point of each drawn pair and a random neighbour,
+        whose pair takes as T1 the first of stable_rank_witness's
+        candidates that has a T2.
         """
-        point = self.point
         if self.exhaustive:
             image_of = _spec_images(self.field, self.n, spec)[1]
             neighbours = adjacency_pairs(self.field, self.n)
             for i, j in _edge_pairs(neighbours):
-                yield point[i], point[j], neighbours[image_of[i]] >> image_of[j] & 1
+                yield i, j, neighbours[image_of[i]] >> image_of[j] & 1
             return
-        image = self.image(spec)
+        field, n, image = self.field, self.n, self.image(spec)
         for t1, t2 in self.pairs():
-            p = point[self.table[t1][t2]]
+            p = self.table[t1][t2]
             q = self._neighbour(p)
-            pair = preimage_pair(q)
-            img_q = image(self._id(pair.t1), self._id(pair.t2))
-            yield p, q, is_adjacent(point[image(t1, t2)], point[img_q])
+            img_q = image(*self._preimage(q, _witness_ids(field, n)))
+            stacked = [list(r) for r in self.rows[image(t1, t2)] + self.rows[img_q]]
+            rank = len(_row_reduce(field, stacked, 2 * n, below_only=True))
+            yield p, q, rank == n + 1
 
-    def _neighbour(self, p: SubspacePoint) -> SubspacePoint:
-        """A random point meeting p in dimension n - 1."""
-        n = self.n
-        kept = list(p.space.basis.entries[: n - 1])
+    def _preimage(self, p: int, t1s) -> tuple[int, int]:
+        """The ids of (T1, T2) for the first T1 in t1s that parametrises p.
+
+        T2 comes from the _preimages kernel, and the pair's point id is
+        checked against p, under python -O too.
+        """
+        rows, solve = self.rows[p], _preimages(self.field, self.n)
+        for t1 in t1s:
+            t2 = solve(rows, self.matrix[t1].entries)
+            if t2 is not None:
+                t2 = _matrix_id(self.field.q, t2)
+                if self.table[t1][t2] != p:
+                    raise AssertionError("a preimage pair parametrises another point")
+                return t1, t2
+
+    def _neighbour(self, p: int) -> int:
+        """The id of a random point meeting point p in dimension n - 1.
+
+        A drawn vector outside p, tested against p's RREF rows, is also
+        outside the span of the first n - 1 of them, which it joins.
+        """
+        field, n, rows = self.field, self.n, self.rows[p]
+        pivots = [row.index(1) for row in rows]
         while True:
-            vec = tuple(self.rng.randrange(self.field.q) for _ in range(2 * n))
-            if p.space.contains_vector(vec):
-                continue
-            space = Subspace.from_rows(self.field, 2 * n, kept + [vec])
-            if space.dim == n:
-                return SubspacePoint(space, n)
+            vec = [self.rng.randrange(field.q) for _ in range(2 * n)]
+            if _product(field, ([vec[c] for c in pivots],), rows, 2 * n)[0] != vec:
+                work = [list(row) for row in rows[: n - 1]] + [vec]
+                pivots = _row_reduce(field, work, 2 * n)
+                layouts = _rref_layouts(field.q, 2 * n, n)
+                return _rref_id(field.q, layouts, pivots, work)
 
     def check(self, name: str, holds) -> dict:
         """Test holds(t1, t2) on every pair; failing pairs are witnesses."""
@@ -614,7 +645,7 @@ def check_annihilator(
     invertible = cases.per_matrix(Matrix.is_invertible)
 
     def kernel_coordinates(p: int) -> _Memo:
-        basis = cases.point[p].space.basis.entries
+        basis = cases.rows[p]
         transposed, pivots = tuple(zip(*basis)), {row.index(1) for row in basis}
 
         def free_entries(column: int) -> int | None:
@@ -694,8 +725,9 @@ def check_jordan_adjacency(
     mode over random points with a random neighbour each.
     """
     cases = _PairCases(field, n, seed, samples)
+    point = cases.point
     outcomes = (
-        None if kept else {"p": p.to_json(), "q": q.to_json()}
+        None if kept else {"p": point[p].to_json(), "q": point[q].to_json()}
         for p, q, kept in cases.adjacent_points(spec)
     )
     return _result(f"jordan_adjacency[{label}]", cases.mode, outcomes)

@@ -4,15 +4,16 @@ Matrices are immutable, hashable and carry their field.  Subspaces of
 K^d are stored by their reduced row echelon basis, which is a canonical
 form: two subspaces are equal exactly when their stored bases are equal.
 A subspace's integer id is its position in ``enumerate_subspaces``,
-read off its basis by ``_rref_id`` and inverted by ``subspace_from_id``.
+read off its basis by ``_rref_id`` and inverted by ``_rref_rows``, on
+entry tuples, and ``subspace_from_id``.
 Zero-row and zero-column matrices are permitted throughout; the block
 constructions in the isotropic-subspace algorithms rely on them.
 
 Validation happens once, at the boundary: the public constructor,
-``from_json``, ``scale``, ``row_vector`` and ``Subspace.from_rows``
-check shapes and entries.  Internal paths trust their inputs:
-arithmetic, reshaping, elimination and the enumerations build their
-results with ``Matrix._of``, which skips the checks.
+``from_json`` and ``scale`` check shapes and entries.  Internal paths
+trust their inputs: arithmetic, reshaping, elimination and the
+enumerations build their results with ``Matrix._of``, which skips the
+checks.
 Hashes are computed on first use.
 
 Arithmetic has one path.  ``_product`` is the only matrix-product loop
@@ -107,11 +108,6 @@ class Matrix:
                 cols=n,
             )
         return m
-
-    @classmethod
-    def row_vector(cls, field: FieldSpec, vec) -> "Matrix":
-        vec = tuple(vec)
-        return cls(field, (vec,), cols=len(vec))
 
     @classmethod
     def from_blocks(cls, blocks) -> "Matrix":
@@ -391,10 +387,6 @@ class Subspace:
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls._from_canonical(Matrix(field, (), cols=ambient_dim))
 
-    @classmethod
-    def from_rows(cls, field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
-        return cls(Matrix(field, rows, cols=ambient_dim))
-
     @property
     def field(self) -> FieldSpec:
         return self.basis.field
@@ -441,13 +433,6 @@ class Subspace:
             tuple(r[d:]) for r in work if not any(r[:d]) and any(r[d:])
         )
         return Subspace(Matrix._of(self.field, rows, d))
-
-    def contains_vector(self, vec) -> bool:
-        vec = tuple(vec)
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector has the wrong length")
-        stacked = self.basis.vstack(Matrix.row_vector(self.field, vec))
-        return stacked.rank() == self.dim
 
 
 def unit_vector(length: int, index: int) -> tuple[int, ...]:
@@ -565,11 +550,8 @@ def _rref_id(q: int, layouts: dict, pivots, rows) -> int:
     return offset + value
 
 
-def subspace_from_id(
-    field: FieldSpec, ambient_dim: int, dim: int, index: int
-) -> Subspace:
-    """The subspace at position index of the enumerate_subspaces order."""
-    q = field.q
+def _rref_rows(q: int, ambient_dim: int, dim: int, index: int) -> tuple:
+    """The RREF basis rows, as tuples, of the subspace with this id."""
     for pivots, (offset, free) in _rref_layouts(q, ambient_dim, dim).items():
         if 0 <= index - offset < q ** sum(map(len, free)):
             break
@@ -581,9 +563,15 @@ def subspace_from_id(
         row[pivot] = 1
         for c in reversed(cols):
             value, row[c] = divmod(value, q)
-    return Subspace._from_canonical(
-        Matrix._of(field, tuple(map(tuple, rows)), ambient_dim)
-    )
+    return tuple(map(tuple, rows))
+
+
+def subspace_from_id(
+    field: FieldSpec, ambient_dim: int, dim: int, index: int
+) -> Subspace:
+    """The subspace at position index of the enumerate_subspaces order."""
+    rows = _rref_rows(field.q, ambient_dim, dim, index)
+    return Subspace._from_canonical(Matrix._of(field, rows, ambient_dim))
 
 
 def enumerate_subspaces(field: FieldSpec, ambient_dim: int, dim: int):

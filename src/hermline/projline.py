@@ -25,12 +25,14 @@ isomorphisms and anti-isomorphisms.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
+    _matrix_from_id,
     _matrix_id,
     _product,
     _row_reduce,
@@ -327,29 +329,56 @@ def stable_rank_witness(a: Matrix, b: Matrix) -> Matrix:
     Candidates are tried in a deterministic order: the zero matrix, the
     identity, the single-entry matrices, then all matrices in
     lexicographic order.  Existence is guaranteed because the matrix
-    ring over a field has stable rank two.
+    ring over a field has stable rank two.  Each candidate is one run of
+    the _preimages kernel on the rows (-A | B).
     """
     if a.field != b.field or a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("witness search needs two square blocks of equal size")
-    field = a.field
-    n = a.rows
+    field, n = a.field, a.rows
     if a.hstack(b).rank() != n:
         raise ValueError("(A, B) has rank below n; no witness can exist")
-
-    def candidates():
-        yield Matrix.zeros(field, n, n)
-        yield Matrix.identity(field, n)
-        for i in range(n):
-            for j in range(n):
-                rows = [[0] * n for _ in range(n)]
-                rows[i][j] = 1
-                yield Matrix(field, (tuple(r) for r in rows), cols=n)
-        yield from all_matrices(field, n, n)
-
-    for w in candidates():
-        if (a + b * w).is_invertible():
+    rows, solve = (-a).hstack(b).entries, _preimages(field, n)
+    for t in _witness_ids(field, n):
+        w = _matrix_from_id(field, n, n, t)
+        if solve(rows, w.entries) is not None:
             return w
     raise RuntimeError("no stable rank witness found; this should be impossible")
+
+
+def _witness_ids(field: FieldSpec, n: int):
+    """The matrix ids of stable_rank_witness's candidates, in its order."""
+    count = field.q ** (n * n)
+    singles = [count // field.q ** (k + 1) for k in range(n * n)]  # E_ij, k = i*n + j
+    return itertools.chain([0, sum(singles[:: n + 1])], singles, range(count))
+
+
+@functools.lru_cache(maxsize=None)
+def _preimages(field: FieldSpec, n: int):
+    """The parametrisation solved for T2, on entry tuples.
+
+    The returned function takes the rows (A | B) of a point and a T1,
+    forms B*T1 - A as the product (A | B) * (-I ; T1) and row reduces
+    (B*T1 - A | B) once.  When its pivots are 0..n-1, B*T1 - A is
+    invertible, the right block is T2 = (B*T1 - A)^-1 * B, and
+    (T2*T1 - I | T2) = (B*T1 - A)^-1 * (A | B) spans the point.
+    Otherwise it returns None.  It is the one preimage kernel:
+    stable_rank_witness, preimage_pair and the sampled twisted-map
+    checks solve through it.
+    """
+    minus_ident = tuple(
+        tuple(field._neg[1] if i == j else 0 for j in range(n)) for i in range(n)
+    )
+    pivots = list(range(n))
+
+    def preimage(rows: tuple, t1: tuple) -> tuple | None:
+        work = _product(field, rows, minus_ident + t1, n)
+        for left, row in zip(work, rows):
+            left.extend(row[n:])
+        if _row_reduce(field, work, n) != pivots:
+            return None
+        return tuple(tuple(row[n:]) for row in work)
+
+    return preimage
 
 
 def preimage_pair(p: SubspacePoint, t1: Matrix | None = None) -> BartolonePair:
@@ -357,15 +386,23 @@ def preimage_pair(p: SubspacePoint, t1: Matrix | None = None) -> BartolonePair:
 
     Solves the parametrisation for the canonical blocks (A, B):
     any T1 with B*T1 - A invertible yields T2 = (B*T1 - A)^-1 * B.
-    When t1 is not given, a deterministic witness is used.
+    When t1 is not given, a deterministic witness is used.  The pair's
+    point id is checked against p's, under python -O too.
     """
-    a, b = p.blocks()
+    field, n, rows = p.field, p.n, p.space.basis.entries
     if t1 is None:
+        a, b = p.blocks()
         t1 = stable_rank_witness(-a, b)
-    g = (b * t1 - a).inverse()
-    pair = BartolonePair(t1, g * b)
-    assert bartolone(pair) == p
-    return pair
+    elif t1.field != field or t1.rows != n or t1.cols != n:
+        raise ValueError("T1 must be an n x n matrix over the point's field")
+    t2 = _preimages(field, n)(rows, t1.entries)
+    if t2 is None:
+        raise ValueError("B*T1 - A is not invertible for this T1")
+    q, pivots = field.q, [row.index(1) for row in rows]
+    index = _rref_id(q, _rref_layouts(q, 2 * n, n), pivots, rows)
+    if _pair_ids(field, n)(t1.entries, t2) != index:
+        raise AssertionError("the preimage pair parametrises another point")
+    return BartolonePair(t1, Matrix._of(field, t2, n))
 
 
 def annihilator(pair: BartolonePair) -> Matrix:

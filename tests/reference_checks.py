@@ -15,12 +15,18 @@ kernel against the product written from its definition.
 ``check_annihilator_by_products`` is ``harness.check_annihilator``
 as it was before its row tables: per pair it builds the annihilator,
 multiplies the point's basis by it and row reduces it.
+``PairCasesByMatrices`` is ``harness._PairCases`` with the sampled
+twisted-map cases it had before they ran on entry tuples: a preimage
+pair by ``preimage_pair_by_matrices`` (a witness from
+``stable_rank_witness_by_matrices``, then ``Matrix.inverse``) and a
+neighbour by ``neighbour_by_subspace``.
 ``field_tables_by_polynomials`` builds the field tables from
 polynomial sums and products, the way ``FieldSpec`` did before its
 log/antilog tables.  ``field_power`` is the square-and-multiply power
 that ``FieldSpec`` had as its ``pow`` method.  ``contains``,
-``evaluate`` and ``from_coeffs`` test subspace containment, evaluate the
-form and pack polynomial-basis coefficients into an element.  None of
+``contains_vector``, ``evaluate`` and ``from_coeffs`` test subspace and
+vector containment, evaluate the form and pack polynomial-basis
+coefficients into an element.  None of
 them runs from the command line.
 """
 
@@ -45,6 +51,7 @@ from hermline.harness import RelationGraph, _PairCases, _result, pair_point_tabl
 from hermline.matrices import (
     Matrix,
     Subspace,
+    _matrix_id,
     _product,
     _rref_id,
     _rref_layouts,
@@ -56,6 +63,7 @@ from hermline.projline import (
     annihilator,
     base_point,
     enumerate_points,
+    is_adjacent,
     is_distant,
     point_from_pair,
 )
@@ -84,6 +92,12 @@ def contains(big: Subspace, small: Subspace) -> bool:
     """Whether small lies in big: stacking their bases keeps big's rank."""
     big._check_compatible(small)
     return big.basis.vstack(small.basis).rank() == big.dim
+
+
+def contains_vector(space: Subspace, vec) -> bool:
+    """Whether vec lies in space: stacking it under the basis keeps the rank."""
+    row = Matrix(space.field, [tuple(vec)], cols=space.ambient_dim)
+    return space.basis.vstack(row).rank() == space.dim
 
 
 def evaluate(form: SesquilinearForm, x, y) -> int:
@@ -292,7 +306,7 @@ def isotropic_meeting_perp_stepwise(
     m = gram()
     assert m.block(k, n + k, k, n + k).is_zero()
     x_rows = rows[k : n + k]
-    x = SubspacePoint(Subspace.from_rows(field, 2 * n, x_rows), n)
+    x = SubspacePoint(Subspace(Matrix(field, x_rows, cols=2 * n)), n)
     assert form.is_totally_isotropic(x)
     assert x.space.intersect(form.perp(v)) == w
     return x
@@ -351,3 +365,87 @@ def check_annihilator_by_products(
         return not any(map(any, product)) and ann.rank() == n
 
     return cases.check("annihilator", holds)
+
+
+def stable_rank_witness_by_matrices(a: Matrix, b: Matrix) -> Matrix:
+    """``stable_rank_witness`` by a Matrix sum, product and rank per candidate."""
+    field = a.field
+    n = a.rows
+
+    def candidates():
+        yield Matrix.zeros(field, n, n)
+        yield Matrix.identity(field, n)
+        for i in range(n):
+            for j in range(n):
+                rows = [[0] * n for _ in range(n)]
+                rows[i][j] = 1
+                yield Matrix(field, (tuple(r) for r in rows), cols=n)
+        yield from all_matrices(field, n, n)
+
+    for w in candidates():
+        if (a + b * w).is_invertible():
+            return w
+    raise RuntimeError("no stable rank witness found; this should be impossible")
+
+
+def preimage_pair_by_matrices(p: SubspacePoint, t1: Matrix | None = None):
+    """``preimage_pair`` by Matrix.inverse: T2 = (B*T1 - A)^-1 * B."""
+    a, b = p.blocks()
+    if t1 is None:
+        t1 = stable_rank_witness_by_matrices(-a, b)
+    g = (b * t1 - a).inverse()
+    pair = BartolonePair(t1, g * b)
+    if bartolone_by_matrices(pair) != p:
+        raise AssertionError("the preimage pair parametrises another point")
+    return pair
+
+
+def neighbour_by_subspace(cases: _PairCases, p: SubspacePoint) -> SubspacePoint:
+    """A random point meeting p in dimension n - 1, drawn from cases.rng."""
+    n = cases.n
+    kept = list(p.space.basis.entries[: n - 1])
+    while True:
+        vec = tuple(cases.rng.randrange(cases.field.q) for _ in range(2 * n))
+        if contains_vector(p.space, vec):
+            continue
+        space = Subspace(Matrix(cases.field, kept + [vec], cols=2 * n))
+        if space.dim == n:
+            return SubspacePoint(space, n)
+
+
+class PairCasesByMatrices(_PairCases):
+    """_PairCases whose sampled twisted-map cases build matrices and points."""
+
+    def _draw(self) -> int:
+        q, n, rng = self.field.q, self.n, self.rng
+        return _matrix_id(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+
+    def other_images(self, spec):
+        if self.exhaustive:
+            return super().other_images(spec)
+        image = self.image(spec)
+
+        def images(t1: int, t2: int):
+            point = self.point[self.table[t1][t2]]
+            a, b = point.blocks()
+            for _ in range(2):
+                alt = self._draw()
+                while not (b * self.matrix[alt] - a).is_invertible():
+                    alt = self._draw()
+                pair = preimage_pair_by_matrices(point, self.matrix[alt])
+                yield image(alt, self._id(pair.t2))
+
+        return images
+
+    def adjacent_points(self, spec):
+        if self.exhaustive:
+            yield from super().adjacent_points(spec)
+            return
+        image = self.image(spec)
+        for t1, t2 in self.pairs():
+            p = self.point[self.table[t1][t2]]
+            q = neighbour_by_subspace(self, p)
+            pair = preimage_pair_by_matrices(q)
+            img_q = image(self._id(pair.t1), self._id(pair.t2))
+            kept = is_adjacent(self.point[image(t1, t2)], self.point[img_q])
+            yield self.table[t1][t2], subspace_id(q.space), kept

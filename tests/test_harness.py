@@ -33,13 +33,15 @@ from hermline.harness import (
     check_rank_law,
     default_jordan_specs,
     pair_point_table,
-    preimage_pair,
 )
 from hermline import harness, projline
+from hermline.projline import preimage_pair
 from reference_checks import (
+    PairCasesByMatrices,
     check_annihilator_by_products,
     check_distant_chain,
     graph_from_edges,
+    preimage_pair_by_matrices,
 )
 
 CONFIGS = [
@@ -357,6 +359,56 @@ def test_preimage_pair_roundtrip(f3):
     for p in enumerate_points(f3, 2)[::11]:
         pair = preimage_pair(p)
         assert bartolone(pair) == p
+        assert pair == preimage_pair_by_matrices(p)
+        t1 = Matrix(f3, [[1, 2], [0, 1]])
+        try:
+            reference = preimage_pair_by_matrices(p, t1)
+        except ValueError:
+            with pytest.raises(ValueError):
+                preimage_pair(p, t1)
+        else:
+            assert preimage_pair(p, t1) == reference
+    with pytest.raises(ValueError):
+        preimage_pair(p, Matrix.identity(f3, 3))
+    with pytest.raises(ValueError):
+        preimage_pair(p, Matrix.identity(make_field(5), 2))
+
+
+def _off_by_one_preimages(real):
+    """The _preimages kernel with 1 added to entry (0, 0) of every T2 it finds."""
+
+    def preimages(field, n):
+        solve = real(field, n)
+
+        def preimage(rows, t1):
+            t2 = solve(rows, t1)
+            if t2 is None:
+                return None
+            first = (field.add(t2[0][0], 1),) + t2[0][1:]
+            return (first,) + t2[1:]
+
+        return preimage
+
+    return preimages
+
+
+def test_broken_preimage_round_trip_is_an_error(monkeypatch):
+    """A kernel whose T2 misses the point raises, also under python -O.
+
+    T1 is kept and the embedding T2 -> point is injective, so the changed
+    T2 always parametrises another point.
+    """
+    broken = _off_by_one_preimages(projline._preimages)
+    monkeypatch.setattr(projline, "_preimages", broken)
+    monkeypatch.setattr(harness, "_preimages", broken)
+    f3 = make_field(3)
+    with pytest.raises(AssertionError, match="another point"):
+        preimage_pair(enumerate_points(f3, 2)[17])
+    field = make_field(3, 2, "frobenius")
+    label, spec = default_jordan_specs(field, 2)[0]
+    for check in (check_jordan_well_defined, check_jordan_adjacency):
+        with pytest.raises(AssertionError, match="another point"):
+            check(field, 2, spec, label, seed=1, samples=5)
 
 
 def test_verify_remarks_exhaustive_small():
@@ -387,6 +439,30 @@ def test_verify_remarks_deterministic():
     a = verify_remarks(CONFIGS[3], seed=9)
     b = verify_remarks(CONFIGS[3], seed=9)
     assert report_to_json(a) == report_to_json(b)
+
+
+# sha256 of the check_embedding_injectivity report on n = 2 when the
+# kernel's ids are divided by 3, so that T2s clash, recorded while the
+# check still built a Matrix for every T2.
+EMBEDDING_CLASHES = {
+    2: "c36b5faaea355ab494e3f0c66a6f511b7155d379c8616d2f37102d1a9c44269b",
+    3: "c09ea2febda0659e33193a4863557df2efb04d1e26e81416d0ef334bc813ccf9",
+}
+
+
+@pytest.mark.parametrize("p", sorted(EMBEDDING_CLASHES))
+def test_embedding_injectivity_witnesses(p, monkeypatch):
+    real = harness._pair_ids
+
+    def clashing(field, n):
+        pair_id = real(field, n)
+        return lambda t1, t2: pair_id(t1, t2) // 3
+
+    monkeypatch.setattr(harness, "_pair_ids", clashing)
+    report = check_embedding_injectivity(make_field(p), 2)
+    assert not report["passed"] and len(report["witnesses"]) == 10
+    digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+    assert digest == EMBEDDING_CLASHES[p]
 
 
 def test_individual_checks_gf3():
@@ -445,21 +521,91 @@ def test_sampled_cases_match_the_exhaustive_table(field, monkeypatch):
         assert result["cases"] == samples
 
 
+class Shifted(JordanMapSpec):
+    """X -> X + I after the map: no ring map, so no induced point map."""
+
+    __slots__ = ()
+
+    def apply(self, m):
+        return super().apply(m) + Matrix.identity(m.field, m.rows)
+
+
+# sha256 of the sampled GF(9)s reports of the Shifted map, seed 3 and 40
+# samples, recorded while the sampled cases still built matrices and
+# subspaces, so that their witnesses cannot drift.
+SHIFTED_SAMPLED = {
+    "check_jordan_well_defined": (
+        "f4103dfbb0bf0c798e5e3a991e903f325fa25d405aa7c12a0b4f2a703628276d"
+    ),
+    "check_jordan_adjacency": (
+        "62e9e29ae014ef080f9e1e652d267a01d0a8adc213dfc69f82e35df5f561e345"
+    ),
+}
+
+
 def test_twisted_map_checks_catch_a_map_without_point_map():
     """X -> X + I is no ring map: both modes report witnesses."""
-
-    class Shifted(JordanMapSpec):
-        __slots__ = ()
-
-        def apply(self, m):
-            return super().apply(m) + Matrix.identity(m.field, m.rows)
-
     for field, samples in ((make_field(2), 500), (make_field(3, 2, "frobenius"), 40)):
         spec = Shifted(AUTOMORPHISM, 0, Matrix.identity(field, 2))
         for check in (check_jordan_well_defined, check_jordan_adjacency):
             result = check(field, 2, spec, "shifted", seed=3, samples=samples)
             assert not result["passed"]
             assert len(result["witnesses"]) == 10
+            if result["mode"] == "sampled":
+                text = report_to_json(result).encode("utf-8")
+                digest = hashlib.sha256(text).hexdigest()
+                assert digest == SHIFTED_SAMPLED[check.__name__]
+
+
+@pytest.mark.parametrize(
+    "config,seed",
+    [
+        ((2, 1, "identity", 3), 0),
+        ((2, 1, "identity", 3), 5),
+        ((3, 2, "frobenius", 2), 7),
+    ],
+    ids=["gf2-3-seed0", "gf2-3-seed5", "gf9-2-seed7"],
+)
+def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
+    """The entry-tuple sampled cases agree with the Matrix-based ones.
+
+    Both run the twisted-map checks for the default maps and the
+    Shifted one, whose verdicts mix passes and failures.  They draw the
+    same randrange stream, reach the same verdict on every case and
+    print byte-identical reports.
+    """
+    *field_args, n = config
+    field = make_field(*field_args)
+    specs = default_jordan_specs(field, n)
+    specs.append(("shifted", Shifted(AUTOMORPHISM, 0, Matrix.identity(field, n))))
+    real_result, rng = harness._result, random.Random
+    runs = []
+    for cases in (harness._PairCases, PairCasesByMatrices):
+        draws, verdicts = [], []
+
+        class CountingRandom(rng):
+            def randrange(self, *args):
+                draws.append(super().randrange(*args))
+                return draws[-1]
+
+        def recording_result(name, mode, outcomes):
+            return real_result(name, mode, (verdicts.append(o) or o for o in outcomes))
+
+        monkeypatch.setattr(harness.random, "Random", CountingRandom)
+        monkeypatch.setattr(harness, "_result", recording_result)
+        monkeypatch.setattr(harness, "_PairCases", cases)
+        reports = [
+            report_to_json(check(field, n, spec, label, seed=seed, samples=200))
+            for label, spec in specs
+            for check in (check_jordan_well_defined, check_jordan_adjacency)
+        ]
+        assert all('"mode": "sampled"' in report for report in reports)
+        runs.append((draws, verdicts, reports))
+    (draws, verdicts, reports), reference = runs
+    assert draws == reference[0]
+    assert verdicts == reference[1]
+    assert reports == reference[2]
+    assert None in verdicts and any(verdicts)
 
 
 def test_distant_chain_witnesses():

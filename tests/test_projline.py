@@ -36,7 +36,13 @@ from hermline import projline
 from hermline.matrices import Subspace, _matrix_from_id, _matrix_id, all_vectors
 from hermline.harness import pair_point_table
 from hermline.projline import _pair_columns, _pair_ids, point_from_id
-from reference_checks import LADDER, LADDER_IDS, bartolone_by_matrices, contains
+from reference_checks import (
+    LADDER,
+    LADDER_IDS,
+    bartolone_by_matrices,
+    contains,
+    stable_rank_witness_by_matrices,
+)
 
 
 def all_pairs(field, n=2):
@@ -139,6 +145,7 @@ def test_stable_rank_witness(f2, f3):
                     continue
                 w = stable_rank_witness(a, b)
                 assert (a + b * w).is_invertible()
+                assert w == stable_rank_witness_by_matrices(a, b)
     with pytest.raises(ValueError):
         zero = Matrix.zeros(f2, 2, 2)
         stable_rank_witness(zero, zero)
@@ -238,15 +245,12 @@ def test_star_is_points_through_fixed_hyperplane(f2, f3):
         for c0 in all_vectors(field, 2):
             if not any(c0):
                 continue
-            fixed = Subspace.from_rows(
-                field,
-                4,
-                [
-                    v + (0, 0)
-                    for v in all_vectors(field, 2)
-                    if field.add(field.mul(v[0], c0[0]), field.mul(v[1], c0[1])) == 0
-                ],
-            )
+            rows = [
+                v + (0, 0)
+                for v in all_vectors(field, 2)
+                if field.add(field.mul(v[0], c0[0]), field.mul(v[1], c0[1])) == 0
+            ]
+            fixed = Subspace(Matrix(field, rows, cols=4))
             assert fixed.dim == 1
             expected = {
                 p for p in enumerate_points(field, 2) if contains(p.space, fixed)
