@@ -35,10 +35,10 @@ from .matrices import (
     _matrix_id,
     _product,
     _row_reduce,
-    _rref_id,
-    _rref_layouts,
+    _rows_id,
     _rref_rows,
     all_matrices,
+    all_vectors,
     enumerate_subspaces,
     unit_vector,
 )
@@ -51,7 +51,7 @@ from .projline import (
     _annihilator_shares,
     _pair_columns,
     _pair_ids,
-    _preimages,
+    _preimage_ids,
     _witness_ids,
     arithmetical_distance,
     base_point,
@@ -444,12 +444,11 @@ def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     built only for a witness.
     """
     pair_id, to_json = _pair_ids(field, n), lambda m: Matrix._of(field, m, n).to_json()
-    rows = list(itertools.product(field.elements(), repeat=n))
 
     def outcomes():
         for t1_0 in (((0,) * n,) * n, tuple(unit_vector(n, i) for i in range(n))):
             seen = {}
-            for t2 in itertools.product(rows, repeat=n):
+            for t2 in itertools.product(all_vectors(field, n), repeat=n):
                 other = seen.setdefault(pair_id(t1_0, t2), t2)
                 yield None if other is t2 else {
                     "t1_0": to_json(t1_0), "t2": to_json(t2), "clash": to_json(other)
@@ -474,7 +473,7 @@ class _PairCases:
     pair's two ids that read the table the same way in both modes, so a
     check states its property once for both.  The sampled twisted-map
     cases run on entry tuples and ids: other pairs of a point come from
-    the _preimages kernel on the point's rows, its neighbours from one
+    _preimage_ids on the point's rows, its neighbours from one
     elimination, and a point object is built only for a witness.
     """
 
@@ -571,19 +570,8 @@ class _PairCases:
             yield p, q, rank == n + 1
 
     def _preimage(self, p: int, t1s) -> tuple[int, int]:
-        """The ids of (T1, T2) for the first T1 in t1s that parametrises p.
-
-        T2 comes from the _preimages kernel, and the pair's point id is
-        checked against p, under python -O too.
-        """
-        rows, solve = self.rows[p], _preimages(self.field, self.n)
-        for t1 in t1s:
-            t2 = solve(rows, self.matrix[t1].entries)
-            if t2 is not None:
-                t2 = _matrix_id(self.field.q, t2)
-                if self.table[t1][t2] != p:
-                    raise AssertionError("a preimage pair parametrises another point")
-                return t1, t2
+        """The ids of (T1, T2) for the first T1 in t1s that parametrises p."""
+        return _preimage_ids(self.field, self.n, self.rows[p], p, t1s, self.matrix)
 
     def _neighbour(self, p: int) -> int:
         """The id of a random point meeting point p in dimension n - 1.
@@ -597,9 +585,8 @@ class _PairCases:
             vec = [self.rng.randrange(field.q) for _ in range(2 * n)]
             if _product(field, ([vec[c] for c in pivots],), rows, 2 * n)[0] != vec:
                 work = [list(row) for row in rows[: n - 1]] + [vec]
-                pivots = _row_reduce(field, work, 2 * n)
-                layouts = _rref_layouts(field.q, 2 * n, n)
-                return _rref_id(field.q, layouts, pivots, work)
+                _row_reduce(field, work, 2 * n)
+                return _rows_id(field.q, 2 * n, work)
 
     def check(self, name: str, holds) -> dict:
         """Test holds(t1, t2) on every pair; failing pairs are witnesses."""

@@ -4,16 +4,16 @@ Matrices are immutable, hashable and carry their field.  Subspaces of
 K^d are stored by their reduced row echelon basis, which is a canonical
 form: two subspaces are equal exactly when their stored bases are equal.
 A subspace's integer id is its position in ``enumerate_subspaces``,
-read off its basis by ``_rref_id`` and inverted by ``_rref_rows``, on
-entry tuples, and ``subspace_from_id``.
+read off its basis rows by ``_rows_id`` and inverted by
+``subspace_from_id`` (``_rref_rows`` on entry tuples).
 Zero-row and zero-column matrices are permitted throughout; the block
 constructions in the isotropic-subspace algorithms rely on them.
 
 Validation happens once, at the boundary: the public constructor,
-``from_json`` and ``scale`` check shapes and entries.  Internal paths
-trust their inputs: arithmetic, reshaping, elimination and the
-enumerations build their results with ``Matrix._of``, which skips the
-checks.
+``from_json``, ``scale``, ``row_vector`` and ``Subspace.from_rows``
+check shapes and entries.  Internal paths trust their inputs:
+arithmetic, reshaping, elimination and the enumerations build their
+results with ``Matrix._of``, which skips the checks.
 Hashes are computed on first use.
 
 Arithmetic has one path.  ``_product`` is the only matrix-product loop
@@ -108,6 +108,11 @@ class Matrix:
                 cols=n,
             )
         return m
+
+    @classmethod
+    def row_vector(cls, field: FieldSpec, vec) -> "Matrix":
+        vec = tuple(vec)
+        return cls(field, (vec,), cols=len(vec))
 
     @classmethod
     def from_blocks(cls, blocks) -> "Matrix":
@@ -387,6 +392,10 @@ class Subspace:
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls._from_canonical(Matrix(field, (), cols=ambient_dim))
 
+    @classmethod
+    def from_rows(cls, field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
+        return cls(Matrix(field, rows, cols=ambient_dim))
+
     @property
     def field(self) -> FieldSpec:
         return self.basis.field
@@ -433,6 +442,13 @@ class Subspace:
             tuple(r[d:]) for r in work if not any(r[:d]) and any(r[d:])
         )
         return Subspace(Matrix._of(self.field, rows, d))
+
+    def contains_vector(self, vec) -> bool:
+        vec = tuple(vec)
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector has the wrong length")
+        stacked = self.basis.vstack(Matrix.row_vector(self.field, vec))
+        return stacked.rank() == self.dim
 
 
 def unit_vector(length: int, index: int) -> tuple[int, ...]:
@@ -548,6 +564,12 @@ def _rref_id(q: int, layouts: dict, pivots, rows) -> int:
         for c in cols:
             value = value * q + row[c]
     return offset + value
+
+
+def _rows_id(q: int, ambient_dim: int, rows) -> int:
+    """The id of the subspace with these RREF basis rows; inverts _rref_rows."""
+    layouts = _rref_layouts(q, ambient_dim, len(rows))
+    return _rref_id(q, layouts, [row.index(1) for row in rows], rows)
 
 
 def _rref_rows(q: int, ambient_dim: int, dim: int, index: int) -> tuple:

@@ -38,6 +38,7 @@ from .matrices import (
     _row_reduce,
     _rref_id,
     _rref_layouts,
+    _rows_id,
     all_matrices,
     all_vectors,
     enumerate_subspaces,
@@ -329,20 +330,11 @@ def stable_rank_witness(a: Matrix, b: Matrix) -> Matrix:
     Candidates are tried in a deterministic order: the zero matrix, the
     identity, the single-entry matrices, then all matrices in
     lexicographic order.  Existence is guaranteed because the matrix
-    ring over a field has stable rank two.  Each candidate is one run of
-    the _preimages kernel on the rows (-A | B).
+    ring over a field has stable rank two.  A + B*W is invertible
+    exactly when W is the T1 of a preimage pair of the row space of
+    (-A | B), so W is preimage_pair's T1 there.
     """
-    if a.field != b.field or a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
-        raise ValueError("witness search needs two square blocks of equal size")
-    field, n = a.field, a.rows
-    if a.hstack(b).rank() != n:
-        raise ValueError("(A, B) has rank below n; no witness can exist")
-    rows, solve = (-a).hstack(b).entries, _preimages(field, n)
-    for t in _witness_ids(field, n):
-        w = _matrix_from_id(field, n, n, t)
-        if solve(rows, w.entries) is not None:
-            return w
-    raise RuntimeError("no stable rank witness found; this should be impossible")
+    return preimage_pair(point_from_pair(-a, b)).t1
 
 
 def _witness_ids(field: FieldSpec, n: int):
@@ -361,14 +353,10 @@ def _preimages(field: FieldSpec, n: int):
     (B*T1 - A | B) once.  When its pivots are 0..n-1, B*T1 - A is
     invertible, the right block is T2 = (B*T1 - A)^-1 * B, and
     (T2*T1 - I | T2) = (B*T1 - A)^-1 * (A | B) spans the point.
-    Otherwise it returns None.  It is the one preimage kernel:
-    stable_rank_witness, preimage_pair and the sampled twisted-map
-    checks solve through it.
+    Otherwise it returns None.  It is the one preimage kernel, and
+    _preimage_ids is its one caller.
     """
-    minus_ident = tuple(
-        tuple(field._neg[1] if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    pivots = list(range(n))
+    minus_ident, pivots = (-Matrix.identity(field, n)).entries, list(range(n))
 
     def preimage(rows: tuple, t1: tuple) -> tuple | None:
         work = _product(field, rows, minus_ident + t1, n)
@@ -381,28 +369,47 @@ def _preimages(field: FieldSpec, n: int):
     return preimage
 
 
+def _preimage_ids(field: FieldSpec, n: int, rows, point_id: int, t1_ids, matrix):
+    """The ids of (T1, T2) for the first T1 in t1_ids that has a T2, or None.
+
+    rows are the RREF rows (A | B) of the point with id point_id, and
+    matrix maps a matrix id to its Matrix.  T2 comes from the _preimages
+    kernel, and the pair's _pair_ids id is checked against point_id,
+    under python -O too.  preimage_pair, and so stable_rank_witness, and
+    the sampled twisted-map checks all solve through it.
+    """
+    solve, pair_id = _preimages(field, n), _pair_ids(field, n)
+    for t1 in t1_ids:
+        t2 = solve(rows, matrix[t1].entries)
+        if t2 is not None:
+            if pair_id(matrix[t1].entries, t2) != point_id:
+                raise AssertionError("a preimage pair parametrises another point")
+            return t1, _matrix_id(field.q, t2)
+    return None
+
+
 def preimage_pair(p: SubspacePoint, t1: Matrix | None = None) -> BartolonePair:
     """Some parameter pair whose point is p.
 
     Solves the parametrisation for the canonical blocks (A, B):
     any T1 with B*T1 - A invertible yields T2 = (B*T1 - A)^-1 * B.
-    When t1 is not given, a deterministic witness is used.  The pair's
-    point id is checked against p's, under python -O too.
+    When t1 is not given, the first of stable_rank_witness's candidates
+    that has a T2 is used.  The pair's point id is checked against p's,
+    under python -O too.
     """
     field, n, rows = p.field, p.n, p.space.basis.entries
     if t1 is None:
-        a, b = p.blocks()
-        t1 = stable_rank_witness(-a, b)
+        t1_ids = _witness_ids(field, n)
     elif t1.field != field or t1.rows != n or t1.cols != n:
         raise ValueError("T1 must be an n x n matrix over the point's field")
-    t2 = _preimages(field, n)(rows, t1.entries)
-    if t2 is None:
+    else:
+        t1_ids = [_matrix_id(field.q, t1.entries)]
+    point_id = _rows_id(field.q, 2 * n, rows)
+    matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
+    found = _preimage_ids(field, n, rows, point_id, t1_ids, matrix)
+    if found is None:
         raise ValueError("B*T1 - A is not invertible for this T1")
-    q, pivots = field.q, [row.index(1) for row in rows]
-    index = _rref_id(q, _rref_layouts(q, 2 * n, n), pivots, rows)
-    if _pair_ids(field, n)(t1.entries, t2) != index:
-        raise AssertionError("the preimage pair parametrises another point")
-    return BartolonePair(t1, Matrix._of(field, t2, n))
+    return BartolonePair(*(matrix[t] for t in found))
 
 
 def annihilator(pair: BartolonePair) -> Matrix:

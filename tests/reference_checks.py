@@ -24,9 +24,8 @@ neighbour by ``neighbour_by_subspace``.
 polynomial sums and products, the way ``FieldSpec`` did before its
 log/antilog tables.  ``field_power`` is the square-and-multiply power
 that ``FieldSpec`` had as its ``pow`` method.  ``contains``,
-``contains_vector``, ``evaluate`` and ``from_coeffs`` test subspace and
-vector containment, evaluate the form and pack polynomial-basis
-coefficients into an element.  None of
+``evaluate`` and ``from_coeffs`` test subspace containment, evaluate the
+form and pack polynomial-basis coefficients into an element.  None of
 them runs from the command line.
 """
 
@@ -92,12 +91,6 @@ def contains(big: Subspace, small: Subspace) -> bool:
     """Whether small lies in big: stacking their bases keeps big's rank."""
     big._check_compatible(small)
     return big.basis.vstack(small.basis).rank() == big.dim
-
-
-def contains_vector(space: Subspace, vec) -> bool:
-    """Whether vec lies in space: stacking it under the basis keeps the rank."""
-    row = Matrix(space.field, [tuple(vec)], cols=space.ambient_dim)
-    return space.basis.vstack(row).rank() == space.dim
 
 
 def evaluate(form: SesquilinearForm, x, y) -> int:
@@ -306,7 +299,7 @@ def isotropic_meeting_perp_stepwise(
     m = gram()
     assert m.block(k, n + k, k, n + k).is_zero()
     x_rows = rows[k : n + k]
-    x = SubspacePoint(Subspace(Matrix(field, x_rows, cols=2 * n)), n)
+    x = SubspacePoint(Subspace.from_rows(field, 2 * n, x_rows), n)
     assert form.is_totally_isotropic(x)
     assert x.space.intersect(form.perp(v)) == w
     return x
@@ -406,9 +399,9 @@ def neighbour_by_subspace(cases: _PairCases, p: SubspacePoint) -> SubspacePoint:
     kept = list(p.space.basis.entries[: n - 1])
     while True:
         vec = tuple(cases.rng.randrange(cases.field.q) for _ in range(2 * n))
-        if contains_vector(p.space, vec):
+        if p.space.contains_vector(vec):
             continue
-        space = Subspace(Matrix(cases.field, kept + [vec], cols=2 * n))
+        space = Subspace.from_rows(cases.field, 2 * n, kept + [vec])
         if space.dim == n:
             return SubspacePoint(space, n)
 

@@ -35,7 +35,7 @@ from hermline.harness import (
     pair_point_table,
 )
 from hermline import harness, projline
-from hermline.projline import preimage_pair
+from hermline.projline import preimage_pair, stable_rank_witness
 from reference_checks import (
     PairCasesByMatrices,
     check_annihilator_by_products,
@@ -395,15 +395,18 @@ def _off_by_one_preimages(real):
 def test_broken_preimage_round_trip_is_an_error(monkeypatch):
     """A kernel whose T2 misses the point raises, also under python -O.
 
-    T1 is kept and the embedding T2 -> point is injective, so the changed
-    T2 always parametrises another point.
+    preimage_pair, stable_rank_witness and both sampled twisted-map
+    checks solve through _preimage_ids, which makes the check.  T1 is
+    kept and the embedding T2 -> point is injective, so the changed T2
+    always parametrises another point.
     """
     broken = _off_by_one_preimages(projline._preimages)
     monkeypatch.setattr(projline, "_preimages", broken)
-    monkeypatch.setattr(harness, "_preimages", broken)
     f3 = make_field(3)
     with pytest.raises(AssertionError, match="another point"):
         preimage_pair(enumerate_points(f3, 2)[17])
+    with pytest.raises(AssertionError, match="another point"):
+        stable_rank_witness(Matrix.identity(f3, 2), Matrix.identity(f3, 2))
     field = make_field(3, 2, "frobenius")
     label, spec = default_jordan_specs(field, 2)[0]
     for check in (check_jordan_well_defined, check_jordan_adjacency):

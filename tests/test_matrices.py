@@ -21,7 +21,6 @@ from reference_checks import (
     LADDER,
     LADDER_IDS,
     contains,
-    contains_vector,
     extend_independent_by_rebuild,
     product_by_entries,
     subspace_id,
@@ -60,6 +59,10 @@ def test_public_boundary_validation(f3):
         Matrix.from_json(f3, {"rows": 1, "cols": 2, "entries": [["0", "3"]]})
     with pytest.raises(ValueError):
         m.scale(f3.q)
+    with pytest.raises(ValueError):
+        Subspace.from_rows(f3, 2, [(1, 3)])
+    with pytest.raises(ValueError):
+        Matrix.row_vector(f3, (0, -1))
 
 
 def test_basic_arithmetic(f3):
@@ -274,7 +277,7 @@ def test_subspace_sum_and_intersection_oracle(f2, f3, f4):
         vectors = list(all_vectors(field, 4))
 
         def members(space):
-            return {v for v in vectors if contains_vector(space, v)}
+            return {v for v in vectors if space.contains_vector(v)}
 
         for da, db in pairs:
             step = 1 if field is f2 else 3
@@ -292,7 +295,7 @@ def test_subspace_sum_and_intersection_oracle(f2, f3, f4):
                     meet = a.intersect(b)
                     expected = inside_a & inside_b
                     assert len(expected) == field.q**meet.dim
-                    assert all(contains_vector(meet, v) for v in expected)
+                    assert all(meet.contains_vector(v) for v in expected)
                     assert meet == Subspace(meet.basis)
                     join = a + b
                     assert join.dim == a.dim + b.dim - meet.dim
@@ -306,8 +309,8 @@ def test_subspace_contains(f2):
     small = Subspace(Matrix(f2, [[1, 1, 0, 0]]))
     assert contains(big, small)
     assert not contains(small, big)
-    assert contains_vector(big, (1, 1, 1, 0))
-    assert not contains_vector(big, (0, 0, 0, 1))
+    assert big.contains_vector((1, 1, 1, 0))
+    assert not big.contains_vector((0, 0, 0, 1))
 
 
 def test_zero_subspace(f3):
@@ -318,7 +321,7 @@ def test_zero_subspace(f3):
     assert (z + plane) == plane
     assert z.intersect(plane) == z
     assert contains(plane, z)
-    assert contains_vector(z, (0, 0, 0, 0))
+    assert z.contains_vector((0, 0, 0, 0))
 
 
 def test_extend_independent(f2):

@@ -245,12 +245,15 @@ def test_star_is_points_through_fixed_hyperplane(f2, f3):
         for c0 in all_vectors(field, 2):
             if not any(c0):
                 continue
-            rows = [
-                v + (0, 0)
-                for v in all_vectors(field, 2)
-                if field.add(field.mul(v[0], c0[0]), field.mul(v[1], c0[1])) == 0
-            ]
-            fixed = Subspace(Matrix(field, rows, cols=4))
+            fixed = Subspace.from_rows(
+                field,
+                4,
+                [
+                    v + (0, 0)
+                    for v in all_vectors(field, 2)
+                    if field.add(field.mul(v[0], c0[0]), field.mul(v[1], c0[1])) == 0
+                ],
+            )
             assert fixed.dim == 1
             expected = {
                 p for p in enumerate_points(field, 2) if contains(p.space, fixed)
