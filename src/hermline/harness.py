@@ -15,7 +15,6 @@ so serialising them is deterministic.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 import json
@@ -69,22 +68,33 @@ class BudgetExceededError(Exception):
     """Raised when a predicted count or table size exceeds the budget."""
 
 
-@dataclasses.dataclass(frozen=True)
-class GeometryConfig:
-    """A verification target: GF(p^k) with an involution and block size n."""
+class GeometryConfig(
+    collections.namedtuple(
+        "GeometryConfig",
+        ("p", "k", "involution", "n", "budget"),
+        defaults=(1, "identity", 2, DEFAULT_BUDGET),
+    )
+):
+    """A verification target: GF(p^k) with an involution and block size n.
 
-    p: int
-    k: int = 1
-    involution: str = "identity"
-    n: int = 2
-    budget: int = DEFAULT_BUDGET
+    An immutable, hashable record, checked whenever one is made, by
+    _replace and _make too.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise ValueError("the geometry needs n >= 2")
         if self.budget < 1:
             raise ValueError("budget must be positive")
         check_field_parameters(self.p, self.k, self.involution)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def field(self) -> FieldSpec:
         """The field, refused before its q^2-entry tables exceed the budget."""
@@ -210,12 +220,64 @@ def _spec_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> tuple[list, l
     return iota, image_of
 
 
+@functools.lru_cache(maxsize=8)
+def _spec_matrix_ids(field: FieldSpec, n: int, spec: JordanMapSpec) -> _Memo:
+    """The id of the image under spec of each matrix id, computed as it is read.
+
+    The sampled twisted-map checks of one spec share it, so each matrix
+    is mapped once, as _spec_images maps every matrix once.
+    """
+    matrix = functools.partial(_matrix_from_id, field, n, n)
+    return _Memo(lambda t: _matrix_id(field.q, spec.apply(matrix(t)).entries))
+
+
 # -- reports ------------------------------------------------------------------
 
 
 def report_to_json(report: dict) -> str:
-    """Serialise a report dict; key order is preserved, so this is stable."""
-    return json.dumps(report, indent=2) + "\n"
+    """Serialise a report: exactly the text of json.dumps(report, indent=2) + "\\n".
+
+    Key order is preserved, so the text is stable.  json.dumps runs its
+    C encoder only without indent, so the large arrays of a report,
+    lists of plain ints and lists of equal-length lists of plain ints,
+    are written here by str.join and one %-template each, with no Python
+    step per element.  Everything else, every key and scalar included,
+    is json.dumps's own text.
+    """
+    return "".join(_json_chunks(report, "\n")) + "\n"
+
+
+def _json_chunks(value, pad: str):
+    """Yield the text of json.dumps(value, indent=2) with pad after each newline.
+
+    pad is a newline and the indentation of value's own line.  Only
+    exact ints take the join path, so bools still read true and false.
+    The fallback re-indents json.dumps's lines, which is safe because
+    JSON strings never hold a raw newline; it also takes dicts with
+    non-str keys, which json converts.
+    """
+    inner = pad + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        opening = "{"
+        for key, member in value.items():
+            yield opening + inner + json.dumps(key) + ": "
+            yield from _json_chunks(member, inner)
+            opening = ","
+        yield pad + "}"
+        return
+    entries = ()
+    if type(value) is list and value:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            entries, item = tuple(value), "%d"
+        elif kinds == {list} and len(widths := set(map(len, value))) == 1:
+            entries, cell = tuple(itertools.chain.from_iterable(value)), inner + "  "
+            item = "[" + cell + ("," + cell).join(["%d"] * widths.pop()) + inner + "]"
+    if entries and set(map(type, entries)) == {int}:
+        items = ("," + inner).join([item] * len(value)) % entries
+        yield from ("[" + inner, items, pad + "]")
+    else:
+        yield json.dumps(value, indent=2).replace("\n", pad)
 
 
 def verify_theorem1(cfg: GeometryConfig) -> dict:
@@ -328,16 +390,16 @@ def _bfs_levels(adj: list[int], start: int):
         seen |= level
 
 
-@dataclasses.dataclass
 class RelationGraph:
     """A relation graph on the point ids 0..N-1, held as neighbour bitmasks.
 
     Bit j of neighbours[i] is set when points i and j are related.
     """
 
-    kind: str
-    point_set: str
-    neighbours: list[int]
+    def __init__(self, kind: str, point_set: str, neighbours: list[int]):
+        self.kind = kind
+        self.point_set = point_set
+        self.neighbours = neighbours
 
     def degree_sequence(self) -> list[int]:
         return [mask.bit_count() for mask in self.neighbours]
@@ -410,7 +472,7 @@ def graph_report(cfg: GeometryConfig, graph: RelationGraph) -> dict:
     report["degree_sequence"] = degrees
     report["diameter"] = graph.diameter()
     report["nodes"] = list(range(len(degrees)))
-    report["edges"] = [[i, j] for i, j in graph.edges()]
+    report["edges"] = list(map(list, graph.edges()))
     return report
 
 
@@ -497,12 +559,6 @@ class _PairCases:
                 lambda a: _Memo(lambda b: pair_id(m[a].entries, m[b].entries))
             )
 
-    def _id(self, m: Matrix) -> int:
-        """The id of m; the matrix memo keeps m, so it is never unranked."""
-        t = _matrix_id(self.field.q, m.entries)
-        self.matrix[t] = m
-        return t
-
     def _draw(self) -> int:
         """The id of a random matrix, its entries drawn in row-major order."""
         q, draw, t = self.field.q, self.rng.randrange, 0
@@ -527,7 +583,7 @@ class _PairCases:
         if self.exhaustive:
             iota = _spec_images(self.field, self.n, spec)[0]
         else:
-            iota = self.per_matrix(lambda m: self._id(spec.apply(m)))
+            iota = _spec_matrix_ids(self.field, self.n, spec)
         table = self.table
         return lambda t1, t2: table[iota[t1]][iota[t2]]
 

@@ -413,6 +413,12 @@ class PairCasesByMatrices(_PairCases):
         q, n, rng = self.field.q, self.n, self.rng
         return _matrix_id(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
 
+    def _id(self, m: Matrix) -> int:
+        """The id of m; the matrix memo keeps m, so it is never unranked."""
+        t = _matrix_id(self.field.q, m.entries)
+        self.matrix[t] = m
+        return t
+
     def other_images(self, spec):
         if self.exhaustive:
             return super().other_images(spec)
