@@ -472,7 +472,7 @@ def graph_report(cfg: GeometryConfig, graph: RelationGraph) -> dict:
     report["degree_sequence"] = degrees
     report["diameter"] = graph.diameter()
     report["nodes"] = list(range(len(degrees)))
-    report["edges"] = list(map(list, graph.edges()))
+    report["edges"] = [[i, j] for i, j in graph.edges()]
     return report
 
 
@@ -579,7 +579,11 @@ class _PairCases:
         return lambda t1, t2: values[table[t1][t2]]
 
     def image(self, spec: JordanMapSpec):
-        """The id of the point of (T1^spec, T2^spec), from the ids of (T1, T2)."""
+        """The id of the point of (T1^spec, T2^spec), from the ids of (T1, T2).
+
+        The matrix images come from one memo per (field, n, spec), which
+        every check of the map reads in either mode.
+        """
         if self.exhaustive:
             iota = _spec_images(self.field, self.n, spec)[0]
         else:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,3 +401,16 @@ def test_file_path_argument(tmp_path, capsys):
     code, out, err = run(capsys, "decompose", "--p", "2", "--point", str(path))
     assert code == 0
     assert json.loads(out)["t1"]["entries"] == [["1", "0"], ["0", "1"]]
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every CLI process imports the package; inspect alone costs it about 7 ms."""
+    code = "import sys, hermline.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

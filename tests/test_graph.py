@@ -32,6 +32,7 @@ from hermline import (
     is_adjacent,
     is_distant,
     make_field,
+    report_to_json,
 )
 from hermline import harness
 from hermline.cli import main
@@ -159,13 +160,16 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
-def test_graph_stdout_golden(key, capsys):
+def _graph_argv(key) -> list:
     label, points, relation, fmt = key
     p, k, involution = FIELDS[label]
     argv = ["graph", "--p", str(p), "--k", str(k), "--involution", involution]
-    argv += ["--relation", relation, "--points", points, "--format", fmt]
-    assert main(argv) == 0
+    return argv + ["--relation", relation, "--points", points, "--format", fmt]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
+def test_graph_stdout_golden(key, capsys):
+    assert main(_graph_argv(key)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[key]
 
@@ -322,16 +326,18 @@ CLI_DRAWS = {
 }
 
 
-@pytest.mark.parametrize(
-    "key", sorted(CLI_GOLDEN, key=str), ids=lambda key: "-".join(map(str, key))
-)
-def test_cli_stdout_golden(key, capsys, monkeypatch):
+def _cli_argv(key) -> list:
     command, label, n, seed = key
     p, k, involution = FIELDS[label]
     argv = [command, "--p", str(p), "--k", str(k), "--involution", involution]
     argv += ["--n", str(n)] + CLI_ARGS.get(command, [])
-    if seed is not None:
-        argv += ["--seed", str(seed)]
+    return argv if seed is None else argv + ["--seed", str(seed)]
+
+
+@pytest.mark.parametrize(
+    "key", sorted(CLI_GOLDEN, key=str), ids=lambda key: "-".join(map(str, key))
+)
+def test_cli_stdout_golden(key, capsys, monkeypatch):
     draws = hashlib.sha256()
     count = 0
 
@@ -345,11 +351,41 @@ def test_cli_stdout_golden(key, capsys, monkeypatch):
 
     monkeypatch.setattr(harness.random, "Random", CountingRandom)
     digest, status = CLI_GOLDEN[key]
-    assert main(argv) == status
+    assert main(_cli_argv(key)) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
     empty = (hashlib.sha256().hexdigest(), 0)
     assert (draws.hexdigest(), count) == CLI_DRAWS.get(key, empty)
+
+
+# Every JSON report kind on the ladder: the graph reports (GF(9)s on its
+# isotropic points only, whose all-points graph takes seconds) and every
+# other subcommand at n = 2, with seed 0 where it takes one.
+LADDER_ARGV = [
+    pytest.param(_graph_argv(key), id="graph-" + "-".join(key))
+    for key in sorted(GOLDEN) + [("gf9", "isotropic", r, "json") for r in ("adjacency", "distant")]
+    if key[3] == "json"
+] + [
+    pytest.param(_cli_argv(key), id="-".join(map(str, key)))
+    for key in sorted(CLI_GOLDEN, key=str)
+    if key[2] == 2 and key[3] in (None, 0)
+]
+
+
+@pytest.mark.parametrize("argv", LADDER_ARGV)
+def test_report_to_json_matches_json_dumps_on_ladder_reports(argv, capsys, monkeypatch):
+    """Each report the CLI prints is json.dumps(report, indent=2) plus a newline."""
+    texts = []
+
+    def compared(report):
+        texts.append((report_to_json(report), json.dumps(report, indent=2) + "\n"))
+        return texts[-1][0]
+
+    monkeypatch.setattr("hermline.cli.report_to_json", compared)
+    main(argv)
+    capsys.readouterr()
+    [(text, reference)] = texts
+    assert text.splitlines(True) == reference.splitlines(True)  # a fast diff on failure
 
 
 def _points(label: str, n: int, point_set: str):

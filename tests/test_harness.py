@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hermline import (
     AUTOMORPHISM,
@@ -62,6 +63,23 @@ def test_config_validation():
     cfg = GeometryConfig(p=3, k=2, involution="frobenius")
     assert cfg.field().q == 9
     assert cfg.field().involution == "frobenius"
+
+
+def test_config_is_an_immutable_record():
+    cfg = GeometryConfig(3, 2, "frobenius", 3, 500)
+    assert cfg == GeometryConfig(p=3, k=2, involution="frobenius", n=3, budget=500)
+    assert hash(cfg) == hash(GeometryConfig(3, 2, "frobenius", n=3, budget=500))
+    assert GeometryConfig(2) == GeometryConfig(2, 1, "identity", 2, harness.DEFAULT_BUDGET)
+    assert GeometryConfig(2) != GeometryConfig(2, n=3)
+    assert repr(GeometryConfig(2)) == (
+        "GeometryConfig(p=2, k=1, involution='identity', n=2, budget=1000000)"
+    )
+    with pytest.raises(AttributeError):
+        cfg.n = 2
+    with pytest.raises(ValueError):
+        cfg._replace(n=1)
+    with pytest.raises(ValueError):
+        GeometryConfig._make((2, 1, "identity", 2, 0))
 
 
 def test_gaussian_binomial_frozen():
@@ -275,6 +293,36 @@ def test_report_json_is_stable():
     assert text.endswith("\n")
     assert json.loads(text) == report
     assert report_to_json(verify_theorem1(CONFIGS[0])) == text
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+)
+# Lists of ints and of equal-width int rows, bools mixed in or not, the
+# shapes that report_to_json writes without json.dumps.
+_INT_ARRAYS = st.sampled_from([st.integers(), st.integers() | st.booleans()]).flatmap(
+    lambda entries: st.lists(entries)
+    | st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(entries, min_size=width, max_size=width))
+    )
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _INT_ARRAYS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans() | st.none() | st.floats(), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None)
+@given(_JSON_VALUES)
+@example({"flags": [1, True, 0, False], "edges": [[0, 1], [0, 2], [1, 2]]})
+@example({"nested": {"é\n\"": [[True, 1], [2, 3]], "": [], "ragged": [[1], [2, 3]]}})
+def test_report_to_json_matches_json_dumps(value):
+    """report_to_json is json.dumps(value, indent=2) plus a newline, byte for byte."""
+    assert report_to_json(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_distant_graph_frozen_stats():
@@ -609,6 +657,26 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
     assert verdicts == reference[1]
     assert reports == reference[2]
     assert None in verdicts and any(verdicts)
+
+
+def test_sampled_twisted_maps_apply_each_map_once_per_matrix(monkeypatch):
+    """The sampled checks of one map share its image memo.
+
+    On GF(2) n = 3 the two default maps meet each of the 512 matrices at
+    most once each (2,838 calls when every check kept its own memo).
+    """
+    calls = 0
+    real = JordanMapSpec.apply
+
+    def counted(spec, m):
+        nonlocal calls
+        calls += 1
+        return real(spec, m)
+
+    monkeypatch.setattr(JordanMapSpec, "apply", counted)
+    report = verify_remarks(GeometryConfig(p=2, n=3))
+    assert report["passed"]
+    assert calls <= 2 * 2**9
 
 
 def test_distant_chain_witnesses():
