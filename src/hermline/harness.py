@@ -238,23 +238,22 @@ def report_to_json(report: dict) -> str:
     """Serialise a report: exactly the text of json.dumps(report, indent=2) + "\\n".
 
     Key order is preserved, so the text is stable.  json.dumps runs its
-    C encoder only without indent, so the large arrays of a report,
-    lists of plain ints and lists of equal-length lists of plain ints,
-    are written here by str.join and one %-template each, with no Python
-    step per element.  Everything else, every key and scalar included,
-    is json.dumps's own text.
+    C encoder only without indent, so lists of plain ints and lists of
+    equal-length int lists, the large arrays of a report, are written
+    by str.join and one %-template each, with no Python step per
+    element.  Everything else, every key and scalar included, is
+    json.dumps's own text.
     """
     return "".join(_json_chunks(report, "\n")) + "\n"
 
 
 def _json_chunks(value, pad: str):
-    """Yield the text of json.dumps(value, indent=2) with pad after each newline.
+    """Yield the text of json.dumps(value, indent=2), pad after each newline.
 
     pad is a newline and the indentation of value's own line.  Only
     exact ints take the join path, so bools still read true and false.
-    The fallback re-indents json.dumps's lines, which is safe because
-    JSON strings never hold a raw newline; it also takes dicts with
-    non-str keys, which json converts.
+    The fallback, which also takes dicts with non-str keys, re-indents
+    json.dumps's text: JSON strings never hold a raw newline.
     """
     inner = pad + "  "
     if type(value) is dict and value and set(map(type, value)) == {str}:
