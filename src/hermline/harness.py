@@ -205,30 +205,33 @@ def _exhaustible(field: FieldSpec, n: int) -> bool:
 
 
 @functools.lru_cache(maxsize=8)
-def _spec_images(field: FieldSpec, n: int, spec: JordanMapSpec) -> tuple[list, list]:
-    """The image under spec of each matrix id and, by its first pair, point id."""
-    mats = all_matrices(field, n, n)
-    iota = [_matrix_id(field.q, spec.apply(m).entries) for m in mats]
-    table = pair_point_table(field, n)
-    image_of = [None] * gaussian_binomial(2 * n, n, field.q)
-    for i, row in enumerate(table):
-        for j, p in enumerate(row):
-            if image_of[p] is None:
-                image_of[p] = table[iota[i]][iota[j]]
-    if None in image_of:
-        raise AssertionError("a point has no parameter pair")
-    return iota, image_of
-
-
-@functools.lru_cache(maxsize=8)
 def _spec_matrix_ids(field: FieldSpec, n: int, spec: JordanMapSpec) -> _Memo:
     """The id of the image under spec of each matrix id, computed as it is read.
 
-    The sampled twisted-map checks of one spec share it, so each matrix
-    is mapped once, as _spec_images maps every matrix once.
+    Every twisted-map check of one spec reads it, in either mode, so
+    each matrix is mapped at most once.
     """
     matrix = functools.partial(_matrix_from_id, field, n, n)
     return _Memo(lambda t: _matrix_id(field.q, spec.apply(matrix(t)).entries))
+
+
+@functools.lru_cache(maxsize=4)
+def _representatives(field: FieldSpec, n: int) -> _Memo:
+    """The ids of each point id's representative pair, computed as it is read.
+
+    It is preimage_pair's pair: _preimage_ids over _witness_ids.  A
+    point without one raises AssertionError, under python -O too.
+    """
+    rows = functools.partial(_rref_rows, field.q, 2 * n, n)
+    matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
+
+    def representative(p: int) -> tuple[int, int]:
+        found = _preimage_ids(field, n, rows(p), p, _witness_ids(field, n), matrix)
+        if found is None:
+            raise AssertionError("a point has no parameter pair")
+        return found
+
+    return _Memo(representative)
 
 
 # -- reports ------------------------------------------------------------------
@@ -523,19 +526,18 @@ class _PairCases:
 
     A case is a pair of matrix ids, positions in the all_matrices order,
     and table[t1][t2] is the id of its point.  Up to
-    _EXHAUSTIVE_PAIR_LIMIT pairs the cases are all of them, with
-    pair_point_table and enumerate_points.  Above it they are `samples`
-    pairs of random matrices drawn from random.Random(seed), and the
-    _pair_ids kernel fills in the table as it is read; checks draw more
-    from the same rng between pairs, so a seed names the same cases on
-    every run.  Matrices, per_matrix and per_point values and each
-    point's RREF rows are memoised per id, and points are unranked only
-    when read.  per_point, image and other_images return functions of a
-    pair's two ids that read the table the same way in both modes, so a
-    check states its property once for both.  The sampled twisted-map
-    cases run on entry tuples and ids: other pairs of a point come from
-    _preimage_ids on the point's rows, its neighbours from one
-    elimination, and a point object is built only for a witness.
+    _EXHAUSTIVE_PAIR_LIMIT pairs the cases are all of them, read from
+    pair_point_table.  Above it they are `samples` pairs of random
+    matrices drawn from random.Random(seed), and the _pair_ids kernel
+    fills in the table as it is read; checks draw more from the same rng
+    between pairs, so a seed names the same cases on every run.
+    Matrices, per_matrix values and each point's RREF rows are memoised
+    per id.  image and point_image read the table, the matrix images of
+    _spec_matrix_ids and the pairs of _representatives the same way in
+    both modes, so a check states its property once for both.  The
+    twisted-map cases run on entry tuples and ids: other pairs of a point
+    come from _preimage_ids on the point's rows, sampled neighbours from
+    one elimination, and a point object is built only for a witness.
     """
 
     def __init__(self, field: FieldSpec, n: int, seed: int, samples: int):
@@ -547,10 +549,8 @@ class _PairCases:
         if self.exhaustive:
             self.mode = "exhaustive"
             self.table = pair_point_table(field, n)
-            self.point = enumerate_points(field, n)
         else:
             self.mode = "sampled"
-            self.point = _Memo(functools.partial(point_from_id, field, n))
             self.rng = random.Random(seed)
             self.samples = samples
             pair_id, m = _pair_ids(field, n), self.matrix
@@ -573,32 +573,29 @@ class _PairCases:
     def per_matrix(self, f):
         return _Memo(lambda t: f(self.matrix[t]))
 
-    def per_point(self, f):
-        values, table = _Memo(lambda i: f(self.point[i])), self.table
-        return lambda t1, t2: values[table[t1][t2]]
-
     def image(self, spec: JordanMapSpec):
         """The id of the point of (T1^spec, T2^spec), from the ids of (T1, T2).
 
         The matrix images come from one memo per (field, n, spec), which
         every check of the map reads in either mode.
         """
-        if self.exhaustive:
-            iota = _spec_images(self.field, self.n, spec)[0]
-        else:
-            iota = _spec_matrix_ids(self.field, self.n, spec)
-        table = self.table
+        iota, table = _spec_matrix_ids(self.field, self.n, spec), self.table
         return lambda t1, t2: table[iota[t1]][iota[t2]]
+
+    def point_image(self, spec: JordanMapSpec) -> _Memo:
+        """The image of each point id: the image of its representative pair."""
+        image, pair = self.image(spec), _representatives(self.field, self.n)
+        return _Memo(lambda p: image(*pair[p]))
 
     def other_images(self, spec: JordanMapSpec):
         """Images of other pairs with the same point as a given pair.
 
-        Exhaustive: the first pair of that point.  Sampled: two pairs
+        Exhaustive: the point's representative pair.  Sampled: two pairs
         whose T1 is drawn, again until B*T1 - A is invertible for the
         point's rows (A | B), only as they are compared.
         """
         if self.exhaustive:
-            image_of, table = _spec_images(self.field, self.n, spec)[1], self.table
+            image_of, table = self.point_image(spec), self.table
             return lambda t1, t2: (image_of[table[t1][t2]],)
         image, drawn = self.image(spec), iter(self._draw, None)
         return lambda t1, t2: (
@@ -610,11 +607,10 @@ class _PairCases:
 
         Exhaustive: every adjacent pair, tested on the adjacency table.
         Sampled: the point of each drawn pair and a random neighbour,
-        whose pair takes as T1 the first of stable_rank_witness's
-        candidates that has a T2.
+        whose image is its representative pair's.
         """
+        image_of = self.point_image(spec)
         if self.exhaustive:
-            image_of = _spec_images(self.field, self.n, spec)[1]
             neighbours = adjacency_pairs(self.field, self.n)
             for i, j in _edge_pairs(neighbours):
                 yield i, j, neighbours[image_of[i]] >> image_of[j] & 1
@@ -623,8 +619,7 @@ class _PairCases:
         for t1, t2 in self.pairs():
             p = self.table[t1][t2]
             q = self._neighbour(p)
-            img_q = image(*self._preimage(q, _witness_ids(field, n)))
-            stacked = [list(r) for r in self.rows[image(t1, t2)] + self.rows[img_q]]
+            stacked = list(map(list, self.rows[image(t1, t2)] + self.rows[image_of[q]]))
             rank = len(_row_reduce(field, stacked, 2 * n, below_only=True))
             yield p, q, rank == n + 1
 
@@ -661,13 +656,18 @@ class _PairCases:
 def check_rank_law(
     field: FieldSpec, n: int, seed: int = 0, samples: int = 10_000
 ) -> dict:
-    """Arithmetical distance from the base point equals rank(T2)."""
-    base = base_point(field, n)
+    """Arithmetical distance from the base point equals rank(T2).
+
+    The base point is the row space of (I | 0), so a point with RREF
+    rows (A | B) lies at distance dim(P + (I | 0)) - n = rank(B).
+    """
     cases = _PairCases(field, n, seed, samples)
-    rank = cases.per_matrix(Matrix.rank)
-    distance = cases.per_point(lambda p: arithmetical_distance(base, p))
+    rank, rows = cases.per_matrix(Matrix.rank), cases.rows
+    distance = _Memo(
+        lambda p: len(_row_reduce(field, [list(r[n:]) for r in rows[p]], n))
+    )
     return cases.check(
-        "rank_distance_law", lambda t1, t2: distance(t1, t2) == rank[t2]
+        "rank_distance_law", lambda t1, t2: distance[cases.table[t1][t2]] == rank[t2]
     )
 
 
@@ -771,9 +771,9 @@ def check_jordan_adjacency(
     mode over random points with a random neighbour each.
     """
     cases = _PairCases(field, n, seed, samples)
-    point = cases.point
+    point = functools.partial(point_from_id, field, n)
     outcomes = (
-        None if kept else {"p": point[p].to_json(), "q": point[q].to_json()}
+        None if kept else {"p": point(p).to_json(), "q": point(q).to_json()}
         for p, q, kept in cases.adjacent_points(spec)
     )
     return _result(f"jordan_adjacency[{label}]", cases.mode, outcomes)

@@ -19,7 +19,10 @@ multiplies the point's basis by it and row reduces it.
 twisted-map cases it had before they ran on entry tuples: a preimage
 pair by ``preimage_pair_by_matrices`` (a witness from
 ``stable_rank_witness_by_matrices``, then ``Matrix.inverse``) and a
-neighbour by ``neighbour_by_subspace``.
+neighbour by ``neighbour_by_subspace``, on points from its own point
+memo.  ``point_images_by_first_pair`` is the exhaustive point map as
+it was before the representative pairs: the image of the first pair of
+each point in the pair table.
 ``field_tables_by_polynomials`` builds the field tables from
 polynomial sums and products, the way ``FieldSpec`` did before its
 log/antilog tables.  ``field_power`` is the square-and-multiply power
@@ -59,11 +62,13 @@ from hermline.matrices import (
 from hermline.projline import (
     BartolonePair,
     SubspacePoint,
+    _Memo,
     annihilator,
     base_point,
     enumerate_points,
     is_adjacent,
     is_distant,
+    point_from_id,
     point_from_pair,
 )
 
@@ -350,14 +355,31 @@ def check_annihilator_by_products(
 ) -> dict:
     """The annihilator check on the same cases, by a product and a rank per pair."""
     cases = _PairCases(field, n, seed, samples)
-    basis = cases.per_point(lambda p: p.space.basis.entries)
 
     def holds(t1, t2) -> bool:
         ann = annihilator(BartolonePair(cases.matrix[t1], cases.matrix[t2]))
-        product = _product(field, basis(t1, t2), ann.entries, n)
+        product = _product(field, cases.rows[cases.table[t1][t2]], ann.entries, n)
         return not any(map(any, product)) and ann.rank() == n
 
     return cases.check("annihilator", holds)
+
+
+def point_images_by_first_pair(field: FieldSpec, n: int, spec) -> list:
+    """For each point id, the id of the image of the first pair of that point.
+
+    The pairs are scanned in the pair_point_table order, each matrix
+    mapped once by spec.apply.
+    """
+    q, mats = field.q, all_matrices(field, n, n)
+    iota = [_matrix_id(q, spec.apply(m).entries) for m in mats]
+    table = pair_point_table(field, n)
+    image_of = [None] * len(enumerate_points(field, n))
+    for i, row in enumerate(table):
+        for j, p in enumerate(row):
+            if image_of[p] is None:
+                image_of[p] = table[iota[i]][iota[j]]
+    assert None not in image_of, "a point has no parameter pair"
+    return image_of
 
 
 def stable_rank_witness_by_matrices(a: Matrix, b: Matrix) -> Matrix:
@@ -407,7 +429,14 @@ def neighbour_by_subspace(cases: _PairCases, p: SubspacePoint) -> SubspacePoint:
 
 
 class PairCasesByMatrices(_PairCases):
-    """_PairCases whose sampled twisted-map cases build matrices and points."""
+    """_PairCases whose sampled twisted-map cases build matrices and points.
+
+    Its point memo unranks each point id it reads once.
+    """
+
+    def __init__(self, field: FieldSpec, n: int, seed: int, samples: int):
+        super().__init__(field, n, seed, samples)
+        self.point = _Memo(functools.partial(point_from_id, field, n))
 
     def _draw(self) -> int:
         q, n, rng = self.field.q, self.n, self.rng

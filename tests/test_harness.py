@@ -1,5 +1,6 @@
 """Configuration handling, budget gates, verification reports and graphs."""
 
+import collections
 import hashlib
 import json
 import random
@@ -42,6 +43,7 @@ from reference_checks import (
     check_annihilator_by_products,
     check_distant_chain,
     graph_from_edges,
+    point_images_by_first_pair,
     preimage_pair_by_matrices,
 )
 
@@ -450,6 +452,7 @@ def test_broken_preimage_round_trip_is_an_error(monkeypatch):
     """
     broken = _off_by_one_preimages(projline._preimages)
     monkeypatch.setattr(projline, "_preimages", broken)
+    harness._representatives.cache_clear()  # pairs solved by earlier tests
     f3 = make_field(3)
     with pytest.raises(AssertionError, match="another point"):
         preimage_pair(enumerate_points(f3, 2)[17])
@@ -677,6 +680,94 @@ def test_sampled_twisted_maps_apply_each_map_once_per_matrix(monkeypatch):
     report = verify_remarks(GeometryConfig(p=2, n=3))
     assert report["passed"]
     assert calls <= 2 * 2**9
+
+
+@pytest.mark.parametrize(
+    "field",
+    [make_field(2), make_field(3), make_field(2, 2, "frobenius")],
+    ids=["gf2", "gf3", "gf4"],
+)
+def test_point_image_matches_the_first_pair_scan(field, monkeypatch):
+    """Each point's image is its first pair's, and each point is solved once.
+
+    The representative pairs are shared by every map and both
+    twisted-map checks, so _preimage_ids runs once per point in all.
+    """
+    solved, real = collections.Counter(), harness._preimage_ids
+
+    def counted(field, n, rows, point_id, t1_ids, matrix):
+        solved[point_id] += 1
+        return real(field, n, rows, point_id, t1_ids, matrix)
+
+    monkeypatch.setattr(harness, "_preimage_ids", counted)
+    harness._representatives.cache_clear()
+    size = gaussian_binomial(4, 2, field.q)
+    for label, spec in default_jordan_specs(field, 2):
+        image = harness._PairCases(field, 2, seed=0, samples=0).point_image(spec)
+        assert [image[p] for p in range(size)] == point_images_by_first_pair(
+            field, 2, spec
+        )
+        for check in (check_jordan_well_defined, check_jordan_adjacency):
+            assert check(field, 2, spec, label)["passed"]
+    assert sorted(solved) == list(range(size))
+    assert set(solved.values()) == {1}
+
+
+def _shifted_table(field, n):
+    """pair_point_table with every point id moved on by one, cyclically."""
+    size = gaussian_binomial(2 * n, n, field.q)
+    return [[(p + 1) % size for p in row] for row in pair_point_table(field, n)]
+
+
+def _shifted_pair_ids(real):
+    """The _pair_ids kernel with every point id moved on by one, cyclically."""
+
+    def pair_ids(field, n):
+        pair_id, size = real(field, n), gaussian_binomial(2 * n, n, field.q)
+        return lambda t1, t2: (pair_id(t1, t2) + 1) % size
+
+    return pair_ids
+
+
+def test_rank_law_catches_shifted_point_ids(monkeypatch):
+    """The rank law reads each pair's point id: shifted ids give witnesses."""
+    monkeypatch.setattr(harness, "pair_point_table", _shifted_table)
+    report = check_rank_law(make_field(3), 2)
+    assert report["mode"] == "exhaustive" and report["cases"] == 3**8
+    assert not report["passed"] and len(report["witnesses"]) == 10
+    monkeypatch.setattr(harness, "_pair_ids", _shifted_pair_ids(harness._pair_ids))
+    report = check_rank_law(make_field(3, 2, "frobenius"), 2, seed=3, samples=200)
+    assert report["mode"] == "sampled" and report["cases"] == 200
+    assert not report["passed"] and len(report["witnesses"]) == 10
+
+
+@pytest.mark.parametrize(
+    "field,samples",
+    [
+        (make_field(3), {}),
+        (make_field(2, 2, "frobenius"), {}),
+        (make_field(3, 2, "frobenius"), {"seed": 2, "samples": 60}),
+    ],
+    ids=["gf3", "gf4", "gf9"],
+)
+def test_remark_checks_build_no_points(field, samples, monkeypatch):
+    """The rank law and the twisted-map checks run on ids and rows alone.
+
+    Point objects are unranked only for witnesses, and the distance from
+    the base point is read off the point's rows.
+    """
+
+    def refuse(*args):
+        raise RuntimeError("a passing remark check built a point")
+
+    monkeypatch.setattr(harness, "point_from_id", refuse)
+    monkeypatch.setattr(harness, "arithmetical_distance", refuse)
+    reports = [check_rank_law(field, 2, **samples)]
+    for label, spec in default_jordan_specs(field, 2):
+        for check in (check_jordan_well_defined, check_jordan_adjacency):
+            reports.append(check(field, 2, spec, label, **samples))
+    mode = "sampled" if samples else "exhaustive"
+    assert all(r["passed"] and r["mode"] == mode for r in reports)
 
 
 def test_distant_chain_witnesses():
