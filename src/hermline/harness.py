@@ -8,8 +8,9 @@ and adjacency graphs as neighbour bitmasks, and runs the batch checks
 (embedding injectivity, the rank distance law, annihilators, twisted
 point maps, hermitian stars) exhaustively when the pair space is small
 and by seeded sampling otherwise, plus the Jordan closure laws of the
-hermitian matrices.  All reports are plain dicts with stable key order,
-so serialising them is deterministic.
+hermitian matrices.  The pair checks of a run share one case set and
+draw their cases from their own seeds.  All reports are plain dicts
+with stable key order, so serialising them is deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .matrices import (
     _rows_id,
     _rref_rows,
     all_matrices,
-    all_vectors,
     enumerate_subspaces,
     unit_vector,
 )
@@ -174,7 +174,6 @@ def enumerate_grassmannian(cfg: GeometryConfig) -> tuple[SubspacePoint, ...]:
 # -- exhaustive pair machinery ------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
 def pair_point_table(field: FieldSpec, n: int) -> list[list[int]]:
     """For every parameter pair, the id of the point it parametrises.
 
@@ -193,45 +192,9 @@ def pair_point_table(field: FieldSpec, n: int) -> list[list[int]]:
     return [list(row) for row in zip(*columns)]
 
 
-@functools.lru_cache(maxsize=4)
-def adjacency_pairs(field: FieldSpec, n: int) -> list[int]:
-    """For each point id, the bitmask of the ids of the points adjacent to it."""
-    return _relation_neighbours(field, n, enumerate_points(field, n), "adjacency")
-
-
 def _exhaustible(field: FieldSpec, n: int) -> bool:
     """Whether the q^(2n^2) parameter pairs are few enough to sweep them all."""
     return field.q ** (2 * n * n) <= _EXHAUSTIVE_PAIR_LIMIT
-
-
-@functools.lru_cache(maxsize=8)
-def _spec_matrix_ids(field: FieldSpec, n: int, spec: JordanMapSpec) -> _Memo:
-    """The id of the image under spec of each matrix id, computed as it is read.
-
-    Every twisted-map check of one spec reads it, in either mode, so
-    each matrix is mapped at most once.
-    """
-    matrix = functools.partial(_matrix_from_id, field, n, n)
-    return _Memo(lambda t: _matrix_id(field.q, spec.apply(matrix(t)).entries))
-
-
-@functools.lru_cache(maxsize=4)
-def _representatives(field: FieldSpec, n: int) -> _Memo:
-    """The ids of each point id's representative pair, computed as it is read.
-
-    It is preimage_pair's pair: _preimage_ids over _witness_ids.  A
-    point without one raises AssertionError, under python -O too.
-    """
-    rows = functools.partial(_rref_rows, field.q, 2 * n, n)
-    matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
-
-    def representative(p: int) -> tuple[int, int]:
-        found = _preimage_ids(field, n, rows(p), p, _witness_ids(field, n), matrix)
-        if found is None:
-            raise AssertionError("a point has no parameter pair")
-        return found
-
-    return _Memo(representative)
 
 
 # -- reports ------------------------------------------------------------------
@@ -504,17 +467,18 @@ def _result(name: str, mode: str, outcomes) -> dict:
 def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     """The map T2 -> point is injective for T1 fixed at 0 and at I.
 
-    T2 runs over entry tuples in the all_matrices order; matrices are
-    built only for a witness.
+    T2 runs over the matrix ids, and each pair's point is read from the
+    case set's table; matrices are built only for a witness.
     """
-    pair_id, to_json = _pair_ids(field, n), lambda m: Matrix._of(field, m, n).to_json()
+    cases = _cases(field, n)
+    table, to_json = cases.table, lambda t: cases.matrix[t].to_json()
 
     def outcomes():
-        for t1_0 in (((0,) * n,) * n, tuple(unit_vector(n, i) for i in range(n))):
-            seen = {}
-            for t2 in itertools.product(all_vectors(field, n), repeat=n):
-                other = seen.setdefault(pair_id(t1_0, t2), t2)
-                yield None if other is t2 else {
+        for t1_0 in (0, _matrix_id(field.q, Matrix.identity(field, n).entries)):
+            row, seen = table[t1_0], {}
+            for t2 in range(field.q ** (n * n)):
+                other = seen.setdefault(row[t2], t2)
+                yield None if other == t2 else {
                     "t1_0": to_json(t1_0), "t2": to_json(t2), "clash": to_json(other)
                 }
 
@@ -522,41 +486,50 @@ def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
 
 
 class _PairCases:
-    """The parameter pairs (T1, T2) that one batch check runs on.
+    """The parameter pairs (T1, T2) of the batch checks on one (field, n).
 
     A case is a pair of matrix ids, positions in the all_matrices order,
     and table[t1][t2] is the id of its point.  Up to
-    _EXHAUSTIVE_PAIR_LIMIT pairs the cases are all of them, read from
-    pair_point_table.  Above it they are `samples` pairs of random
-    matrices drawn from random.Random(seed), and the _pair_ids kernel
-    fills in the table as it is read; checks draw more from the same rng
-    between pairs, so a seed names the same cases on every run.
-    Matrices, per_matrix values and each point's RREF rows are memoised
-    per id.  image and point_image read the table, the matrix images of
-    _spec_matrix_ids and the pairs of _representatives the same way in
-    both modes, so a check states its property once for both.  The
-    twisted-map cases run on entry tuples and ids: other pairs of a point
-    come from _preimage_ids on the point's rows, sampled neighbours from
-    one elimination, and a point object is built only for a witness.
+    _EXHAUSTIVE_PAIR_LIMIT pairs the table is pair_point_table and a
+    check runs on every pair; above it _pair_ids fills the table in as
+    it is read and a check runs on `samples` random pairs.  The mode is
+    fixed when the case set is built.  The one case set of a run, from
+    _cases, owns what its checks share, each value computed on first
+    read: the table, each id's Matrix and RREF rows, one memo of image
+    ids per map, each point's representative pair and the exhaustive
+    adjacency masks.  A check draws its pairs, and the T1s and
+    neighbours between them, from random.Random(seed) started as it
+    asks for its pairs, so a seed names the same cases whatever ran
+    before.  image and point_image read the same memos in both modes, so
+    a check states its property once for both.  The twisted-map cases
+    run on entry tuples and ids: other pairs of a point come from
+    _preimage_ids on the point's rows, sampled neighbours from one
+    elimination, and a point object is built only for a witness.
     """
 
-    def __init__(self, field: FieldSpec, n: int, seed: int, samples: int):
-        self.field = field
-        self.n = n
-        self.matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
+    def __init__(self, field: FieldSpec, n: int):
+        self.field, self.n = field, n
+        self.matrix = m = _Memo(functools.partial(_matrix_from_id, field, n, n))
         self.rows = _Memo(functools.partial(_rref_rows, field.q, 2 * n, n))
+        self.images = _Memo(
+            lambda spec: _Memo(lambda t: _matrix_id(field.q, spec.apply(m[t]).entries))
+        )
+        self.pair = _Memo(lambda p: self._preimage(p, _witness_ids(field, n)))
         self.exhaustive = _exhaustible(field, n)
+        self.mode = "exhaustive" if self.exhaustive else "sampled"
         if self.exhaustive:
-            self.mode = "exhaustive"
             self.table = pair_point_table(field, n)
         else:
-            self.mode = "sampled"
-            self.rng = random.Random(seed)
-            self.samples = samples
-            pair_id, m = _pair_ids(field, n), self.matrix
+            pair_id = _pair_ids(field, n)
             self.table = _Memo(
                 lambda a: _Memo(lambda b: pair_id(m[a].entries, m[b].entries))
             )
+
+    @functools.cached_property
+    def neighbours(self) -> list[int]:
+        """For each point id, the bitmask of the ids of the points adjacent to it."""
+        points = enumerate_points(self.field, self.n)
+        return _relation_neighbours(self.field, self.n, points, "adjacency")
 
     def _draw(self) -> int:
         """The id of a random matrix, its entries drawn in row-major order."""
@@ -565,10 +538,12 @@ class _PairCases:
             t = t * q + draw(q)
         return t
 
-    def pairs(self):
+    def pairs(self, seed: int, samples: int):
+        """One check's cases; a sampled check's rng starts here, from seed."""
         if self.exhaustive:
             return itertools.product(range(len(self.table)), repeat=2)
-        return ((self._draw(), self._draw()) for _ in range(self.samples))
+        self.rng = random.Random(seed)
+        return ((self._draw(), self._draw()) for _ in range(samples))
 
     def per_matrix(self, f):
         return _Memo(lambda t: f(self.matrix[t]))
@@ -576,15 +551,15 @@ class _PairCases:
     def image(self, spec: JordanMapSpec):
         """The id of the point of (T1^spec, T2^spec), from the ids of (T1, T2).
 
-        The matrix images come from one memo per (field, n, spec), which
-        every check of the map reads in either mode.
+        The matrix images come from the case set's memo for the map,
+        which every check of an equal map reads in either mode.
         """
-        iota, table = _spec_matrix_ids(self.field, self.n, spec), self.table
+        iota, table = self.images[spec], self.table
         return lambda t1, t2: table[iota[t1]][iota[t2]]
 
     def point_image(self, spec: JordanMapSpec) -> _Memo:
         """The image of each point id: the image of its representative pair."""
-        image, pair = self.image(spec), _representatives(self.field, self.n)
+        image, pair = self.image(spec), self.pair
         return _Memo(lambda p: image(*pair[p]))
 
     def other_images(self, spec: JordanMapSpec):
@@ -602,21 +577,21 @@ class _PairCases:
             image(*self._preimage(self.table[t1][t2], drawn)) for _ in range(2)
         )
 
-    def adjacent_points(self, spec: JordanMapSpec):
+    def adjacent_points(self, spec: JordanMapSpec, seed: int, samples: int):
         """Yield the ids of adjacent points p, q and whether their images are.
 
-        Exhaustive: every adjacent pair, tested on the adjacency table.
+        Exhaustive: every adjacent pair, tested on the adjacency masks.
         Sampled: the point of each drawn pair and a random neighbour,
         whose image is its representative pair's.
         """
         image_of = self.point_image(spec)
         if self.exhaustive:
-            neighbours = adjacency_pairs(self.field, self.n)
+            neighbours = self.neighbours
             for i, j in _edge_pairs(neighbours):
                 yield i, j, neighbours[image_of[i]] >> image_of[j] & 1
             return
         field, n, image = self.field, self.n, self.image(spec)
-        for t1, t2 in self.pairs():
+        for t1, t2 in self.pairs(seed, samples):
             p = self.table[t1][t2]
             q = self._neighbour(p)
             stacked = list(map(list, self.rows[image(t1, t2)] + self.rows[image_of[q]]))
@@ -624,8 +599,15 @@ class _PairCases:
             yield p, q, rank == n + 1
 
     def _preimage(self, p: int, t1s) -> tuple[int, int]:
-        """The ids of (T1, T2) for the first T1 in t1s that parametrises p."""
-        return _preimage_ids(self.field, self.n, self.rows[p], p, t1s, self.matrix)
+        """The ids of (T1, T2) for the first T1 in t1s that parametrises p.
+
+        Over _witness_ids that is p's representative pair, preimage_pair's.
+        A point without one raises AssertionError, under python -O too.
+        """
+        found = _preimage_ids(self.field, self.n, self.rows[p], p, t1s, self.matrix)
+        if found is None:
+            raise AssertionError("a point has no parameter pair")
+        return found
 
     def _neighbour(self, p: int) -> int:
         """The id of a random point meeting point p in dimension n - 1.
@@ -642,15 +624,21 @@ class _PairCases:
                 _row_reduce(field, work, 2 * n)
                 return _rows_id(field.q, 2 * n, work)
 
-    def check(self, name: str, holds) -> dict:
-        """Test holds(t1, t2) on every pair; failing pairs are witnesses."""
+    def check(self, name: str, holds, seed: int, samples: int) -> dict:
+        """Test holds(t1, t2) on the check's pairs; failing pairs are witnesses."""
         outcomes = (
             None
             if holds(t1, t2)
             else {"t1": self.matrix[t1].to_json(), "t2": self.matrix[t2].to_json()}
-            for t1, t2 in self.pairs()
+            for t1, t2 in self.pairs(seed, samples)
         )
         return _result(name, self.mode, outcomes)
+
+
+@functools.lru_cache(maxsize=1)
+def _cases(field: FieldSpec, n: int) -> _PairCases:
+    """The case set of (field, n), which every batch check of a run reads."""
+    return _PairCases(field, n)
 
 
 def check_rank_law(
@@ -661,14 +649,16 @@ def check_rank_law(
     The base point is the row space of (I | 0), so a point with RREF
     rows (A | B) lies at distance dim(P + (I | 0)) - n = rank(B).
     """
-    cases = _PairCases(field, n, seed, samples)
+    cases = _cases(field, n)
     rank, rows = cases.per_matrix(Matrix.rank), cases.rows
     distance = _Memo(
         lambda p: len(_row_reduce(field, [list(r[n:]) for r in rows[p]], n))
     )
-    return cases.check(
-        "rank_distance_law", lambda t1, t2: distance[cases.table[t1][t2]] == rank[t2]
-    )
+
+    def holds(t1, t2) -> bool:
+        return distance[cases.table[t1][t2]] == rank[t2]
+
+    return cases.check("rank_distance_law", holds, seed, samples)
 
 
 def check_annihilator(
@@ -685,7 +675,7 @@ def check_annihilator(
     the free rows, looked up by its matrix id.
     """
     q, qn, width = field.q, field.q**n, field.q ** (2 * n)
-    cases = _PairCases(field, n, seed, samples)
+    cases = _cases(field, n)
     shares = _Memo(lambda t2: _annihilator_shares(field, n, cases.matrix[t2].entries))
     vectors = _Memo(lambda column: _digits(column, q, 2 * n)[::-1])
     invertible = cases.per_matrix(Matrix.is_invertible)
@@ -715,7 +705,7 @@ def check_annihilator(
             minor = minor * qn + x
         return invertible[minor]
 
-    return cases.check("annihilator", holds)
+    return cases.check("annihilator", holds, seed, samples)
 
 
 def default_jordan_specs(field: FieldSpec, n: int) -> list[tuple[str, JordanMapSpec]]:
@@ -746,15 +736,16 @@ def check_jordan_well_defined(
     """The point map induced by the pair map is parameter independent.
 
     The image of each pair is compared with the images of other pairs of
-    the same point: the first pair of that point in exhaustive mode, two
+    the same point: its representative pair in exhaustive mode, two
     random ones in sampled mode.
     """
-    cases = _PairCases(field, n, seed, samples)
+    cases = _cases(field, n)
     image, other_images = cases.image(spec), cases.other_images(spec)
-    return cases.check(
-        f"jordan_well_defined[{label}]",
-        lambda t1, t2: all(o == image(t1, t2) for o in other_images(t1, t2)),
-    )
+
+    def holds(t1, t2) -> bool:
+        return all(o == image(t1, t2) for o in other_images(t1, t2))
+
+    return cases.check(f"jordan_well_defined[{label}]", holds, seed, samples)
 
 
 def check_jordan_adjacency(
@@ -770,11 +761,11 @@ def check_jordan_adjacency(
     Exhaustive mode runs over every adjacent pair of points, sampled
     mode over random points with a random neighbour each.
     """
-    cases = _PairCases(field, n, seed, samples)
+    cases = _cases(field, n)
     point = functools.partial(point_from_id, field, n)
     outcomes = (
         None if kept else {"p": point(p).to_json(), "q": point(q).to_json()}
-        for p, q, kept in cases.adjacent_points(spec)
+        for p, q, kept in cases.adjacent_points(spec, seed, samples)
     )
     return _result(f"jordan_adjacency[{label}]", cases.mode, outcomes)
 

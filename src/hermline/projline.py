@@ -451,10 +451,11 @@ class JordanMapSpec:
     kind ``automorphism`` acts by X -> Q^-1 * X^gamma * Q and kind
     ``antiautomorphism`` by X -> Q^-1 * (X^delta)^T * Q, where the
     twist gamma or delta is the field automorphism
-    x -> x^(p^frobenius_power) and Q is an invertible matrix.
+    x -> x^(p^frobenius_power) and Q is an invertible matrix.  Specs
+    compare and hash by their type, kind, frobenius_power and Q.
     """
 
-    __slots__ = ("kind", "frobenius_power", "q_matrix", "_q_inv")
+    __slots__ = ("kind", "frobenius_power", "q_matrix", "_q_inv", "_key")
 
     def __init__(self, kind: str, frobenius_power: int, q_matrix: Matrix):
         if kind not in (AUTOMORPHISM, ANTIAUTOMORPHISM):
@@ -465,6 +466,13 @@ class JordanMapSpec:
         self.frobenius_power = frobenius_power % q_matrix.field.k
         self.q_matrix = q_matrix
         self._q_inv = q_matrix.inverse()
+        self._key = (type(self), kind, self.frobenius_power, q_matrix)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, JordanMapSpec) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def apply(self, m: Matrix) -> Matrix:
         twisted = m._map(m.field._frob[self.frobenius_power])

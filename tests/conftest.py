@@ -1,8 +1,21 @@
-"""Shared fixtures: the four standard small-field configurations."""
+"""Shared fixtures: the four standard small-field configurations, and
+a fresh remark case set for every test."""
 
 import pytest
 
-from hermline import make_field
+from hermline import harness, make_field
+
+
+@pytest.fixture(autouse=True)
+def fresh_cases():
+    """Clear the cached case set before and after each test.
+
+    A case set fixes its mode and table when it is built, so one built
+    under a monkeypatched limit or table must not reach another test.
+    """
+    harness._cases.cache_clear()
+    yield
+    harness._cases.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,13 @@ from hermline.hermitian import (
     _skew_split,
     standard_form,
 )
-from hermline.harness import RelationGraph, _PairCases, _result, pair_point_table
+from hermline.harness import (
+    RelationGraph,
+    _PairCases,
+    _cases,
+    _result,
+    pair_point_table,
+)
 from hermline.matrices import (
     Matrix,
     Subspace,
@@ -354,14 +360,14 @@ def check_annihilator_by_products(
     field: FieldSpec, n: int, seed: int = 0, samples: int = 1_000
 ) -> dict:
     """The annihilator check on the same cases, by a product and a rank per pair."""
-    cases = _PairCases(field, n, seed, samples)
+    cases = _cases(field, n)
 
     def holds(t1, t2) -> bool:
         ann = annihilator(BartolonePair(cases.matrix[t1], cases.matrix[t2]))
         product = _product(field, cases.rows[cases.table[t1][t2]], ann.entries, n)
         return not any(map(any, product)) and ann.rank() == n
 
-    return cases.check("annihilator", holds)
+    return cases.check("annihilator", holds, seed, samples)
 
 
 def point_images_by_first_pair(field: FieldSpec, n: int, spec) -> list:
@@ -434,8 +440,8 @@ class PairCasesByMatrices(_PairCases):
     Its point memo unranks each point id it reads once.
     """
 
-    def __init__(self, field: FieldSpec, n: int, seed: int, samples: int):
-        super().__init__(field, n, seed, samples)
+    def __init__(self, field: FieldSpec, n: int):
+        super().__init__(field, n)
         self.point = _Memo(functools.partial(point_from_id, field, n))
 
     def _draw(self) -> int:
@@ -465,12 +471,12 @@ class PairCasesByMatrices(_PairCases):
 
         return images
 
-    def adjacent_points(self, spec):
+    def adjacent_points(self, spec, seed, samples):
         if self.exhaustive:
-            yield from super().adjacent_points(spec)
+            yield from super().adjacent_points(spec, seed, samples)
             return
         image = self.image(spec)
-        for t1, t2 in self.pairs():
+        for t1, t2 in self.pairs(seed, samples):
             p = self.point[self.table[t1][t2]]
             q = neighbour_by_subspace(self, p)
             pair = preimage_pair_by_matrices(q)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hermline import (
+    ANTIAUTOMORPHISM,
     AUTOMORPHISM,
     BudgetExceededError,
     GeometryConfig,
@@ -257,12 +258,12 @@ def test_check_annihilator_matches_products(mutant, monkeypatch):
         )
     real_check, verdicts = harness._PairCases.check, []
 
-    def recording_check(cases, name, holds):
+    def recording_check(cases, name, holds, seed, samples):
         def recorded(t1, t2):
             verdicts.append((t1, t2, holds(t1, t2)))
             return verdicts[-1][2]
 
-        return real_check(cases, name, recorded)
+        return real_check(cases, name, recorded, seed, samples)
 
     monkeypatch.setattr(harness._PairCases, "check", recording_check)
     runs = [
@@ -452,7 +453,6 @@ def test_broken_preimage_round_trip_is_an_error(monkeypatch):
     """
     broken = _off_by_one_preimages(projline._preimages)
     monkeypatch.setattr(projline, "_preimages", broken)
-    harness._representatives.cache_clear()  # pairs solved by earlier tests
     f3 = make_field(3)
     with pytest.raises(AssertionError, match="another point"):
         preimage_pair(enumerate_points(f3, 2)[17])
@@ -506,13 +506,12 @@ EMBEDDING_CLASHES = {
 
 @pytest.mark.parametrize("p", sorted(EMBEDDING_CLASHES))
 def test_embedding_injectivity_witnesses(p, monkeypatch):
-    real = harness._pair_ids
+    real = harness.pair_point_table
 
     def clashing(field, n):
-        pair_id = real(field, n)
-        return lambda t1, t2: pair_id(t1, t2) // 3
+        return [[p // 3 for p in row] for row in real(field, n)]
 
-    monkeypatch.setattr(harness, "_pair_ids", clashing)
+    monkeypatch.setattr(harness, "pair_point_table", clashing)
     report = check_embedding_injectivity(make_field(p), 2)
     assert not report["passed"] and len(report["witnesses"]) == 10
     digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
@@ -554,10 +553,10 @@ def test_sampled_cases_match_the_exhaustive_table(field, monkeypatch):
     """Forced into sampled mode, the cases agree with the exhaustive table."""
     table = pair_point_table(field, 2)
     monkeypatch.setattr(harness, "_EXHAUSTIVE_PAIR_LIMIT", 0)
-    cases = harness._PairCases(field, 2, seed=11, samples=300)
+    cases = harness._cases(field, 2)
     assert cases.mode == "sampled"
     q, rng = field.q, random.Random(11)
-    for t1, t2 in cases.pairs():
+    for t1, t2 in cases.pairs(11, 300):
         for t in (t1, t2):
             drawn = tuple(tuple(rng.randrange(q) for _ in range(2)) for _ in range(2))
             assert cases.matrix[t].entries == drawn
@@ -648,6 +647,7 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
         monkeypatch.setattr(harness.random, "Random", CountingRandom)
         monkeypatch.setattr(harness, "_result", recording_result)
         monkeypatch.setattr(harness, "_PairCases", cases)
+        harness._cases.cache_clear()
         reports = [
             report_to_json(check(field, n, spec, label, seed=seed, samples=200))
             for label, spec in specs
@@ -682,6 +682,83 @@ def test_sampled_twisted_maps_apply_each_map_once_per_matrix(monkeypatch):
     assert calls <= 2 * 2**9
 
 
+def test_jordan_specs_compare_by_value():
+    """Specs are equal, and hash equal, when type, kind, power and Q are."""
+    field = make_field(2, 2, "frobenius")
+    ident, shear = Matrix.identity(field, 2), Matrix(field, [[1, 1], [0, 1]])
+    spec = JordanMapSpec(AUTOMORPHISM, 1, ident)
+    twin = JordanMapSpec(AUTOMORPHISM, 3, Matrix.identity(field, 2))
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != JordanMapSpec(AUTOMORPHISM, 0, ident)
+    assert spec != JordanMapSpec(AUTOMORPHISM, 1, shear)
+    assert spec != JordanMapSpec(ANTIAUTOMORPHISM, 1, ident)
+    assert spec != Shifted(AUTOMORPHISM, 1, ident)
+    assert Shifted(AUTOMORPHISM, 1, ident) == Shifted(AUTOMORPHISM, 1, ident)
+    assert default_jordan_specs(field, 2) == default_jordan_specs(field, 2)
+
+
+def test_remark_runs_share_one_case_set(monkeypatch):
+    """Repeated runs on one (field, n) build each shared table once.
+
+    Three exhaustive GF(4)s runs in one process build the pair table
+    and the adjacency masks once and apply each of the three maps once
+    to each of the 256 matrices: 768 calls in all (2,304 when the image
+    memo was keyed on spec identity).
+    """
+    calls = collections.Counter()
+    real_table, real_masks = harness.pair_point_table, harness._relation_neighbours
+    real_apply = JordanMapSpec.apply
+
+    def table(field, n):
+        calls["table"] += 1
+        return real_table(field, n)
+
+    def masks(field, n, points, kind):
+        calls[kind] += 1
+        return real_masks(field, n, points, kind)
+
+    def apply(spec, m):
+        calls[spec, m] += 1
+        return real_apply(spec, m)
+
+    monkeypatch.setattr(harness, "pair_point_table", table)
+    monkeypatch.setattr(harness, "_relation_neighbours", masks)
+    monkeypatch.setattr(JordanMapSpec, "apply", apply)
+    config = GeometryConfig(p=2, k=2, involution="frobenius")
+    for _ in range(3):
+        assert verify_remarks(config)["passed"]
+    assert calls.pop("table") == 1 and calls.pop("adjacency") == 1
+    assert len(calls) == 3 * 256 and set(calls.values()) == {1}
+    assert harness._cases.cache_info().misses == 1
+
+
+def test_sampled_table_eliminates_each_pair_once(monkeypatch):
+    """The sampled checks of one run fill one table, one elimination per pair.
+
+    On GF(2) n = 3 at seed 0 every pair that any check reads, the 1,024
+    embedding pairs included, is row reduced by _pair_ids exactly once.
+    """
+    reduced, real = collections.Counter(), harness._pair_ids
+
+    def counting(field, n):
+        pair_id = real(field, n)
+
+        def counted(t1, t2):
+            reduced[t1, t2] += 1
+            return pair_id(t1, t2)
+
+        return counted
+
+    monkeypatch.setattr(harness, "_pair_ids", counting)
+    config = GeometryConfig(p=2, n=3)
+    report = verify_remarks(config, seed=0)
+    assert report["passed"]
+    assert {c["mode"] for c in report["checks"][1:-1]} == {"sampled"}
+    table = harness._cases(config.field(), 3).table
+    assert set(reduced.values()) == {1}
+    assert len(reduced) == sum(map(len, table.values()))
+
+
 @pytest.mark.parametrize(
     "field",
     [make_field(2), make_field(3), make_field(2, 2, "frobenius")],
@@ -700,10 +777,9 @@ def test_point_image_matches_the_first_pair_scan(field, monkeypatch):
         return real(field, n, rows, point_id, t1_ids, matrix)
 
     monkeypatch.setattr(harness, "_preimage_ids", counted)
-    harness._representatives.cache_clear()
     size = gaussian_binomial(4, 2, field.q)
     for label, spec in default_jordan_specs(field, 2):
-        image = harness._PairCases(field, 2, seed=0, samples=0).point_image(spec)
+        image = harness._cases(field, 2).point_image(spec)
         assert [image[p] for p in range(size)] == point_images_by_first_pair(
             field, 2, spec
         )
