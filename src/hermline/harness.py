@@ -31,13 +31,12 @@ from .hermitian import (
 )
 from .matrices import (
     Matrix,
-    _matrix_from_id,
+    _entries_from_id,
     _matrix_id,
     _product,
     _row_reduce,
     _rows_id,
     _rref_rows,
-    all_matrices,
     enumerate_subspaces,
     unit_vector,
 )
@@ -183,7 +182,8 @@ def pair_point_table(field: FieldSpec, n: int) -> list[list[int]]:
     """
     if not _exhaustible(field, n):
         raise ValueError("pair space too large for an exhaustive table")
-    entries = [m.entries for m in all_matrices(field, n, n)]
+    count = field.q ** (n * n)
+    entries = [_entries_from_id(field.q, n, n, t) for t in range(count)]
     # one int object per point, not one per pair
     ids = list(range(gaussian_binomial(2 * n, n, field.q))).__getitem__
     columns = [
@@ -328,9 +328,14 @@ def _relation_neighbours(field: FieldSpec, n: int, points, kind: str) -> list[in
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bits(mask: int) -> bytes:
+    """Byte t is bit t of mask, 0 or 1, up to its highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+
+
 def _members(mask: int, ids):
     """ids[t] for each set bit t of mask, lowest first, with no Python step per bit."""
-    return itertools.compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_VALUES))
+    return itertools.compress(ids, _bits(mask))
 
 
 def _edge_pairs(neighbours: list[int]):
@@ -449,19 +454,49 @@ def _witnesses(found) -> list:
     return list(itertools.islice(found, _WITNESS_CAP))
 
 
+def _report(name: str, mode: str, cases: int, witnesses: list) -> dict:
+    """A check's report: it passed when it found no witness."""
+    return {
+        "name": name,
+        "mode": mode,
+        "cases": cases,
+        "passed": not witnesses,
+        "witnesses": witnesses,
+    }
+
+
 def _result(name: str, mode: str, outcomes) -> dict:
     """Tally one outcome per case: None if it passed, else its witness."""
     cases = itertools.count()  # zip draws from it once per outcome read
     failures = (o for o, _ in zip(outcomes, cases) if o is not None)
     witnesses = _witnesses(failures)
     collections.deque(failures, maxlen=0)  # read the cases after the last witness
-    return {
-        "name": name,
-        "mode": mode,
-        "cases": next(cases),
-        "passed": not witnesses,
-        "witnesses": witnesses,
-    }
+    return _report(name, mode, next(cases), witnesses)
+
+
+def _row_result(name: str, rows, witness) -> dict:
+    """Tally exhaustive rows (a, bs, verdicts), one case per b, in order.
+
+    Each row's verdicts are read whole, with no Python step per case;
+    only a row with a failure is searched, and only the first
+    _WITNESS_CAP failing cases (a, b) are made witness(a, b).  Every
+    row is read, also after the last witness.
+    """
+    cases = 0
+
+    def failures():
+        nonlocal cases
+        for a, bs, verdicts in rows:
+            verdicts = list(verdicts)
+            cases += len(verdicts)
+            if not all(verdicts):
+                failed = itertools.compress(bs, map(operator.not_, verdicts))
+                yield from zip(itertools.repeat(a), failed)
+
+    found = failures()
+    witnesses = list(itertools.starmap(witness, _witnesses(found)))
+    collections.deque(found, maxlen=0)  # read the rows after the last witness
+    return _report(name, "exhaustive", cases, witnesses)
 
 
 def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
@@ -485,31 +520,60 @@ def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     return _result("embedding_injectivity", "exhaustive", outcomes())
 
 
+def _kernel_coordinates(field: FieldSpec, n: int, rows) -> dict:
+    """The kernel of a point's RREF rows B: each column id -> its free entries.
+
+    A column v with B*v = 0 is fixed by its entries x at B's free
+    columns: at the pivot of row r it is minus the sum of B[r][f] * x_f
+    over the free columns f.  So the kernel is x*M over all x in K^n,
+    one product, for the n x 2n matrix M whose row k has 1 at the k-th
+    free column f and -B[r][f] at the pivot of each row r.  Each kernel
+    column's id maps to the matrix id of its x.
+    """
+    q, neg = field.q, field._neg
+    pivots = [row.index(1) for row in rows]
+    spread = []
+    for f in (c for c in range(2 * n) if c not in pivots):
+        spread.append([0] * (2 * n))
+        spread[-1][f] = 1
+        for row, pivot in zip(rows, pivots):
+            spread[-1][pivot] = neg[row[f]]
+    xs = itertools.product(range(q), repeat=n)
+    columns = _product(field, xs, spread, 2 * n)
+    return {_matrix_id(q, (v,)): x for x, v in enumerate(columns)}
+
+
 class _PairCases:
     """The parameter pairs (T1, T2) of the batch checks on one (field, n).
 
     A case is a pair of matrix ids, positions in the all_matrices order,
     and table[t1][t2] is the id of its point.  Up to
     _EXHAUSTIVE_PAIR_LIMIT pairs the table is pair_point_table and a
-    check runs on every pair; above it _pair_ids fills the table in as
-    it is read and a check runs on `samples` random pairs.  The mode is
-    fixed when the case set is built.  The one case set of a run, from
-    _cases, owns what its checks share, each value computed on first
-    read: the table, each id's Matrix and RREF rows, one memo of image
-    ids per map, each point's representative pair and the exhaustive
-    adjacency masks.  A check draws its pairs, and the T1s and
-    neighbours between them, from random.Random(seed) started as it
-    asks for its pairs, so a seed names the same cases whatever ran
-    before.  image and point_image read the same memos in both modes, so
-    a check states its property once for both.  The twisted-map cases
-    run on entry tuples and ids: other pairs of a point come from
-    _preimage_ids on the point's rows, sampled neighbours from one
-    elimination, and a point object is built only for a witness.
+    check runs on every pair, one row of the table at a time: T1 is
+    fixed and every T2 is read through C-level maps over id lists, so no
+    Python function runs per pair but to build a failing pair's witness.
+    Above the limit _pair_ids fills the table in, off the entry tuples
+    of the ids, as it is read, and a check runs on `samples` random
+    pairs, each a row of one.  The mode is fixed when the case set is
+    built.  The one case set of a run, from _cases, owns what its checks
+    share, each value computed on first read: the table, each id's
+    entries, Matrix and RREF rows, one memo of image ids per map, each
+    point's representative pair and kernel coordinates, the exhaustive
+    annihilator shares and the exhaustive adjacency masks.  A check
+    draws its pairs, and the T1s and neighbours between them, from
+    random.Random(seed) started as it asks for its pairs, so a seed
+    names the same cases whatever ran before.  A check states its
+    property once, as a row of verdicts read from the same memos in
+    both modes.  The twisted-map cases run on entry tuples and ids:
+    other pairs of a point come from _preimage_ids on the point's rows,
+    sampled neighbours from one elimination, and a point object is
+    built only for a witness.
     """
 
     def __init__(self, field: FieldSpec, n: int):
         self.field, self.n = field, n
-        self.matrix = m = _Memo(functools.partial(_matrix_from_id, field, n, n))
+        self.entries = e = _Memo(functools.partial(_entries_from_id, field.q, n, n))
+        self.matrix = m = _Memo(lambda t: Matrix._of(field, e[t], n))
         self.rows = _Memo(functools.partial(_rref_rows, field.q, 2 * n, n))
         self.images = _Memo(
             lambda spec: _Memo(lambda t: _matrix_id(field.q, spec.apply(m[t]).entries))
@@ -517,19 +581,54 @@ class _PairCases:
         self.pair = _Memo(lambda p: self._preimage(p, _witness_ids(field, n)))
         self.exhaustive = _exhaustible(field, n)
         self.mode = "exhaustive" if self.exhaustive else "sampled"
+        self.kernel = _Memo(self._kernel)
         if self.exhaustive:
             self.table = pair_point_table(field, n)
         else:
             pair_id = _pair_ids(field, n)
-            self.table = _Memo(
-                lambda a: _Memo(lambda b: pair_id(m[a].entries, m[b].entries))
-            )
+            self.table = _Memo(lambda a: _Memo(lambda b: pair_id(e[a], e[b])))
 
     @functools.cached_property
     def neighbours(self) -> list[int]:
         """For each point id, the bitmask of the ids of the points adjacent to it."""
         points = enumerate_points(self.field, self.n)
         return _relation_neighbours(self.field, self.n, points, "adjacency")
+
+    @functools.cached_property
+    def shares(self) -> list[list[tuple]]:
+        """shares[i][d]: the annihilator share of every T2 for row i of T1 of id d.
+
+        Exhaustive only.  Each T2's shares come from one product of all
+        q^n rows, in id order, by T2, shared by every index i.
+        """
+        field, n = self.field, self.n
+        rows = [list(itertools.product(range(field.q), repeat=n))] * n
+        per_t2 = [
+            _annihilator_shares(field, n, self.entries[t2], rows)
+            for t2 in range(len(self.table))
+        ]
+        return [list(zip(*shares)) for shares in zip(*per_t2)]
+
+    def _kernel(self, p: int) -> dict:
+        """Point p's kernel coordinates: column id -> its free entries' matrix id.
+
+        A column outside the kernel of p's RREF rows reads 0, as the zero
+        column does.  Exhaustive: the whole kernel is listed at once, by
+        _kernel_coordinates.  Sampled: each column read is tested.
+        """
+        field, n, rows = self.field, self.n, self.rows[p]
+        if self.exhaustive:
+            return collections.defaultdict(int, _kernel_coordinates(field, n, rows))
+        q = field.q
+        transposed, pivots = tuple(zip(*rows)), {row.index(1) for row in rows}
+
+        def free_entries(column: int) -> int:
+            v = _digits(column, q, 2 * n)[::-1]
+            if any(_product(field, (v,), transposed, n)[0]):
+                return 0
+            return _matrix_id(q, [[x for c, x in enumerate(v) if c not in pivots]])
+
+        return _Memo(free_entries)
 
     def _draw(self) -> int:
         """The id of a random matrix, its entries drawn in row-major order."""
@@ -539,9 +638,7 @@ class _PairCases:
         return t
 
     def pairs(self, seed: int, samples: int):
-        """One check's cases; a sampled check's rng starts here, from seed."""
-        if self.exhaustive:
-            return itertools.product(range(len(self.table)), repeat=2)
+        """A sampled check's drawn pairs; its rng starts here, from seed."""
         self.rng = random.Random(seed)
         return ((self._draw(), self._draw()) for _ in range(samples))
 
@@ -557,38 +654,77 @@ class _PairCases:
         iota, table = self.images[spec], self.table
         return lambda t1, t2: table[iota[t1]][iota[t2]]
 
+    def image_row(self, spec: JordanMapSpec):
+        """image(spec) on a row: from T1 and ids t2s, the images of (T1, T2)."""
+        iota, table = self.images[spec], self.table
+        return lambda t1, t2s: map(
+            table[iota[t1]].__getitem__, map(iota.__getitem__, t2s)
+        )
+
     def point_image(self, spec: JordanMapSpec) -> _Memo:
         """The image of each point id: the image of its representative pair."""
         image, pair = self.image(spec), self.pair
         return _Memo(lambda p: image(*pair[p]))
 
-    def other_images(self, spec: JordanMapSpec):
-        """Images of other pairs with the same point as a given pair.
+    def other_image_row(self, spec: JordanMapSpec):
+        """On a row, the image of another pair of each pair's point.
 
-        Exhaustive: the point's representative pair.  Sampled: two pairs
-        whose T1 is drawn, again until B*T1 - A is invertible for the
-        point's rows (A | B), only as they are compared.
+        The row function takes T1, ids t2s and the pairs' points.
+        Exhaustive: the image of the point's representative pair.
+        Sampled: of two pairs whose T1 is drawn, again until B*T1 - A is
+        invertible for the point's rows (A | B), the first whose image
+        differs from the pair's, else the second; the second is drawn
+        only when the first agrees.
         """
         if self.exhaustive:
-            image_of, table = self.point_image(spec), self.table
-            return lambda t1, t2: (image_of[table[t1][t2]],)
-        image, drawn = self.image(spec), iter(self._draw, None)
-        return lambda t1, t2: (
-            image(*self._preimage(self.table[t1][t2], drawn)) for _ in range(2)
-        )
+            image_of = self.point_image(spec)
+            return lambda t1, t2s, points: map(image_of.__getitem__, points)
+        image, images = self.image(spec), self.image_row(spec)
+        drawn = iter(self._draw, None)
+
+        def others(t1: int, t2s, points):
+            for mine, p in zip(images(t1, t2s), points):
+                for _ in range(2):
+                    theirs = image(*self._preimage(p, drawn))
+                    if theirs != mine:
+                        break
+                yield theirs
+
+        return others
+
+    def annihilators(self, t1: int, t2s):
+        """The annihilator of each (T1, T2), T2 in t2s, as _annihilator_shares packs it.
+
+        Exhaustive, where t2s is every id, the shares of T1's rows are
+        read whole from `shares`; sampled, each pair is packed on its own.
+        """
+        n = self.n
+        if self.exhaustive:
+            rows = _digits(t1, self.field.q**n, n)[::-1]  # the ids of T1's rows
+            return map(sum, zip(*map(operator.getitem, self.shares, rows)))
+        shares = functools.partial(_annihilator_shares, self.field, n)
+        t1 = [(d,) for d in self.entries[t1]]  # one row at each index
+        return [
+            sum(itertools.chain.from_iterable(shares(self.entries[t2], t1)))
+            for t2 in t2s
+        ]
 
     def adjacent_points(self, spec: JordanMapSpec, seed: int, samples: int):
-        """Yield the ids of adjacent points p, q and whether their images are.
+        """Yield rows (p, qs, kept): points qs adjacent to p, and if their images are.
 
-        Exhaustive: every adjacent pair, tested on the adjacency masks.
+        Exhaustive: for each point p, its neighbours q > p from its mask,
+        each image tested against a byte table of the mask of p's image.
         Sampled: the point of each drawn pair and a random neighbour,
         whose image is its representative pair's.
         """
         image_of = self.point_image(spec)
         if self.exhaustive:
             neighbours = self.neighbours
-            for i, j in _edge_pairs(neighbours):
-                yield i, j, neighbours[image_of[i]] >> image_of[j] & 1
+            size = len(neighbours)
+            for p, mask in enumerate(neighbours):
+                qs = list(_members(mask >> (p + 1), range(p + 1, size)))
+                adjacent = _bits(neighbours[image_of[p]]).ljust(size, b"\0")
+                yield p, qs, map(adjacent.__getitem__, map(image_of.__getitem__, qs))
             return
         field, n, image = self.field, self.n, self.image(spec)
         for t1, t2 in self.pairs(seed, samples):
@@ -596,7 +732,7 @@ class _PairCases:
             q = self._neighbour(p)
             stacked = list(map(list, self.rows[image(t1, t2)] + self.rows[image_of[q]]))
             rank = len(_row_reduce(field, stacked, 2 * n, below_only=True))
-            yield p, q, rank == n + 1
+            yield p, (q,), (rank == n + 1,)
 
     def _preimage(self, p: int, t1s) -> tuple[int, int]:
         """The ids of (T1, T2) for the first T1 in t1s that parametrises p.
@@ -624,15 +760,45 @@ class _PairCases:
                 _row_reduce(field, work, 2 * n)
                 return _rows_id(field.q, 2 * n, work)
 
-    def check(self, name: str, holds, seed: int, samples: int) -> dict:
-        """Test holds(t1, t2) on the check's pairs; failing pairs are witnesses."""
+    def tally(self, name: str, rows, witness) -> dict:
+        """The report of rows (a, bs, verdicts), one case per b.
+
+        A failing case's witness is witness(a, b).  Exhaustive rows are
+        tallied whole by _row_result; a sampled row holds one case,
+        tallied as it is read, so later draws follow its verdict.
+        """
+        if self.exhaustive:
+            return _row_result(name, rows, witness)
+        outcomes = (
+            None if kept else witness(a, b)
+            for a, bs, verdicts in rows
+            for b, kept in zip(bs, verdicts)
+        )
+        return _result(name, self.mode, outcomes)
+
+    def check(self, name: str, row, seed: int, samples: int) -> dict:
+        """Tally row(t1, t2s, points), the verdicts on the pairs (T1, T2).
+
+        t2s are T2 ids and points the ids of the pairs' points.
+        Exhaustive: one row per T1, over every T2; sampled: a row of one
+        per drawn pair.  Failing pairs are witnesses.
+        """
+        if self.exhaustive:
+            t2s = range(len(self.table))
+            rows = (
+                (t1, t2s, row(t1, t2s, points)) for t1, points in enumerate(self.table)
+            )
+            return self.tally(name, rows, self._pair_witness)
         outcomes = (
             None
-            if holds(t1, t2)
-            else {"t1": self.matrix[t1].to_json(), "t2": self.matrix[t2].to_json()}
+            if all(row(t1, (t2,), (self.table[t1][t2],)))
+            else self._pair_witness(t1, t2)
             for t1, t2 in self.pairs(seed, samples)
         )
         return _result(name, self.mode, outcomes)
+
+    def _pair_witness(self, t1: int, t2: int) -> dict:
+        return {"t1": self.matrix[t1].to_json(), "t2": self.matrix[t2].to_json()}
 
 
 @functools.lru_cache(maxsize=1)
@@ -655,10 +821,11 @@ def check_rank_law(
         lambda p: len(_row_reduce(field, [list(r[n:]) for r in rows[p]], n))
     )
 
-    def holds(t1, t2) -> bool:
-        return distance[cases.table[t1][t2]] == rank[t2]
+    def row(t1, t2s, points):
+        distances = map(distance.__getitem__, points)
+        return map(operator.eq, distances, map(rank.__getitem__, t2s))
 
-    return cases.check("rank_distance_law", holds, seed, samples)
+    return cases.check("rank_distance_law", row, seed, samples)
 
 
 def check_annihilator(
@@ -669,43 +836,29 @@ def check_annihilator(
     The point's RREF basis B spans the row space of (T2*T1 - I | T2), so
     it annihilates the matrix exactly when that generator does.  Its
     columns are packed in one id, the sum of _annihilator_shares.  Each
-    point tests each column v once for B*v = 0 and keeps v's entries at
-    B's free columns, onto which the kernel of B projects isomorphically;
-    with every column in the kernel, rank n means an invertible minor on
-    the free rows, looked up by its matrix id.
+    column v is looked up in the point's kernel coordinates, v's entries
+    at B's free columns, onto which the kernel of B projects
+    isomorphically; with every column in the kernel, rank n means an
+    invertible minor on the free rows, looked up by its matrix id.  A
+    column outside the kernel reads 0, a zero row of the minor, so the
+    pair fails as it should.
     """
-    q, qn, width = field.q, field.q**n, field.q ** (2 * n)
+    qn, width = field.q**n, field.q ** (2 * n)
     cases = _cases(field, n)
-    shares = _Memo(lambda t2: _annihilator_shares(field, n, cases.matrix[t2].entries))
-    vectors = _Memo(lambda column: _digits(column, q, 2 * n)[::-1])
     invertible = cases.per_matrix(Matrix.is_invertible)
+    places = [width**k for k in range(n)]  # the columns, last first
 
-    def kernel_coordinates(p: int) -> _Memo:
-        basis = cases.rows[p]
-        transposed, pivots = tuple(zip(*basis)), {row.index(1) for row in basis}
+    def row(t1, t2s, points):
+        packed = list(cases.annihilators(t1, t2s))
+        kernels = list(map(cases.kernel.__getitem__, points))
+        minor = itertools.repeat(0, len(packed))
+        for place in places:
+            columns = map(width.__rmod__, map(place.__rfloordiv__, packed))
+            coordinates = map(operator.getitem, kernels, columns)
+            minor = map(operator.add, map(qn.__mul__, minor), coordinates)
+        return map(invertible.__getitem__, minor)
 
-        def free_entries(column: int) -> int | None:
-            v = vectors[column]
-            if any(_product(field, (v,), transposed, n)[0]):
-                return None
-            return _matrix_id(q, [[x for c, x in enumerate(v) if c not in pivots]])
-
-        return _Memo(free_entries)
-
-    kernel = _Memo(kernel_coordinates)
-
-    def holds(t1, t2) -> bool:
-        packed = sum(map(operator.getitem, shares[t2], cases.matrix[t1].entries))
-        coordinates, minor = kernel[cases.table[t1][t2]], 0
-        for _ in range(n):  # the columns, last first
-            packed, column = divmod(packed, width)
-            x = coordinates[column]
-            if x is None:
-                return False
-            minor = minor * qn + x
-        return invertible[minor]
-
-    return cases.check("annihilator", holds, seed, samples)
+    return cases.check("annihilator", row, seed, samples)
 
 
 def default_jordan_specs(field: FieldSpec, n: int) -> list[tuple[str, JordanMapSpec]]:
@@ -740,12 +893,12 @@ def check_jordan_well_defined(
     random ones in sampled mode.
     """
     cases = _cases(field, n)
-    image, other_images = cases.image(spec), cases.other_images(spec)
+    images, others = cases.image_row(spec), cases.other_image_row(spec)
 
-    def holds(t1, t2) -> bool:
-        return all(o == image(t1, t2) for o in other_images(t1, t2))
+    def row(t1, t2s, points):
+        return map(operator.eq, images(t1, t2s), others(t1, t2s, points))
 
-    return cases.check(f"jordan_well_defined[{label}]", holds, seed, samples)
+    return cases.check(f"jordan_well_defined[{label}]", row, seed, samples)
 
 
 def check_jordan_adjacency(
@@ -763,11 +916,11 @@ def check_jordan_adjacency(
     """
     cases = _cases(field, n)
     point = functools.partial(point_from_id, field, n)
-    outcomes = (
-        None if kept else {"p": point(p).to_json(), "q": point(q).to_json()}
-        for p, q, kept in cases.adjacent_points(spec, seed, samples)
+    return cases.tally(
+        f"jordan_adjacency[{label}]",
+        cases.adjacent_points(spec, seed, samples),
+        lambda p, q: {"p": point(p).to_json(), "q": point(q).to_json()},
     )
-    return _result(f"jordan_adjacency[{label}]", cases.mode, outcomes)
 
 
 def check_hermitian_star(field: FieldSpec, n: int) -> dict:

@@ -510,13 +510,18 @@ def _matrix_id(q: int, entries) -> int:
     return value
 
 
-def _matrix_from_id(field: FieldSpec, rows: int, cols: int, index: int) -> Matrix:
-    """The matrix at position index of the all_matrices order; inverts _matrix_id."""
+def _entries_from_id(q: int, rows: int, cols: int, index: int) -> tuple:
+    """The entry rows of the matrix at position index of the all_matrices order."""
     entries = [[0] * cols for _ in range(rows)]
     for row in reversed(entries):
         for c in reversed(range(cols)):
-            index, row[c] = divmod(index, field.q)
-    return Matrix._of(field, tuple(map(tuple, entries)), cols)
+            index, row[c] = divmod(index, q)
+    return tuple(map(tuple, entries))
+
+
+def _matrix_from_id(field: FieldSpec, rows: int, cols: int, index: int) -> Matrix:
+    """The matrix at position index of the all_matrices order; inverts _matrix_id."""
+    return Matrix._of(field, _entries_from_id(field.q, rows, cols, index), cols)
 
 
 def all_vectors(field: FieldSpec, length: int):

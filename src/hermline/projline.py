@@ -418,31 +418,47 @@ def annihilator(pair: BartolonePair) -> Matrix:
     Its columns are annihilated by every row of (T2*T1 - I | T2), and
     so by every vector of the pair's point; it always has rank n.
     """
-    field, t2 = pair.field, pair.t2.entries
-    rows = [_annihilator_rows(field, t2, i, d) for i, d in enumerate(pair.t1.entries)]
-    upper, lower = zip(*rows)
+    field, t1 = pair.field, pair.t1.entries
+    rows = _annihilator_rows(field, pair.t2.entries, [(d,) for d in t1])
+    upper = tuple(top for top, _ in rows)
+    lower = tuple(bottom for _, (bottom,) in rows)
     return Matrix._of(field, upper + lower, pair.n)
 
 
-def _annihilator_rows(field: FieldSpec, t2: tuple, i: int, d: tuple) -> tuple:
-    """Rows i and n + i of the annihilator for T1[i] = d: -T2[i] and d*T2 - e_i."""
-    lower = _product(field, (d,), t2, len(t2))[0]
-    lower[i] = field._sub[lower[i]][1]
-    return tuple(map(field._neg.__getitem__, t2[i])), tuple(lower)
+def _annihilator_rows(field: FieldSpec, t2: tuple, ds) -> list[tuple]:
+    """Rows i and n + i of the annihilator, for each T1[i] = d in ds[i].
+
+    Row i is -T2[i] and row n + i is d*T2 - e_i, each d*T2 from one
+    product of the distinct rows of all the ds[i] by T2.  Item i of the
+    list is the pair of row i and the list of rows n + i over ds[i].
+    """
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(ds)))
+    products = dict(zip(distinct, _product(field, distinct, t2, len(t2))))
+    sub, rows = field._sub, []
+    for i, (row, rows_i) in enumerate(zip(t2, ds)):
+        lowers = []
+        for d in rows_i:
+            lower = products[d].copy()
+            lower[i] = sub[lower[i]][1]
+            lowers.append(tuple(lower))
+        rows.append((tuple(map(field._neg.__getitem__, row)), lowers))
+    return rows
 
 
-def _annihilator_shares(field: FieldSpec, n: int, t2: tuple) -> list[_Memo]:
-    """For each i, the map d -> share of rows i and n + i of the annihilator.
+def _annihilator_shares(field: FieldSpec, n: int, t2: tuple, ds) -> list[list[int]]:
+    """For each i, the share of rows i and n + i of the annihilator, per d in ds[i].
 
     The annihilator's columns, as base-q numerals, are the rows of its
-    transpose, whose matrix id is the sum of the shares of T1's rows.
+    transpose, whose matrix id is the sum over i of the share of row i
+    of T1.
     """
-    def share(i: int, d: tuple) -> int:
-        q, rows = field.q, _annihilator_rows(field, t2, i, d)
-        upper, lower = (_matrix_id(q ** (2 * n), (row,)) for row in rows)
-        return upper * q ** (2 * n - 1 - i) + lower * q ** (n - 1 - i)
-
-    return [_Memo(functools.partial(share, i)) for i in range(n)]
+    q, width = field.q, field.q ** (2 * n)
+    shares = []
+    for i, (upper, lowers) in enumerate(_annihilator_rows(field, t2, ds)):
+        top = _matrix_id(width, (upper,)) * q ** (2 * n - 1 - i)
+        place = q ** (n - 1 - i)
+        shares.append([top + _matrix_id(width, (lower,)) * place for lower in lowers])
+    return shares
 
 
 class JordanMapSpec:

@@ -15,6 +15,13 @@ kernel against the product written from its definition.
 ``check_annihilator_by_products`` is ``harness.check_annihilator``
 as it was before its row tables: per pair it builds the annihilator,
 multiplies the point's basis by it and row reduces it.
+``check_by_pairs`` is ``_PairCases.check`` as it was before the checks
+ran by table row: it calls holds(t1, t2) once per pair.  On it,
+``check_rank_law_by_pairs``, ``check_annihilator_by_pairs`` and
+``check_jordan_well_defined_by_pairs`` state the rank law, the
+annihilator and well-definedness pair by pair, as the harness did
+before its row checks; ``check_jordan_adjacency_by_edges`` tests one
+adjacent pair of points at a time.  ``tally_by_cases`` tallies them all.
 ``PairCasesByMatrices`` is ``harness._PairCases`` with the sampled
 twisted-map cases it had before they ran on entry tuples: a preimage
 pair by ``preimage_pair_by_matrices`` (a witness from
@@ -33,6 +40,7 @@ them runs from the command line.
 """
 
 import functools
+import itertools
 
 from hermline.fields import (
     FROBENIUS,
@@ -53,6 +61,7 @@ from hermline.harness import (
     RelationGraph,
     _PairCases,
     _cases,
+    _edge_pairs,
     _result,
     pair_point_table,
 )
@@ -61,6 +70,7 @@ from hermline.matrices import (
     Subspace,
     _matrix_id,
     _product,
+    _row_reduce,
     _rref_id,
     _rref_layouts,
     all_matrices,
@@ -69,6 +79,7 @@ from hermline.projline import (
     BartolonePair,
     SubspacePoint,
     _Memo,
+    _annihilator_shares,
     annihilator,
     base_point,
     enumerate_points,
@@ -356,6 +367,75 @@ def graph_from_edges(kind: str, point_set: str, size: int, edges) -> RelationGra
     return RelationGraph(kind, point_set, neighbours)
 
 
+def tally_by_cases(name: str, mode: str, cases, holds, witness) -> dict:
+    """One outcome per case (a, b) of cases: None if holds(a, b), else witness(a, b)."""
+    outcomes = (None if holds(a, b) else witness(a, b) for a, b in cases)
+    return _result(name, mode, outcomes)
+
+
+def check_by_pairs(cases: _PairCases, name: str, holds, seed: int, samples: int):
+    """``_PairCases.check`` as it was before it ran by row: holds(t1, t2) per pair."""
+    if cases.exhaustive:
+        pairs = itertools.product(range(len(cases.table)), repeat=2)
+    else:
+        pairs = cases.pairs(seed, samples)
+    return tally_by_cases(name, cases.mode, pairs, holds, cases._pair_witness)
+
+
+def check_rank_law_by_pairs(field: FieldSpec, n: int, seed=0, samples=10_000) -> dict:
+    """The rank law on the same cases, one distance and one rank read per pair."""
+    cases = _cases(field, n)
+    rank, rows = cases.per_matrix(Matrix.rank), cases.rows
+    distance = _Memo(
+        lambda p: len(_row_reduce(field, [list(r[n:]) for r in rows[p]], n))
+    )
+
+    def holds(t1, t2) -> bool:
+        return distance[cases.table[t1][t2]] == rank[t2]
+
+    return check_by_pairs(cases, "rank_distance_law", holds, seed, samples)
+
+
+def check_annihilator_by_pairs(field: FieldSpec, n: int, seed=0, samples=1_000) -> dict:
+    """The annihilator check on the same cases, one pair at a time.
+
+    Each pair's columns are packed from its own shares, and each
+    (point, column) is tested once for B*v = 0 by a product.
+    """
+    q, qn, width = field.q, field.q**n, field.q ** (2 * n)
+    cases = _cases(field, n)
+    invertible = cases.per_matrix(Matrix.is_invertible)
+
+    def kernel_coordinates(p: int) -> _Memo:
+        basis = cases.rows[p]
+        transposed, pivots = tuple(zip(*basis)), {row.index(1) for row in basis}
+
+        def free_entries(column: int):
+            v = _digits(column, q, 2 * n)[::-1]
+            if any(_product(field, (v,), transposed, n)[0]):
+                return None
+            return _matrix_id(q, [[x for c, x in enumerate(v) if c not in pivots]])
+
+        return _Memo(free_entries)
+
+    kernel = _Memo(kernel_coordinates)
+
+    def holds(t1, t2) -> bool:
+        t1_rows, t2_rows = cases.matrix[t1].entries, cases.matrix[t2].entries
+        shares = _annihilator_shares(field, n, t2_rows, [(d,) for d in t1_rows])
+        packed = sum(share for share, in shares)
+        coordinates, minor = kernel[cases.table[t1][t2]], 0
+        for _ in range(n):  # the columns, last first
+            packed, column = divmod(packed, width)
+            x = coordinates[column]
+            if x is None:
+                return False
+            minor = minor * qn + x
+        return invertible[minor]
+
+    return check_by_pairs(cases, "annihilator", holds, seed, samples)
+
+
 def check_annihilator_by_products(
     field: FieldSpec, n: int, seed: int = 0, samples: int = 1_000
 ) -> dict:
@@ -367,7 +447,39 @@ def check_annihilator_by_products(
         product = _product(field, cases.rows[cases.table[t1][t2]], ann.entries, n)
         return not any(map(any, product)) and ann.rank() == n
 
-    return cases.check("annihilator", holds, seed, samples)
+    return check_by_pairs(cases, "annihilator", holds, seed, samples)
+
+
+def check_jordan_well_defined_by_pairs(field: FieldSpec, n: int, spec, label: str):
+    """The exhaustive well-definedness check, one pair at a time.
+
+    Each pair's image is compared with its point's image, the image of
+    the point's representative pair.
+    """
+    cases = _cases(field, n)
+    image, image_of = cases.image(spec), cases.point_image(spec)
+
+    def holds(t1, t2) -> bool:
+        return image(t1, t2) == image_of[cases.table[t1][t2]]
+
+    return check_by_pairs(cases, f"jordan_well_defined[{label}]", holds, 0, 0)
+
+
+def check_jordan_adjacency_by_edges(field: FieldSpec, n: int, spec, label: str) -> dict:
+    """The exhaustive adjacency check, one adjacent pair of points at a time."""
+    cases = _cases(field, n)
+    neighbours, image_of = cases.neighbours, cases.point_image(spec)
+    point = functools.partial(point_from_id, field, n)
+
+    def kept(p, q) -> bool:
+        return neighbours[image_of[p]] >> image_of[q] & 1
+
+    def witness(p, q) -> dict:
+        return {"p": point(p).to_json(), "q": point(q).to_json()}
+
+    edges = _edge_pairs(neighbours)
+    name = f"jordan_adjacency[{label}]"
+    return tally_by_cases(name, "exhaustive", edges, kept, witness)
 
 
 def point_images_by_first_pair(field: FieldSpec, n: int, spec) -> list:
@@ -454,22 +566,26 @@ class PairCasesByMatrices(_PairCases):
         self.matrix[t] = m
         return t
 
-    def other_images(self, spec):
+    def other_image_row(self, spec):
         if self.exhaustive:
-            return super().other_images(spec)
+            return super().other_image_row(spec)
         image = self.image(spec)
 
-        def images(t1: int, t2: int):
-            point = self.point[self.table[t1][t2]]
-            a, b = point.blocks()
-            for _ in range(2):
-                alt = self._draw()
-                while not (b * self.matrix[alt] - a).is_invertible():
+        def others(t1: int, t2s, points):
+            for t2, p in zip(t2s, points):
+                mine, point = image(t1, t2), self.point[p]
+                a, b = point.blocks()
+                for _ in range(2):
                     alt = self._draw()
-                pair = preimage_pair_by_matrices(point, self.matrix[alt])
-                yield image(alt, self._id(pair.t2))
+                    while not (b * self.matrix[alt] - a).is_invertible():
+                        alt = self._draw()
+                    pair = preimage_pair_by_matrices(point, self.matrix[alt])
+                    theirs = image(alt, self._id(pair.t2))
+                    if theirs != mine:
+                        break
+                yield theirs
 
-        return images
+        return others
 
     def adjacent_points(self, spec, seed, samples):
         if self.exhaustive:
@@ -482,4 +598,4 @@ class PairCasesByMatrices(_PairCases):
             pair = preimage_pair_by_matrices(q)
             img_q = image(self._id(pair.t1), self._id(pair.t2))
             kept = is_adjacent(self.point[image(t1, t2)], self.point[img_q])
-            yield self.table[t1][t2], subspace_id(q.space), kept
+            yield self.table[t1][t2], (subspace_id(q.space),), (kept,)

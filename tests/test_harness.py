@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import json
 import random
 
@@ -39,10 +40,15 @@ from hermline.harness import (
 )
 from hermline import harness, projline
 from hermline.projline import preimage_pair, stable_rank_witness
+import reference_checks
 from reference_checks import (
     PairCasesByMatrices,
+    check_annihilator_by_pairs,
     check_annihilator_by_products,
     check_distant_chain,
+    check_jordan_adjacency_by_edges,
+    check_jordan_well_defined_by_pairs,
+    check_rank_law_by_pairs,
     graph_from_edges,
     point_images_by_first_pair,
     preimage_pair_by_matrices,
@@ -195,13 +201,23 @@ ANNIHILATOR_FAILURES = {
 
 
 def _annihilator_mutant(change):
-    """The annihilator row kernel with change(field, i, d, upper, lower) applied."""
+    """The annihilator row kernel with change(field, i, d, upper, lower) applied.
+
+    The kernel gives row i once for all the ds; every mutant changes it
+    the same way whatever d is.
+    """
     real = projline._annihilator_rows
 
-    def rows(field, t2, i, d):
-        upper, lower = map(list, real(field, t2, i, d))
-        change(field, i, d, upper, lower)
-        return tuple(upper), tuple(lower)
+    def rows(field, t2, ds):
+        changed = []
+        for i, (upper, lowers) in enumerate(real(field, t2, ds)):
+            bottoms = []
+            for d, lower in zip(ds[i], lowers):
+                top, bottom = list(upper), list(lower)
+                change(field, i, d, top, bottom)
+                bottoms.append(tuple(bottom))
+            changed.append((tuple(top), bottoms))
+        return changed
 
     return rows
 
@@ -240,10 +256,10 @@ def test_check_annihilator_failure_reports(label, monkeypatch):
     "mutant", [None, "partial", "rank_only"], ids=["correct", "partial", "rank_only"]
 )
 def test_check_annihilator_matches_products(mutant, monkeypatch):
-    """The table check and the per-pair product check agree on every pair.
+    """The row check and the per-pair product check agree on every pair.
 
-    Their reports are byte-identical and the verdicts, recorded pair by
-    pair, are equal.  The partial mutant breaks only pairs with
+    Their reports are byte-identical and the verdicts, recorded row by
+    row and pair by pair, are equal.  The partial mutant breaks only pairs with
     T1[0][0] != 0; the rank-only one keeps every column in the point's
     kernel but makes two of them equal, so the rank half alone must fail
     every pair.
@@ -257,15 +273,25 @@ def test_check_annihilator_matches_products(mutant, monkeypatch):
             projline, "_annihilator_rows", _annihilator_mutant(change[mutant])
         )
     real_check, verdicts = harness._PairCases.check, []
+    real_by_pairs = reference_checks.check_by_pairs
 
-    def recording_check(cases, name, holds, seed, samples):
-        def recorded(t1, t2):
-            verdicts.append((t1, t2, holds(t1, t2)))
-            return verdicts[-1][2]
+    def recording_check(cases, name, row, seed, samples):
+        def recorded(t1, t2s, points):
+            kept = list(map(bool, row(t1, t2s, points)))
+            verdicts.extend(zip(itertools.repeat(t1), t2s, kept))
+            return kept
 
         return real_check(cases, name, recorded, seed, samples)
 
+    def recording_by_pairs(cases, name, holds, seed, samples):
+        def recorded(t1, t2):
+            verdicts.append((t1, t2, bool(holds(t1, t2))))
+            return verdicts[-1][2]
+
+        return real_by_pairs(cases, name, recorded, seed, samples)
+
     monkeypatch.setattr(harness._PairCases, "check", recording_check)
+    monkeypatch.setattr(reference_checks, "check_by_pairs", recording_by_pairs)
     runs = [
         (make_field(3), {}, "exhaustive"),
         (make_field(2, 2, "frobenius"), {}, "exhaustive"),
@@ -850,3 +876,128 @@ def test_distant_chain_witnesses():
     result = check_distant_chain(make_field(2), 2)
     assert result["passed"]
     assert result["cases"] == 256
+
+
+def _corrupted_table(field, n):
+    """pair_point_table with one interior entry moved to the next point id."""
+    size = gaussian_binomial(2 * n, n, field.q)
+    table = pair_point_table(field, n)
+    t1, t2 = len(table) // 2 + 1, len(table) // 3 + 1
+    table[t1][t2] = (table[t1][t2] + 1) % size
+    return table
+
+
+# Each mutant, what it changes and the checks it is run on.
+ROW_MUTANTS = {
+    "none": ({}, ("rank", "annihilator", "twisted")),
+    "partial": (
+        {"_annihilator_rows": _annihilator_mutant(_drop_shift_where_t1_00_nonzero)},
+        ("annihilator",),
+    ),
+    "rank_only": (
+        {"_annihilator_rows": _annihilator_mutant(_copy_column_0_to_1)},
+        ("annihilator",),
+    ),
+    "shifted_table": (
+        {"pair_point_table": _shifted_table},
+        ("rank", "annihilator", "twisted"),
+    ),
+    "corrupted_entry": (
+        {"pair_point_table": _corrupted_table},
+        ("rank", "annihilator", "twisted"),
+    ),
+    "Shifted": ({}, ("shifted",)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(ROW_MUTANTS))
+@pytest.mark.parametrize(
+    "field",
+    [make_field(2), make_field(3), make_field(2, 2, "frobenius")],
+    ids=["gf2", "gf3", "gf4"],
+)
+def test_row_checks_match_the_per_pair_reference(field, mutant, monkeypatch):
+    """The exhaustive row checks agree with the per-pair reference.
+
+    For each check the reports are byte-identical and the verdicts,
+    recorded case by case in order, are equal; every mutant but "none"
+    makes some check fail.
+    """
+    changes, runs = ROW_MUTANTS[mutant]
+    for name, change in changes.items():
+        module = projline if name == "_annihilator_rows" else harness
+        monkeypatch.setattr(module, name, change)
+    real_tally, real_cases = harness._PairCases.tally, reference_checks.tally_by_cases
+    rows, pairs = [], []
+
+    def recording_tally(cases, name, verdict_rows, witness):
+        def recorded():
+            for a, bs, verdicts in verdict_rows:
+                verdicts = list(verdicts)
+                rows.extend(zip(itertools.repeat(a), bs, map(bool, verdicts)))
+                yield a, bs, verdicts
+
+        return real_tally(cases, name, recorded(), witness)
+
+    def recording_cases(name, mode, cases, holds, witness):
+        def recorded(a, b):
+            pairs.append((a, b, bool(holds(a, b))))
+            return pairs[-1][2]
+
+        return real_cases(name, mode, cases, recorded, witness)
+
+    monkeypatch.setattr(harness._PairCases, "tally", recording_tally)
+    monkeypatch.setattr(reference_checks, "tally_by_cases", recording_cases)
+    checks = []
+    if "rank" in runs:
+        checks.append((check_rank_law, check_rank_law_by_pairs, ()))
+    if "annihilator" in runs:
+        checks.append((check_annihilator, check_annihilator_by_pairs, ()))
+    specs = default_jordan_specs(field, 2) if "twisted" in runs else []
+    if "shifted" in runs:
+        specs.append(("shifted", Shifted(AUTOMORPHISM, 0, Matrix.identity(field, 2))))
+    for label, spec in specs:
+        well_defined = check_jordan_well_defined_by_pairs
+        checks.append((check_jordan_well_defined, well_defined, (spec, label)))
+        checks.append(
+            (check_jordan_adjacency, check_jordan_adjacency_by_edges, (spec, label))
+        )
+    passed = []
+    for check, reference, args in checks:
+        report = check(field, 2, *args)
+        expected = reference(field, 2, *args)
+        assert report["mode"] == "exhaustive"
+        assert report_to_json(report) == report_to_json(expected)
+        assert rows == pairs and len(rows) == report["cases"]
+        passed.append(report["passed"])
+        rows.clear()
+        pairs.clear()
+    assert all(passed) == (mutant == "none")
+
+
+def test_exhaustive_annihilator_lists_each_kernel_once(monkeypatch):
+    """On exhaustive GF(4)s each of the 357 points' kernels is listed once.
+
+    One product of all q^n = 16 free-entry vectors lists a kernel, and
+    no column is tested on its own (5,082 one-column products when each
+    (point, column) was).
+    """
+    tables, products = collections.Counter(), collections.Counter()
+    real_kernel, real_product = harness._kernel_coordinates, harness._product
+
+    def kernel(field, n, rows):
+        tables[rows] += 1
+        return real_kernel(field, n, rows)
+
+    def product(field, a, b, cols):
+        out = real_product(field, a, b, cols)
+        products[len(out)] += 1
+        return out
+
+    monkeypatch.setattr(harness, "_kernel_coordinates", kernel)
+    monkeypatch.setattr(harness, "_product", product)
+    report = check_annihilator(make_field(2, 2, "frobenius"), 2)
+    assert report["mode"] == "exhaustive" and report["cases"] == 4**8
+    assert report["passed"]
+    assert len(tables) == 357 and set(tables.values()) == {1}
+    assert products == {16: 357}

@@ -1,6 +1,7 @@
 """Points of the line, the parametrisation and the relations on points."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -171,18 +172,27 @@ def test_annihilator_exhaustive(f2):
 
 @pytest.mark.parametrize("config", LADDER, ids=LADDER_IDS)
 def test_annihilator_shares_pack_the_columns(config):
-    """The shares of the rows of T1 sum to the id of the transposed annihilator."""
+    """The shares of the rows of T1 sum to the id of the transposed annihilator.
+
+    A share depends on its row of T1 alone, not on the other rows asked
+    for with it: the shares over every row, last row first, agree.
+    """
     (p, k, involution), n = config
     field, rng = make_field(p, k, involution), random.Random(5)
+    everything = list(all_vectors(field, n))[::-1]
     for _ in range(200):
         t1, t2 = (
             _matrix_from_id(field, n, n, rng.randrange(field.q ** (n * n)))
             for _ in range(2)
         )
-        shares = projline._annihilator_shares(field, n, t2.entries)
-        packed = sum(share[d] for share, d in zip(shares, t1.entries))
+        ones = [(d,) for d in t1.entries]
+        shares = projline._annihilator_shares(field, n, t2.entries, ones)
+        packed = sum(share for share, in shares)
         ann = annihilator(BartolonePair(t1, t2))
         assert packed == _matrix_id(field.q, ann.transpose().entries)
+        shares = projline._annihilator_shares(field, n, t2.entries, [everything] * n)
+        rows = map(everything.index, t1.entries)
+        assert sum(map(operator.getitem, shares, rows)) == packed
 
 
 def test_embedding_injectivity(f2, f3):
