@@ -240,11 +240,10 @@ class FieldSpec:
         return str(self.check_element(a))
 
     def parse_element(self, s: str) -> int:
-        try:
-            a = int(s, 10)
-        except (TypeError, ValueError):
-            raise ValueError(f"{s!r} is not a field element literal") from None
-        return self.check_element(a)
+        """The element named by s, a string of ASCII decimal digits only."""
+        if not (isinstance(s, str) and s.isascii() and s.isdigit()):
+            raise ValueError(f"{s!r} is not a field element literal")
+        return self.check_element(int(s))
 
     # -- identity ------------------------------------------------------
 

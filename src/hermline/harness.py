@@ -454,33 +454,15 @@ def _witnesses(found) -> list:
     return list(itertools.islice(found, _WITNESS_CAP))
 
 
-def _report(name: str, mode: str, cases: int, witnesses: list) -> dict:
-    """A check's report: it passed when it found no witness."""
-    return {
-        "name": name,
-        "mode": mode,
-        "cases": cases,
-        "passed": not witnesses,
-        "witnesses": witnesses,
-    }
+def _tally(name: str, mode: str, rows, witness) -> dict:
+    """A check's report from rows (a, bs, verdicts), one case per b, in order.
 
-
-def _result(name: str, mode: str, outcomes) -> dict:
-    """Tally one outcome per case: None if it passed, else its witness."""
-    cases = itertools.count()  # zip draws from it once per outcome read
-    failures = (o for o, _ in zip(outcomes, cases) if o is not None)
-    witnesses = _witnesses(failures)
-    collections.deque(failures, maxlen=0)  # read the cases after the last witness
-    return _report(name, mode, next(cases), witnesses)
-
-
-def _row_result(name: str, rows, witness) -> dict:
-    """Tally exhaustive rows (a, bs, verdicts), one case per b, in order.
-
-    Each row's verdicts are read whole, with no Python step per case;
-    only a row with a failure is searched, and only the first
-    _WITNESS_CAP failing cases (a, b) are made witness(a, b).  Every
-    row is read, also after the last witness.
+    Each row's verdicts are read whole, with no Python step per case,
+    before the next row is asked for, so a sampled row of one is
+    decided before the next pair is drawn.  Only a row with a failure is
+    searched, and only the first _WITNESS_CAP failing cases (a, b) are
+    made witness(a, b).  Every row is read, also after the last witness.
+    The check passed when no case failed.
     """
     cases = 0
 
@@ -496,28 +478,37 @@ def _row_result(name: str, rows, witness) -> dict:
     found = failures()
     witnesses = list(itertools.starmap(witness, _witnesses(found)))
     collections.deque(found, maxlen=0)  # read the rows after the last witness
-    return _report(name, "exhaustive", cases, witnesses)
+    return {
+        "name": name,
+        "mode": mode,
+        "cases": cases,
+        "passed": not witnesses,
+        "witnesses": witnesses,
+    }
 
 
 def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
     """The map T2 -> point is injective for T1 fixed at 0 and at I.
 
     T2 runs over the matrix ids, and each pair's point is read from the
-    case set's table; matrices are built only for a witness.
+    case set's table: a T2 passes when no smaller T2 reaches its point.
+    Matrices are built, and the clash is looked up, only for a witness.
     """
     cases = _cases(field, n)
-    table, to_json = cases.table, lambda t: cases.matrix[t].to_json()
+    t2s = range(field.q ** (n * n))
+    points = _Memo(lambda t1: list(map(cases.table[t1].__getitem__, t2s)))
+    to_json = lambda t: cases.matrix[t].to_json()
 
-    def outcomes():
-        for t1_0 in (0, _matrix_id(field.q, Matrix.identity(field, n).entries)):
-            row, seen = table[t1_0], {}
-            for t2 in range(field.q ** (n * n)):
-                other = seen.setdefault(row[t2], t2)
-                yield None if other == t2 else {
-                    "t1_0": to_json(t1_0), "t2": to_json(t2), "clash": to_json(other)
-                }
+    def row(t1: int):
+        first = dict(zip(reversed(points[t1]), reversed(t2s)))  # each point's first T2
+        return t1, t2s, map(operator.eq, map(first.__getitem__, points[t1]), t2s)
 
-    return _result("embedding_injectivity", "exhaustive", outcomes())
+    def witness(t1: int, t2: int) -> dict:
+        clash = points[t1].index(points[t1][t2])
+        return {"t1_0": to_json(t1), "t2": to_json(t2), "clash": to_json(clash)}
+
+    rows = map(row, (0, _matrix_id(field.q, Matrix.identity(field, n).entries)))
+    return _tally("embedding_injectivity", "exhaustive", rows, witness)
 
 
 def _kernel_coordinates(field: FieldSpec, n: int, rows) -> dict:
@@ -564,10 +555,11 @@ class _PairCases:
     random.Random(seed) started as it asks for its pairs, so a seed
     names the same cases whatever ran before.  A check states its
     property once, as a row of verdicts read from the same memos in
-    both modes.  The twisted-map cases run on entry tuples and ids:
-    other pairs of a point come from _preimage_ids on the point's rows,
-    sampled neighbours from one elimination, and a point object is
-    built only for a witness.
+    both modes, and _tally reads the rows of both modes the same way.
+    The twisted-map cases run on entry tuples and ids: other pairs of a
+    point come from _preimage_ids on the point's rows, sampled
+    neighbours from one elimination, and a point object is built only
+    for a witness.
     """
 
     def __init__(self, field: FieldSpec, n: int):
@@ -760,22 +752,6 @@ class _PairCases:
                 _row_reduce(field, work, 2 * n)
                 return _rows_id(field.q, 2 * n, work)
 
-    def tally(self, name: str, rows, witness) -> dict:
-        """The report of rows (a, bs, verdicts), one case per b.
-
-        A failing case's witness is witness(a, b).  Exhaustive rows are
-        tallied whole by _row_result; a sampled row holds one case,
-        tallied as it is read, so later draws follow its verdict.
-        """
-        if self.exhaustive:
-            return _row_result(name, rows, witness)
-        outcomes = (
-            None if kept else witness(a, b)
-            for a, bs, verdicts in rows
-            for b, kept in zip(bs, verdicts)
-        )
-        return _result(name, self.mode, outcomes)
-
     def check(self, name: str, row, seed: int, samples: int) -> dict:
         """Tally row(t1, t2s, points), the verdicts on the pairs (T1, T2).
 
@@ -788,14 +764,12 @@ class _PairCases:
             rows = (
                 (t1, t2s, row(t1, t2s, points)) for t1, points in enumerate(self.table)
             )
-            return self.tally(name, rows, self._pair_witness)
-        outcomes = (
-            None
-            if all(row(t1, (t2,), (self.table[t1][t2],)))
-            else self._pair_witness(t1, t2)
-            for t1, t2 in self.pairs(seed, samples)
-        )
-        return _result(name, self.mode, outcomes)
+        else:
+            rows = (
+                (t1, (t2,), row(t1, (t2,), (self.table[t1][t2],)))
+                for t1, t2 in self.pairs(seed, samples)
+            )
+        return _tally(name, self.mode, rows, self._pair_witness)
 
     def _pair_witness(self, t1: int, t2: int) -> dict:
         return {"t1": self.matrix[t1].to_json(), "t2": self.matrix[t2].to_json()}
@@ -916,8 +890,9 @@ def check_jordan_adjacency(
     """
     cases = _cases(field, n)
     point = functools.partial(point_from_id, field, n)
-    return cases.tally(
+    return _tally(
         f"jordan_adjacency[{label}]",
+        cases.mode,
         cases.adjacent_points(spec, seed, samples),
         lambda p, q: {"p": point(p).to_json(), "q": point(q).to_json()},
     )
@@ -927,14 +902,17 @@ def check_hermitian_star(field: FieldSpec, n: int) -> dict:
     """Hermitian rank-one stars stay within distance one of the base point."""
     base = base_point(field, n)
     vectors = [unit_vector(n, i) for i in range(n)] + [(1,) * n]
-    outcomes = (
-        None
-        if arithmetical_distance(base, point) <= 1
-        else {"c0": list(c0), "point": point.to_json()}
-        for c0 in vectors
-        for point in hermitian_adjacent_star(field, n, c0)
+    stars = ((c0, list(hermitian_adjacent_star(field, n, c0))) for c0 in vectors)
+    rows = (
+        (c0, points, [arithmetical_distance(base, p) <= 1 for p in points])
+        for c0, points in stars
     )
-    return _result("hermitian_star", "exhaustive", outcomes)
+    return _tally(
+        "hermitian_star",
+        "exhaustive",
+        rows,
+        lambda c0, point: {"c0": list(c0), "point": point.to_json()},
+    )
 
 
 def jordan_system_axioms_check(field: FieldSpec, n: int) -> dict:

@@ -21,7 +21,8 @@ ran by table row: it calls holds(t1, t2) once per pair.  On it,
 ``check_jordan_well_defined_by_pairs`` state the rank law, the
 annihilator and well-definedness pair by pair, as the harness did
 before its row checks; ``check_jordan_adjacency_by_edges`` tests one
-adjacent pair of points at a time.  ``tally_by_cases`` tallies them all.
+adjacent pair of points at a time.  ``tally_by_cases`` tallies them all
+through ``tally_outcomes``, a report from one outcome per case.
 ``PairCasesByMatrices`` is ``harness._PairCases`` with the sampled
 twisted-map cases it had before they ran on entry tuples: a preimage
 pair by ``preimage_pair_by_matrices`` (a witness from
@@ -62,7 +63,6 @@ from hermline.harness import (
     _PairCases,
     _cases,
     _edge_pairs,
-    _result,
     pair_point_table,
 )
 from hermline.matrices import (
@@ -355,7 +355,7 @@ def check_distant_chain(field: FieldSpec, n: int) -> dict:
                 else:
                     yield None
 
-    return _result("distant_chain", "exhaustive", outcomes())
+    return tally_outcomes("distant_chain", "exhaustive", outcomes())
 
 
 def graph_from_edges(kind: str, point_set: str, size: int, edges) -> RelationGraph:
@@ -367,10 +367,26 @@ def graph_from_edges(kind: str, point_set: str, size: int, edges) -> RelationGra
     return RelationGraph(kind, point_set, neighbours)
 
 
+def tally_outcomes(name: str, mode: str, outcomes) -> dict:
+    """A check's report from one outcome per case: None if it passed, else its witness.
+
+    The first ten witnesses are kept, and every outcome is read.
+    """
+    outcomes = list(outcomes)
+    witnesses = [o for o in outcomes if o is not None][:10]
+    return {
+        "name": name,
+        "mode": mode,
+        "cases": len(outcomes),
+        "passed": not witnesses,
+        "witnesses": witnesses,
+    }
+
+
 def tally_by_cases(name: str, mode: str, cases, holds, witness) -> dict:
     """One outcome per case (a, b) of cases: None if holds(a, b), else witness(a, b)."""
     outcomes = (None if holds(a, b) else witness(a, b) for a, b in cases)
-    return _result(name, mode, outcomes)
+    return tally_outcomes(name, mode, outcomes)
 
 
 def check_by_pairs(cases: _PairCases, name: str, holds, seed: int, samples: int):

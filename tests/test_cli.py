@@ -320,6 +320,18 @@ def test_usage_errors(capsys):
     assert len(err.encode()) < 300
 
 
+@pytest.mark.parametrize("literal", ["0_1", " 1", "+1", "\u0661"])
+def test_non_decimal_entry_refused(literal, capsys):
+    """An entry int() would read as 1 is refused: entries are ASCII decimal."""
+    t1 = json.dumps({"rows": 2, "cols": 2, "entries": [[literal, "0"], ["0", "1"]]})
+    argv = ["bartolone", "--p", "2", "--t1", t1, "--t2", IDENTITY_2]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a field element literal" in err
+
+
 def test_missing_file_argument(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     code, out, err = run(capsys, "decompose", "--p", "2", "--point", str(missing))

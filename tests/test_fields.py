@@ -141,6 +141,12 @@ def test_element_string_roundtrip(f4):
         f4.parse_element("7")
     with pytest.raises(ValueError):
         f4.parse_element("x+1")
+    # the wire format is plain decimal: int() would read each of these as 1
+    for literal in ("0_1", " 1", "1 ", "+1", "\u0661", "1\n", "", None, 1):
+        with pytest.raises(ValueError):
+            f4.parse_element(literal)
+    with pytest.raises(ValueError):
+        make_field(2, 4).parse_element("1_0")  # int() reads 10, an element
 
 
 def test_check_element(f2):

@@ -39,6 +39,7 @@ from hermline.harness import (
     pair_point_table,
 )
 from hermline import harness, projline
+from hermline.hermitian import hermitian_adjacent_star
 from hermline.projline import preimage_pair, stable_rank_witness
 import reference_checks
 from reference_checks import (
@@ -544,6 +545,58 @@ def test_embedding_injectivity_witnesses(p, monkeypatch):
     assert digest == EMBEDDING_CLASHES[p]
 
 
+# sha256 of the check_embedding_injectivity report on sampled GF(9)s
+# n = 2 when the kernel's ids are divided by 3, recorded while the check
+# still tallied one outcome per T2.
+SAMPLED_EMBEDDING_CLASHES = (
+    "d98985ec26abdd17a5f5b526a7622a2c697049b99daeba023d83ef92a7982c01"
+)
+
+
+def test_sampled_embedding_injectivity_witnesses(monkeypatch):
+    """On a sampled case set the clash of each witness is its first T2."""
+    real = harness._pair_ids
+
+    def clashing(field, n):
+        pair_id = real(field, n)
+        return lambda t1, t2: pair_id(t1, t2) // 3
+
+    monkeypatch.setattr(harness, "_pair_ids", clashing)
+    field = make_field(3, 2, "frobenius")
+    report = check_embedding_injectivity(field, 2)
+    assert harness._cases(field, 2).mode == "sampled"
+    assert report["cases"] == 2 * 9**4
+    assert not report["passed"] and len(report["witnesses"]) == 10
+    pair_id = real(field, 2)
+    for w in report["witnesses"]:
+        t1, t2, clash = (Matrix.from_json(field, w[k]).entries for k in w)
+        assert clash < t2 and pair_id(t1, t2) // 3 == pair_id(t1, clash) // 3
+    digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+    assert digest == SAMPLED_EMBEDDING_CLASHES
+
+
+# sha256 of the check_hermitian_star report on GF(9)s n = 2 when every
+# point is at distance 2, recorded while the check tallied one outcome
+# per point.
+STAR_FAILURES = "7cda238e9ca1a797cbebaf58d199f3d4a4c008eed358fb666c84e44d37b4dd3f"
+
+
+def test_hermitian_star_witnesses(monkeypatch):
+    """A failing star check keeps its first ten points in (c0, point) order."""
+    field = make_field(3, 2, "frobenius")
+    expected = [
+        {"c0": list(c0), "point": point.to_json()}
+        for c0 in ((1, 0), (0, 1), (1, 1))
+        for point in hermitian_adjacent_star(field, 2, c0)
+    ]
+    monkeypatch.setattr(harness, "arithmetical_distance", lambda base, point: 2)
+    report = check_hermitian_star(field, 2)
+    assert report["cases"] == len(expected) == 12
+    assert not report["passed"] and report["witnesses"] == expected[:10]
+    digest = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
+    assert digest == STAR_FAILURES
+
+
 def test_individual_checks_gf3():
     field = make_field(3)
     assert check_embedding_injectivity(field, 2)["passed"]
@@ -657,7 +710,7 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
     field = make_field(*field_args)
     specs = default_jordan_specs(field, n)
     specs.append(("shifted", Shifted(AUTOMORPHISM, 0, Matrix.identity(field, n))))
-    real_result, rng = harness._result, random.Random
+    real_tally, rng = harness._tally, random.Random
     runs = []
     for cases in (harness._PairCases, PairCasesByMatrices):
         draws, verdicts = [], []
@@ -667,11 +720,17 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
                 draws.append(super().randrange(*args))
                 return draws[-1]
 
-        def recording_result(name, mode, outcomes):
-            return real_result(name, mode, (verdicts.append(o) or o for o in outcomes))
+        def recording_tally(name, mode, rows, witness):
+            def recorded():
+                for a, bs, row in rows:
+                    row = list(row)
+                    verdicts.extend(map(bool, row))
+                    yield a, bs, row
+
+            return real_tally(name, mode, recorded(), witness)
 
         monkeypatch.setattr(harness.random, "Random", CountingRandom)
-        monkeypatch.setattr(harness, "_result", recording_result)
+        monkeypatch.setattr(harness, "_tally", recording_tally)
         monkeypatch.setattr(harness, "_PairCases", cases)
         harness._cases.cache_clear()
         reports = [
@@ -685,7 +744,7 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
     assert draws == reference[0]
     assert verdicts == reference[1]
     assert reports == reference[2]
-    assert None in verdicts and any(verdicts)
+    assert False in verdicts and True in verdicts
 
 
 def test_sampled_twisted_maps_apply_each_map_once_per_matrix(monkeypatch):
@@ -927,17 +986,17 @@ def test_row_checks_match_the_per_pair_reference(field, mutant, monkeypatch):
     for name, change in changes.items():
         module = projline if name == "_annihilator_rows" else harness
         monkeypatch.setattr(module, name, change)
-    real_tally, real_cases = harness._PairCases.tally, reference_checks.tally_by_cases
+    real_tally, real_cases = harness._tally, reference_checks.tally_by_cases
     rows, pairs = [], []
 
-    def recording_tally(cases, name, verdict_rows, witness):
+    def recording_tally(name, mode, verdict_rows, witness):
         def recorded():
             for a, bs, verdicts in verdict_rows:
                 verdicts = list(verdicts)
                 rows.extend(zip(itertools.repeat(a), bs, map(bool, verdicts)))
                 yield a, bs, verdicts
 
-        return real_tally(cases, name, recorded(), witness)
+        return real_tally(name, mode, recorded(), witness)
 
     def recording_cases(name, mode, cases, holds, witness):
         def recorded(a, b):
@@ -946,7 +1005,7 @@ def test_row_checks_match_the_per_pair_reference(field, mutant, monkeypatch):
 
         return real_cases(name, mode, cases, recorded, witness)
 
-    monkeypatch.setattr(harness._PairCases, "tally", recording_tally)
+    monkeypatch.setattr(harness, "_tally", recording_tally)
     monkeypatch.setattr(reference_checks, "tally_by_cases", recording_cases)
     checks = []
     if "rank" in runs:
