@@ -23,6 +23,7 @@ at most two:
 from __future__ import annotations
 
 import functools
+import reprlib
 
 IDENTITY = "identity"
 FROBENIUS = "frobenius"
@@ -233,7 +234,7 @@ class FieldSpec:
 
     def check_element(self, a: int) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element of {self!r}")
+            raise ValueError(f"{reprlib.repr(a)} is not an element of {self!r}")
         return a
 
     def element_to_string(self, a: int) -> str:
@@ -242,7 +243,7 @@ class FieldSpec:
     def parse_element(self, s: str) -> int:
         """The element named by s, a string of ASCII decimal digits only."""
         if not (isinstance(s, str) and s.isascii() and s.isdigit()):
-            raise ValueError(f"{s!r} is not a field element literal")
+            raise ValueError(f"{reprlib.repr(s)} is not a field element literal")
         return self.check_element(int(s))
 
     # -- identity ------------------------------------------------------

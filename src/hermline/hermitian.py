@@ -14,6 +14,17 @@ U = V + W (a direct sum) it builds a maximal totally isotropic X with
 X meet perp(V) = W, from which a common complement of any two maximal
 isotropic subspaces and the parameter pair of any isotropic point are
 computed.
+
+The constructions run on RREF entry rows, through the row kernels of
+``matrices``: _complement_rows builds the common complement and calls
+_meeting_perp_rows for X, and neither builds a Matrix or a Subspace.
+Their inputs are validated once, at the public boundary:
+isotropic_meeting_perp, common_complement and decompose_isotropic
+raise ValueError for a non-isotropic point, points of different lines
+or a U that is not V (+) W, and then trust the rows they pass on.
+Every postcondition of the kernels is an explicit check that raises
+AssertionError, so it also holds under python -O; this module has no
+assert statement.
 """
 
 from __future__ import annotations
@@ -25,10 +36,19 @@ from .fields import FROBENIUS, FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
+    _basis_rows,
+    _matrix_from_id,
+    _matrix_id,
+    _meet_rows,
+    _nullspace_rows,
+    _product,
+    _rank,
+    _row_reduce,
+    _rows_id,
     _rref_id,
     _rref_layouts,
+    _zip_rows,
     extend_independent,
-    nullspace,
     outer_product,
     unit_vector,
 )
@@ -36,10 +56,11 @@ from .projline import (
     BartolonePair,
     SubspacePoint,
     _check_parameter_vector,
+    _Memo,
+    _preimage_ids,
     bartolone,
     base_point,
     point_from_id,
-    preimage_pair,
     sweep_points,
 )
 
@@ -86,7 +107,15 @@ class SesquilinearForm:
 
     def perp(self, space: Subspace) -> Subspace:
         """The perpendicular subspace {x : beta(v, x) = 0 for all v}."""
-        return nullspace((space.basis * self.gram)._map(self.field._sigma))
+        rows = self._perp_rows(space.basis.entries)
+        return Subspace._from_canonical(Matrix._of(self.field, rows, 2 * self.n))
+
+    def _perp_rows(self, rows) -> tuple:
+        """The RREF basis of {x : beta(v, x) = 0 for every row v}."""
+        field, d = self.field, 2 * self.n
+        sig = field._sigma.__getitem__
+        vg = _product(field, rows, self.gram.entries, d)
+        return _nullspace_rows(field, [list(map(sig, row)) for row in vg], d)
 
     def is_totally_isotropic(self, obj) -> bool:
         """Whether the form vanishes on the subspace (or point space).
@@ -96,11 +125,19 @@ class SesquilinearForm:
         than y suffice.
         """
         space = obj.space if isinstance(obj, SubspacePoint) else obj
-        rows = space.basis.entries
+        return self._vanishes_on(space.basis.entries)
+
+    def _vanishes_on(self, rows) -> bool:
+        """Whether the form vanishes on the span of the entry rows."""
         pairing = self._pairing
         return not any(
             pairing(x, y) for b, y in enumerate(rows) for x in rows[: b + 1]
         )
+
+    def _gram_rows(self, a, b) -> list[list[int]]:
+        """The Gram matrix (beta(x, y)) for x in the rows a and y in the rows b."""
+        pairing = self._pairing
+        return [[pairing(x, y) for y in b] for x in a]
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,81 +239,105 @@ def bartolone_hermitian(pair: BartolonePair) -> SubspacePoint:
     if not pair.t1.is_hermitian() or not pair.t2.is_hermitian():
         raise ValueError("both parameter matrices must be hermitian")
     point = bartolone(pair)
-    assert standard_form(pair.field, pair.n).is_totally_isotropic(point)
+    if not standard_form(pair.field, pair.n).is_totally_isotropic(point):
+        raise AssertionError("a hermitian pair parametrises a non-isotropic point")
     return point
 
 
-def _skew_split(g: Matrix) -> Matrix:
-    """Some D with D - D^Sigma = g, for an anti-hermitian g.
+def _skew_split(field: FieldSpec, g) -> list[list[int]]:
+    """Some D with D - D^Sigma = g, on entry rows, for an anti-hermitian g.
 
     Off-diagonal entries go into the upper triangle; each diagonal entry
     is solved by scanning the field, which succeeds because the form is
-    trace-valued.
+    trace-valued.  The postcondition D - D^Sigma = g implies that g is
+    anti-hermitian, so that is not checked first.
     """
-    field = g.field
-    assert g.sigma_transpose() == -g
     sub, sig = field._sub, field._sigma
-    n = g.rows
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i + 1 :] = g.entries[i][i + 1 :]
-        target = g.entries[i][i]
-        d = next((x for x in field.elements() if sub[x][sig[x]] == target), None)
+    span = range(len(g))
+    out = []
+    for i, row in enumerate(g):
+        d = next((x for x in field.elements() if sub[x][sig[x]] == row[i]), None)
         if d is None:
             raise AssertionError("diagonal entry is not of trace form")
-        rows[i][i] = d
-    out = Matrix._of(field, tuple(map(tuple, rows)), n)
-    assert out - out.sigma_transpose() == g
+        out.append([0] * i + [d] + list(row[i + 1 :]))
+    if any(sub[out[i][j]][sig[out[j][i]]] != g[i][j] for i in span for j in span):
+        raise AssertionError("the skew split D - D^Sigma misses g")
     return out
 
 
-def _stacked_rank(*spaces: Subspace) -> int:
-    """The dimension of the sum of the spaces: the rank of their stacked bases."""
-    rows = tuple(row for space in spaces for row in space.basis.entries)
-    return Matrix._of(spaces[0].field, rows, spaces[0].ambient_dim).rank()
+def _solve(field: FieldSpec, a, b) -> list[list[int]]:
+    """a^-1 * b on entry rows, for a square a the construction makes invertible."""
+    m = len(a)
+    work = [list(x) + list(y) for x, y in zip(a, b)]
+    if _row_reduce(field, work, m) != list(range(m)):
+        raise AssertionError("a matrix the construction inverts is singular")
+    return [row[m:] for row in work]
 
 
-def _meets_trivially(a: Subspace, b: Subspace) -> bool:
-    """Whether a meet b = 0: the stacked bases have rank dim a + dim b."""
-    return _stacked_rank(a, b) == a.dim + b.dim
+def _point(field: FieldSpec, n: int, rows: tuple) -> SubspacePoint:
+    """The point with these RREF basis rows."""
+    return SubspacePoint(Subspace._from_canonical(Matrix._of(field, rows, 2 * n)), n)
 
 
-def _ordered_frame(u: SubspacePoint, v: Subspace, w: Subspace):
-    """Validate U = V (+) W and build an ordered frame of K^(2n).
+def _meeting_perp_rows(field: FieldSpec, n: int, v_rows: tuple, w_rows: tuple):
+    """The RREF rows of a maximal totally isotropic X with X meet perp(V) = W.
 
-    Returns (form, k, rows, vperp): rows list a basis of K^(2n) ordered
-    as V-basis, W-basis, a completion of perp(V) to the full space, and
-    a completion of U inside perp(V).  The middle two groups are the
-    rows the construction will shear.
+    v_rows and w_rows are the RREF bases of V and W, and U = V (+) W must
+    be maximal totally isotropic; that is not checked again here.  The
+    rows are ordered into a frame of K^(2n): V, W, a completion arb of
+    perp(V) to the whole space, and a completion tail of U inside
+    perp(V).  One closed-form shear of the arb rows by the V and tail
+    rows, solved from the frame's Gram blocks, makes W plus the sheared
+    arb rows span X.  Every postcondition raises AssertionError.
     """
-    field = u.field
-    n = u.n
     form = standard_form(field, n)
-    _require_isotropic(u, "u")
-    if v.field != field or v.ambient_dim != 2 * n:
-        raise ValueError("v lives in the wrong space")
-    if w.field != field or w.ambient_dim != 2 * n:
-        raise ValueError("w lives in the wrong space")
-    # v + w = u: v and w meet trivially, their dimensions add up to n,
-    # and both lie in u, so stacking u on them keeps rank n
-    if (
-        not _meets_trivially(v, w)
-        or v.dim + w.dim != n
-        or _stacked_rank(u.space, v, w) != n
-    ):
-        raise ValueError("u = v (+) w must be a direct sum decomposition")
-    k = v.dim
-    v_rows = list(v.basis.entries)
-    w_rows = list(w.basis.entries)
+    gram = form._gram_rows
+    k = len(v_rows)
     u_rows = v_rows + w_rows
-    vperp = form.perp(v)
-    tail_rows = extend_independent(field, 2 * n, u_rows, vperp.basis.entries)[n:]
-    assert len(tail_rows) == n - k
-    arb_rows = extend_independent(
-        field, 2 * n, u_rows + tail_rows, (unit_vector(2 * n, i) for i in range(2 * n))
-    )[2 * n - k :]
-    assert len(arb_rows) == k
-    return form, k, v_rows + w_rows + arb_rows + tail_rows, vperp
+    vperp = form._perp_rows(v_rows)
+    tail = tuple(extend_independent(field, 2 * n, u_rows, vperp)[n:])
+    if len(tail) != n - k:
+        raise AssertionError("perp(V) does not complete U by n - k rows")
+    units = (unit_vector(2 * n, i) for i in range(2 * n))
+    arb = tuple(extend_independent(field, 2 * n, u_rows + tail, units)[2 * n - k :])
+    if len(arb) != k:
+        raise AssertionError("the unit vectors do not complete perp(V) by k rows")
+
+    # the rows of the frame's Gram matrix that the shear reads: U's and arb's
+    upper = gram(u_rows, u_rows + arb + tail)
+    if any(map(any, (row[:n] for row in upper))) or any(
+        map(any, (row[n + k :] for row in upper[:k]))
+    ):
+        raise AssertionError("the frame's Gram matrix is not zero on U and V x tail")
+    a = [row[n : n + k] for row in upper[:k]]
+    bb = [row[n : n + k] for row in upper[k:]]
+    c = [row[n + k :] for row in upper[k:]]
+    lower = gram(arb, arb + tail)
+    d = _skew_split(field, [row[:k] for row in lower])
+    e = [row[k:] for row in lower]
+    f = _skew_split(field, gram(tail, tail))
+
+    # arb <- arb + s*V + r*tail, where r = -(c^-1 * bb)^Sigma and
+    # s = ((e + r*f) * c^-1 * bb - d) * a^-1
+    neg, sig, add, sub = field._neg, field._sigma, field._add, field._sub
+    cb = _solve(field, c, bb)
+    r = [[neg[sig[row[i]]] for row in cb] for i in range(k)]
+    erf = _zip_rows(add, e, _product(field, r, f, n - k))
+    left = _zip_rows(sub, _product(field, erf, cb, k), d)
+    ident = [[int(i == j) for j in range(k)] for i in range(k)]
+    s = _product(field, left, _solve(field, a, ident), k)
+    shear = [si + unit + ri for si, unit, ri in zip(s, ident, r)]
+    sheared = _product(field, shear, v_rows + arb + tail, 2 * n)
+    x_rows = w_rows + tuple(map(tuple, sheared))
+    if any(map(any, gram(x_rows, x_rows))):
+        raise AssertionError("the sheared rows are not totally isotropic")
+
+    x = _basis_rows(field, x_rows, 2 * n)
+    if len(x) != n or not form._vanishes_on(x):
+        raise AssertionError("X is not a maximal totally isotropic space")
+    if _meet_rows(field, 2 * n, x, vperp) != w_rows:
+        raise AssertionError("X meet perp(V) is not W")
+    return x
 
 
 def isotropic_meeting_perp(
@@ -284,62 +345,76 @@ def isotropic_meeting_perp(
 ) -> SubspacePoint:
     """A maximal totally isotropic X with X meet perp(V) = W.
 
-    The input must satisfy U = V (+) W with U maximal totally isotropic.
-    The construction computes the Gram matrix of an ordered frame and
-    applies a single closed-form shear transition to it; the sheared
-    middle rows span X.
+    The input must satisfy U = V (+) W with U maximal totally isotropic;
+    this is checked here, once, with a ValueError naming what fails.
+    The construction, _meeting_perp_rows, computes the Gram matrix of an
+    ordered frame and applies a single closed-form shear transition to
+    it; the sheared middle rows span X.
     """
     field = u.field
     n = u.n
-    form, k, rows, vperp = _ordered_frame(u, v, w)
-    frame = Matrix._of(field, tuple(rows), 2 * n)
-    m = form.restricted_gram(frame)
+    _require_isotropic(u, "u")
+    if v.field != field or v.ambient_dim != 2 * n:
+        raise ValueError("v lives in the wrong space")
+    if w.field != field or w.ambient_dim != 2 * n:
+        raise ValueError("w lives in the wrong space")
+    # v + w = u: v and w meet trivially, their dimensions add up to n,
+    # and both lie in u, so stacking u on them keeps rank n
+    v_rows, w_rows = v.basis.entries, w.basis.entries
+    if (
+        _rank(field, v_rows + w_rows, 2 * n) != v.dim + w.dim
+        or v.dim + w.dim != n
+        or _rank(field, u.space.basis.entries + v_rows + w_rows, 2 * n) != n
+    ):
+        raise ValueError("u = v (+) w must be a direct sum decomposition")
+    return _point(field, n, _meeting_perp_rows(field, n, v_rows, w_rows))
 
-    a = m.block(0, k, n, n + k)
-    bb = m.block(k, n, n, n + k)
-    c = m.block(k, n, n + k, 2 * n)
-    g33 = m.block(n, n + k, n, n + k)
-    e = m.block(n, n + k, n + k, 2 * n)
-    g44 = m.block(n + k, 2 * n, n + k, 2 * n)
-    assert m.block(0, n, 0, n).is_zero() and m.block(0, k, n + k, 2 * n).is_zero()
 
-    d = _skew_split(g33)
-    f = _skew_split(g44)
-    c_inv = c.inverse()
-    c_inv_sig = c_inv.sigma_transpose()
-    s = ((e - bb.sigma_transpose() * c_inv_sig * f) * c_inv * bb - d) * a.inverse()
-    r = -(bb.sigma_transpose() * c_inv_sig)
+def _complement_rows(field: FieldSpec, n: int, u1: tuple, u2: tuple) -> tuple:
+    """The RREF rows of a maximal totally isotropic complement of U1 and U2.
 
-    ident_k = Matrix.identity(field, k)
-    ident_nk = Matrix.identity(field, n - k)
-    z = Matrix.zeros
-    transition = Matrix.from_blocks(
-        [
-            [ident_k, z(field, k, n - k), z(field, k, k), z(field, k, n - k)],
-            [z(field, n - k, k), ident_nk, z(field, n - k, k), z(field, n - k, n - k)],
-            [s, z(field, k, n - k), ident_k, r],
-            [z(field, n - k, k), z(field, n - k, n - k), z(field, n - k, k), ident_nk],
-        ]
-    )
-    new_frame = transition * frame
-    sheared = form.restricted_gram(new_frame)
-    assert sheared.block(k, n + k, k, n + k).is_zero()
-
-    x_rows = new_frame.entries[k : n + k]
-    x = SubspacePoint(Subspace(Matrix._of(field, x_rows, 2 * n)), n)
-    assert form.is_totally_isotropic(x)
-    assert x.space.intersect(vperp) == w
+    u1 and u2 are the RREF bases of two maximal totally isotropic
+    points, which is not checked again here.  Writes V = U1 meet U2,
+    picks complements W1, W2 of V inside U1, U2 from their bases,
+    rescales W1 so the form pairs the two complements as (0, I; -I, 0),
+    and sums the paired basis vectors to get a diagonal W.  Then
+    U = V (+) W is maximal totally isotropic and the X with
+    X meet perp(V) = W avoids both inputs.  Every postcondition raises
+    AssertionError.
+    """
+    d = 2 * n
+    form = standard_form(field, n)
+    v = _meet_rows(field, d, u1, u2)
+    k = len(v)
+    w1 = _basis_rows(field, extend_independent(field, d, v, u1)[k:], d)
+    w2 = _basis_rows(field, extend_independent(field, d, v, u2)[k:], d)
+    if len(w1) != n - k or len(w2) != n - k:
+        raise AssertionError("V does not have complements of dimension n - k")
+    scaled = _solve(field, form._gram_rows(w1, w2), w1)
+    w = _basis_rows(field, _zip_rows(field._add, scaled, w2), d)
+    if len(w) != n - k:
+        raise AssertionError("the diagonal W lost rank")
+    # w1 + w = w2 + w = w1 (+) w2: w lies in w1 (+) w2 and meets both trivially
+    if (
+        _rank(field, w1 + w2, d) != 2 * (n - k)
+        or _rank(field, w1 + w2 + w, d) != 2 * (n - k)
+        or _rank(field, w + w1, d) != 2 * (n - k)
+        or _rank(field, w + w2, d) != 2 * (n - k)
+    ):
+        raise AssertionError("W is not a diagonal of W1 (+) W2")
+    if _rank(field, v + w, d) != n or not form._vanishes_on(v + w):
+        raise AssertionError("U = V (+) W is not maximal totally isotropic")
+    x = _meeting_perp_rows(field, n, v, w)
+    if _rank(field, x + u1, d) != d or _rank(field, x + u2, d) != d:
+        raise AssertionError("X meets an input point")
     return x
 
 
 def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     """A maximal totally isotropic complement of both input points.
 
-    Writes V = U1 meet U2, picks complements W1, W2 of V inside U1, U2
-    from the canonical bases, rescales W1 so the form pairs the two
-    complements as (0, I; -I, 0), and sums the paired basis vectors to
-    get a diagonal W.  Then U = V (+) W is maximal totally isotropic and
-    the X with X meet perp(V) = W avoids both inputs.
+    Raises ValueError unless both points are totally isotropic points of
+    one line; the construction is _complement_rows.
     """
     field = u1.field
     n = u1.n
@@ -347,52 +422,32 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
         raise ValueError("points belong to different projective lines")
     _require_isotropic(u1, "u1")
     _require_isotropic(u2, "u2")
-    form = standard_form(field, n)
-
-    v = u1.space.intersect(u2.space)
-    k = v.dim
-
-    def complement_rows(u: SubspacePoint):
-        return extend_independent(
-            field, 2 * n, v.basis.entries, u.space.basis.entries
-        )[k:]
-
-    w1 = Subspace(Matrix._of(field, tuple(complement_rows(u1)), 2 * n))
-    w2 = Subspace(Matrix._of(field, tuple(complement_rows(u2)), 2 * n))
-    assert w1.dim == n - k and w2.dim == n - k
-
-    pairing = w1.basis * form.gram * w2.basis.sigma_transpose()
-    scaled = pairing.inverse() * w1.basis
-    w = Subspace(scaled + w2.basis)
-    assert w.dim == n - k
-
-    # w1 + w = w2 + w = w1 (+) w2: w lies in w1 (+) w2 and meets both trivially
-    assert _meets_trivially(w1, w2)
-    assert _stacked_rank(w1, w2, w) == 2 * (n - k)
-    assert _meets_trivially(w, w1) and _meets_trivially(w, w2)
-
-    u_space = v + w
-    assert u_space.dim == n and form.is_totally_isotropic(u_space)
-    x = isotropic_meeting_perp(SubspacePoint(u_space, n), v, w)
-    assert _meets_trivially(x.space, u1.space)
-    assert _meets_trivially(x.space, u2.space)
-    return x
+    u1_rows, u2_rows = u1.space.basis.entries, u2.space.basis.entries
+    return _point(field, n, _complement_rows(field, n, u1_rows, u2_rows))
 
 
 def decompose_isotropic(p: SubspacePoint) -> BartolonePair:
     """A hermitian parameter pair (T1, T2) whose point is p.
 
-    Takes a common complement X of the base point and p, normalises its
-    basis to (C | I), and solves the parametrisation: T1 = C and
-    T2 = (B*C - A)^-1 * B for the canonical blocks (A, B) of p.
+    Raises ValueError unless p is totally isotropic.  Takes a common
+    complement X of the base point and p, whose rows (C0 | D0) have an
+    invertible D0, and solves the parametrisation with T1 = D0^-1 * C0:
+    T2 = (B*T1 - A)^-1 * B for the canonical blocks (A, B) of p.
     """
     field = p.field
     n = p.n
     _require_isotropic(p, "the point")
-    x = common_complement(base_point(field, n), p)
-    c0, d0 = x.blocks()
-    pair = preimage_pair(p, d0.inverse() * c0)
-    assert pair.t1.is_hermitian() and pair.t2.is_hermitian()
+    rows = p.space.basis.entries
+    x = _complement_rows(field, n, base_point(field, n).space.basis.entries, rows)
+    t1 = _matrix_id(field.q, _solve(field, [r[n:] for r in x], [r[:n] for r in x]))
+    matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
+    point_id = _rows_id(field.q, 2 * n, rows)
+    found = _preimage_ids(field, n, rows, point_id, [t1], matrix)
+    if found is None:
+        raise AssertionError("B*T1 - A is singular though X avoids the point")
+    pair = BartolonePair(*(matrix[t] for t in found))
+    if not (pair.t1.is_hermitian() and pair.t2.is_hermitian()):
+        raise AssertionError("a parameter matrix of the pair is not hermitian")
     return pair
 
 
@@ -409,6 +464,7 @@ def hermitian_adjacent_star(field: FieldSpec, n: int, c0) -> list[SubspacePoint]
     t2s = [rank_one.scale(t) for t in field.fixed_elements]
     points = sweep_points(field, n, hermitian_matrices(field, n), t2s)
     form = standard_form(field, n)
-    assert all(form.is_totally_isotropic(p) for p in points)
+    if not all(form.is_totally_isotropic(p) for p in points):
+        raise AssertionError("a hermitian star point is not totally isotropic")
     return points
 

@@ -18,10 +18,14 @@ Hashes are computed on first use.
 
 Arithmetic has one path.  ``_product`` is the only matrix-product loop
 and ``_row_reduce`` the only elimination; both take entry rows, so the
-kernels of the other modules call them with no Matrix in between.
-Entrywise arithmetic is ``Matrix._map`` (x -> table[x]) and
-``Matrix._zip`` (x, y -> table[x][y]) over a field table.  ``src/`` has
-no other product loop and no other entry loop over a field table.
+kernels of the other modules call them with no Matrix in between.  So
+are the row forms behind the methods: ``_rank``, ``_basis_rows``,
+``_meet_rows``, ``_nullspace_rows`` and ``_zip_rows`` compute
+``Matrix.rank``, the canonical basis of ``Subspace``,
+``Subspace.intersect``, ``nullspace`` and ``Matrix._zip``.  Entrywise
+arithmetic is ``Matrix._map`` (x -> table[x]) and ``_zip_rows``
+(x, y -> table[x][y]) over a field table.  ``src/`` has no other
+product loop.
 Eliminations stop at echelon form where that suffices:
 ``extend_independent`` carries an echelon form of the rows kept so far
 and eliminates only each candidate's row against it, and
@@ -167,9 +171,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        get = table.__getitem__
-        pairs = zip(self.entries, other.entries)
-        entries = tuple([tuple(map(getitem, map(get, r1), r2)) for r1, r2 in pairs])
+        entries = tuple(_zip_rows(table, self.entries, other.entries))
         return Matrix._of(self.field, entries, self.cols)
 
     def __add__(self, other):
@@ -241,8 +243,7 @@ class Matrix:
         )
 
     def rank(self) -> int:
-        work = [list(row) for row in self.entries]
-        return len(_row_reduce(self.field, work, self.cols, below_only=True))
+        return _rank(self.field, self.entries, self.cols)
 
     def inverse(self) -> "Matrix":
         """Inverse via Gauss-Jordan on the identity-augmented matrix.
@@ -309,6 +310,12 @@ class Matrix:
         return cls(field, parsed, cols=cols)
 
 
+def _zip_rows(table, a, b) -> list[tuple]:
+    """The rows of table[x][y] over the paired entries of the rows a and b."""
+    get = table.__getitem__
+    return [tuple(map(getitem, map(get, r1), r2)) for r1, r2 in zip(a, b)]
+
+
 def _product(field: FieldSpec, a, b, cols: int) -> list[list[int]]:
     """The rows, as lists, of the product of the entry rows a and b.
 
@@ -370,14 +377,40 @@ def _row_reduce(
     return pivots
 
 
+def _rank(field: FieldSpec, rows, cols: int) -> int:
+    """The rank of the entry rows, from an echelon form of a copy."""
+    return len(_row_reduce(field, [list(row) for row in rows], cols, below_only=True))
+
+
+def _basis_rows(field: FieldSpec, rows, cols: int) -> tuple:
+    """The RREF basis, as tuples, of the row space of the entry rows."""
+    work = [list(row) for row in rows]
+    rank = len(_row_reduce(field, work, cols))
+    return tuple(map(tuple, work[:rank]))
+
+
+def _meet_rows(field: FieldSpec, cols: int, a, b) -> tuple:
+    """The RREF basis of the intersection of the row spaces of a and b.
+
+    The Zassenhaus block trick: row reduce [A | A; B | 0] to echelon
+    form; the right halves of the rows whose left half vanished span
+    the intersection.
+    """
+    work = [list(row) + list(row) for row in a]
+    work += [list(row) + [0] * cols for row in b]
+    _row_reduce(field, work, 2 * cols, below_only=True)
+    meet = [r[cols:] for r in work if not any(r[:cols]) and any(r[cols:])]
+    return _basis_rows(field, meet, cols)
+
+
 class Subspace:
     """A subspace of K^d, stored by its canonical RREF basis."""
 
     __slots__ = ("basis", "ambient_dim")
 
     def __init__(self, matrix: Matrix):
-        reduced, rank = matrix.rref()
-        self.basis = reduced.block(0, rank, 0, matrix.cols)
+        rows = _basis_rows(matrix.field, matrix.entries, matrix.cols)
+        self.basis = Matrix._of(matrix.field, rows, matrix.cols)
         self.ambient_dim = matrix.cols
 
     @classmethod
@@ -427,21 +460,11 @@ class Subspace:
         return Subspace(self.basis.vstack(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the Zassenhaus block trick.
-
-        Row reduce [U | U; W | 0] to echelon form; the right halves of
-        the rows whose left half vanished form a basis of the
-        intersection, which the constructor then canonicalises.
-        """
+        """Intersection via the Zassenhaus block trick (see _meet_rows)."""
         self._check_compatible(other)
         d = self.ambient_dim
-        work = [list(row) + list(row) for row in self.basis.entries]
-        work += [list(row) + [0] * d for row in other.basis.entries]
-        _row_reduce(self.field, work, 2 * d, below_only=True)
-        rows = tuple(
-            tuple(r[d:]) for r in work if not any(r[:d]) and any(r[d:])
-        )
-        return Subspace(Matrix._of(self.field, rows, d))
+        rows = _meet_rows(self.field, d, self.basis.entries, other.basis.entries)
+        return Subspace._from_canonical(Matrix._of(self.field, rows, d))
 
     def contains_vector(self, vec) -> bool:
         vec = tuple(vec)
@@ -480,19 +503,25 @@ def extend_independent(field: FieldSpec, ambient_dim: int, rows, candidates):
 
 def nullspace(m: Matrix) -> Subspace:
     """The right kernel {x : m x^T = 0} as a subspace of K^cols."""
-    work = [list(row) for row in m.entries]
-    pivots = _row_reduce(m.field, work, m.cols)
-    neg = m.field._neg
-    rows = []
-    for f in range(m.cols):
+    rows = _nullspace_rows(m.field, m.entries, m.cols)
+    return Subspace._from_canonical(Matrix._of(m.field, rows, m.cols))
+
+
+def _nullspace_rows(field: FieldSpec, rows, cols: int) -> tuple:
+    """The RREF basis of the right kernel {x : rows x^T = 0} of K^cols."""
+    work = [list(row) for row in rows]
+    pivots = _row_reduce(field, work, cols)
+    neg = field._neg
+    kernel = []
+    for f in range(cols):
         if f in pivots:
             continue
-        vec = [0] * m.cols
+        vec = [0] * cols
         vec[f] = 1
         for row, pc in zip(work, pivots):
             vec[pc] = neg[row[f]]
-        rows.append(tuple(vec))
-    return Subspace(Matrix._of(m.field, tuple(rows), m.cols))
+        kernel.append(vec)
+    return _basis_rows(field, kernel, cols)
 
 
 def all_matrices(field: FieldSpec, rows: int, cols: int):

@@ -1,7 +1,13 @@
 """Reference code that only the tests use.
 
 ``isotropic_meeting_perp_stepwise`` is an independent cross-check of
-``hermitian.isotropic_meeting_perp``, ``check_distant_chain`` proves
+``hermitian.isotropic_meeting_perp``: it shears the frame of
+``ordered_frame_by_matrices`` in two steps.
+``isotropic_meeting_perp_by_matrices``, ``common_complement_by_matrices``
+and ``decompose_isotropic_by_matrices`` are the constructions as they
+were on Matrix and Subspace values, before they ran on entry rows; with
+``skew_split_by_matrices`` they keep their postconditions as plain
+asserts.  ``check_distant_chain`` proves
 the "distant diameter at most two" claim with explicit middle points,
 and ``graph_from_edges`` builds a small graph from a hand-written edge
 list.  ``subspace_id`` ranks a subspace object the way the pair kernel
@@ -52,12 +58,7 @@ from hermline.fields import (
     _poly_mul,
     _poly_rem,
 )
-from hermline.hermitian import (
-    SesquilinearForm,
-    _ordered_frame,
-    _skew_split,
-    standard_form,
-)
+from hermline.hermitian import SesquilinearForm, _require_isotropic, standard_form
 from hermline.harness import (
     RelationGraph,
     _PairCases,
@@ -74,6 +75,8 @@ from hermline.matrices import (
     _rref_id,
     _rref_layouts,
     all_matrices,
+    extend_independent,
+    unit_vector,
 )
 from hermline.projline import (
     BartolonePair,
@@ -87,6 +90,7 @@ from hermline.projline import (
     is_distant,
     point_from_id,
     point_from_pair,
+    preimage_pair,
 )
 
 # The configurations ((p, k, involution), n) that the id and isotropy
@@ -279,6 +283,174 @@ def isotropic_points_by_filter(field: FieldSpec, n: int) -> tuple:
     )
 
 
+def skew_split_by_matrices(g: Matrix) -> Matrix:
+    """Some D with D - D^Sigma = g, for an anti-hermitian g, on Matrix values."""
+    field = g.field
+    assert g.sigma_transpose() == -g
+    sub, sig = field._sub, field._sigma
+    n = g.rows
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i + 1 :] = g.entries[i][i + 1 :]
+        target = g.entries[i][i]
+        d = next((x for x in field.elements() if sub[x][sig[x]] == target), None)
+        if d is None:
+            raise AssertionError("diagonal entry is not of trace form")
+        rows[i][i] = d
+    out = Matrix._of(field, tuple(map(tuple, rows)), n)
+    assert out - out.sigma_transpose() == g
+    return out
+
+
+def _stacked_rank(*spaces: Subspace) -> int:
+    """The dimension of the sum of the spaces: the rank of their stacked bases."""
+    rows = tuple(row for space in spaces for row in space.basis.entries)
+    return Matrix._of(spaces[0].field, rows, spaces[0].ambient_dim).rank()
+
+
+def _meets_trivially(a: Subspace, b: Subspace) -> bool:
+    """Whether a meet b = 0: the stacked bases have rank dim a + dim b."""
+    return _stacked_rank(a, b) == a.dim + b.dim
+
+
+def ordered_frame_by_matrices(u: SubspacePoint, v: Subspace, w: Subspace):
+    """Validate U = V (+) W and build an ordered frame of K^(2n).
+
+    Returns (form, k, rows, vperp): rows list a basis of K^(2n) ordered
+    as V-basis, W-basis, a completion of perp(V) to the full space, and
+    a completion of U inside perp(V).  The middle two groups are the
+    rows the construction will shear.
+    """
+    field = u.field
+    n = u.n
+    form = standard_form(field, n)
+    _require_isotropic(u, "u")
+    if v.field != field or v.ambient_dim != 2 * n:
+        raise ValueError("v lives in the wrong space")
+    if w.field != field or w.ambient_dim != 2 * n:
+        raise ValueError("w lives in the wrong space")
+    if (
+        not _meets_trivially(v, w)
+        or v.dim + w.dim != n
+        or _stacked_rank(u.space, v, w) != n
+    ):
+        raise ValueError("u = v (+) w must be a direct sum decomposition")
+    k = v.dim
+    v_rows = list(v.basis.entries)
+    w_rows = list(w.basis.entries)
+    u_rows = v_rows + w_rows
+    vperp = form.perp(v)
+    tail_rows = extend_independent(field, 2 * n, u_rows, vperp.basis.entries)[n:]
+    assert len(tail_rows) == n - k
+    arb_rows = extend_independent(
+        field, 2 * n, u_rows + tail_rows, (unit_vector(2 * n, i) for i in range(2 * n))
+    )[2 * n - k :]
+    assert len(arb_rows) == k
+    return form, k, v_rows + w_rows + arb_rows + tail_rows, vperp
+
+
+def isotropic_meeting_perp_by_matrices(
+    u: SubspacePoint, v: Subspace, w: Subspace
+) -> SubspacePoint:
+    """``isotropic_meeting_perp`` on Matrix values: the frame's Gram
+    matrix and one closed-form shear transition of the whole frame."""
+    field = u.field
+    n = u.n
+    form, k, rows, vperp = ordered_frame_by_matrices(u, v, w)
+    frame = Matrix._of(field, tuple(rows), 2 * n)
+    m = form.restricted_gram(frame)
+
+    a = m.block(0, k, n, n + k)
+    bb = m.block(k, n, n, n + k)
+    c = m.block(k, n, n + k, 2 * n)
+    g33 = m.block(n, n + k, n, n + k)
+    e = m.block(n, n + k, n + k, 2 * n)
+    g44 = m.block(n + k, 2 * n, n + k, 2 * n)
+    assert m.block(0, n, 0, n).is_zero() and m.block(0, k, n + k, 2 * n).is_zero()
+
+    d = skew_split_by_matrices(g33)
+    f = skew_split_by_matrices(g44)
+    c_inv = c.inverse()
+    c_inv_sig = c_inv.sigma_transpose()
+    s = ((e - bb.sigma_transpose() * c_inv_sig * f) * c_inv * bb - d) * a.inverse()
+    r = -(bb.sigma_transpose() * c_inv_sig)
+
+    ident_k = Matrix.identity(field, k)
+    ident_nk = Matrix.identity(field, n - k)
+    z = Matrix.zeros
+    transition = Matrix.from_blocks(
+        [
+            [ident_k, z(field, k, n - k), z(field, k, k), z(field, k, n - k)],
+            [z(field, n - k, k), ident_nk, z(field, n - k, k), z(field, n - k, n - k)],
+            [s, z(field, k, n - k), ident_k, r],
+            [z(field, n - k, k), z(field, n - k, n - k), z(field, n - k, k), ident_nk],
+        ]
+    )
+    new_frame = transition * frame
+    sheared = form.restricted_gram(new_frame)
+    assert sheared.block(k, n + k, k, n + k).is_zero()
+
+    x_rows = new_frame.entries[k : n + k]
+    x = SubspacePoint(Subspace(Matrix._of(field, x_rows, 2 * n)), n)
+    assert form.is_totally_isotropic(x)
+    assert x.space.intersect(vperp) == w
+    return x
+
+
+def common_complement_by_matrices(
+    u1: SubspacePoint, u2: SubspacePoint
+) -> SubspacePoint:
+    """``common_complement`` on Matrix and Subspace values."""
+    field = u1.field
+    n = u1.n
+    if u2.field != field or u2.n != n:
+        raise ValueError("points belong to different projective lines")
+    _require_isotropic(u1, "u1")
+    _require_isotropic(u2, "u2")
+    form = standard_form(field, n)
+
+    v = u1.space.intersect(u2.space)
+    k = v.dim
+
+    def complement_rows(u: SubspacePoint):
+        return extend_independent(
+            field, 2 * n, v.basis.entries, u.space.basis.entries
+        )[k:]
+
+    w1 = Subspace(Matrix._of(field, tuple(complement_rows(u1)), 2 * n))
+    w2 = Subspace(Matrix._of(field, tuple(complement_rows(u2)), 2 * n))
+    assert w1.dim == n - k and w2.dim == n - k
+
+    pairing = w1.basis * form.gram * w2.basis.sigma_transpose()
+    scaled = pairing.inverse() * w1.basis
+    w = Subspace(scaled + w2.basis)
+    assert w.dim == n - k
+
+    # w1 + w = w2 + w = w1 (+) w2: w lies in w1 (+) w2 and meets both trivially
+    assert _meets_trivially(w1, w2)
+    assert _stacked_rank(w1, w2, w) == 2 * (n - k)
+    assert _meets_trivially(w, w1) and _meets_trivially(w, w2)
+
+    u_space = v + w
+    assert u_space.dim == n and form.is_totally_isotropic(u_space)
+    x = isotropic_meeting_perp_by_matrices(SubspacePoint(u_space, n), v, w)
+    assert _meets_trivially(x.space, u1.space)
+    assert _meets_trivially(x.space, u2.space)
+    return x
+
+
+def decompose_isotropic_by_matrices(p: SubspacePoint) -> BartolonePair:
+    """``decompose_isotropic`` through the Matrix-level common complement."""
+    field = p.field
+    n = p.n
+    _require_isotropic(p, "the point")
+    x = common_complement_by_matrices(base_point(field, n), p)
+    c0, d0 = x.blocks()
+    pair = preimage_pair(p, d0.inverse() * c0)
+    assert pair.t1.is_hermitian() and pair.t2.is_hermitian()
+    return pair
+
+
 def isotropic_meeting_perp_stepwise(
     u: SubspacePoint, v: Subspace, w: Subspace
 ) -> SubspacePoint:
@@ -290,7 +462,7 @@ def isotropic_meeting_perp_stepwise(
     """
     field = u.field
     n = u.n
-    form, k, rows, _ = _ordered_frame(u, v, w)
+    form, k, rows, _ = ordered_frame_by_matrices(u, v, w)
     add, mul = field._add, field._mul
 
     def shear(target_rows, coeff: Matrix, source_rows):
@@ -315,7 +487,7 @@ def isotropic_meeting_perp_stepwise(
     m = gram()
     assert m.block(k, n, n, n + k).is_zero()
     a = m.block(0, k, n, n + k)
-    d = _skew_split(m.block(n, n + k, n, n + k))
+    d = skew_split_by_matrices(m.block(n, n + k, n, n + k))
     shear(arb, -(d * a.inverse()), list(range(k)))
 
     m = gram()

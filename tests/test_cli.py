@@ -332,6 +332,23 @@ def test_non_decimal_entry_refused(literal, capsys):
     assert "not a field element literal" in err
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["1" * 4_000, "1" * 5_000, "x" * 4_000],
+    ids=["4000-digits", "5000-digits", "4000-letters"],
+)
+def test_huge_entry_refused_in_one_short_line(literal, capsys):
+    """An entry of thousands of characters is not echoed in full."""
+    t1 = json.dumps({"rows": 2, "cols": 2, "entries": [[literal, "0"], ["0", "1"]]})
+    argv = ["bartolone", "--p", "2", "--t1", t1, "--t2", IDENTITY_2]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "Traceback" not in err
+
+
 def test_missing_file_argument(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     code, out, err = run(capsys, "decompose", "--p", "2", "--point", str(missing))

@@ -1,8 +1,13 @@
 """The anti-hermitian form, isotropic points and the subspace constructions."""
 
+import ast
 import copy
 import hashlib
 import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,15 +35,19 @@ from hermline import (
     standard_form,
 )
 from hermline.hermitian import _skew_split, isotropic_ids
-from hermline.matrices import Subspace, all_vectors, outer_product
+from hermline.matrices import Subspace, all_vectors, extend_independent, outer_product
 from reference_checks import (
     LADDER,
     LADDER_IDS,
+    common_complement_by_matrices,
     contains,
+    decompose_isotropic_by_matrices,
     evaluate,
     hermitian_matrices_by_filter,
+    isotropic_meeting_perp_by_matrices,
     isotropic_meeting_perp_stepwise,
     isotropic_points_by_filter,
+    skew_split_by_matrices,
     subspace_id,
 )
 
@@ -174,8 +183,9 @@ def test_skew_split(f4, f9):
         ]
         assert anti
         for g in anti:
-            d = _skew_split(g)
+            d = Matrix(field, _skew_split(field, g.entries))
             assert d - d.sigma_transpose() == g
+            assert d == skew_split_by_matrices(g)
 
 
 def test_meeting_perp_exhaustive(f2):
@@ -251,6 +261,180 @@ def test_common_complement_validation(f2):
         common_complement(base_point(f2, 2), not_iso)
     with pytest.raises(ValueError):
         common_complement(base_point(f2, 2), base_point(make_field(3), 2))
+
+
+def test_construction_boundary_errors(f2, f3):
+    """Each public construction refuses bad input once, at its boundary,
+    with these ValueErrors."""
+    form = standard_form(f2, 2)
+    iso = enumerate_isotropic(f2, 2)
+    points = enumerate_points(f2, 2)
+    not_iso = next(p for p in points if not form.is_totally_isotropic(p))
+    base = base_point(f2, 2)
+    u = iso[5]
+    other = next(p for p in iso if p.space.intersect(u.space).dim == 0)
+    line = Subspace.from_rows(f2, 4, u.space.basis.entries[:1])
+    zero = Subspace.zero(f2, 4)
+    meet = isotropic_meeting_perp
+    lines = "points belong to different projective lines"
+    direct = "u = v (+) w must be a direct sum decomposition"
+    cases = [
+        (decompose_isotropic, (not_iso,), "the point is not totally isotropic"),
+        (common_complement, (not_iso, base), "u1 is not totally isotropic"),
+        (common_complement, (base, not_iso), "u2 is not totally isotropic"),
+        (common_complement, (base, base_point(f3, 2)), lines),
+        (common_complement, (base, base_point(f2, 3)), lines),
+        (meet, (not_iso, zero, not_iso.space), "u is not totally isotropic"),
+        (meet, (u, Subspace.zero(f3, 4), u.space), "v lives in the wrong space"),
+        (meet, (u, zero, Subspace.zero(f2, 6)), "w lives in the wrong space"),
+        (meet, (u, line, line), direct),
+        (meet, (u, zero, line), direct),
+        (meet, (u, zero, other.space), direct),
+    ]
+    for construction, args, message in cases:
+        with pytest.raises(ValueError) as raised:
+            construction(*args)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == message
+
+
+# The fields and block sizes of the benchmark's constructions workload.
+BENCHMARK_CONSTRUCTIONS = [
+    ((2, 8, "identity"), 2),
+    ((3, 4, "frobenius"), 2),
+    ((2, 2, "frobenius"), 3),
+    ((5, 1, "identity"), 4),
+]
+
+
+def seeded_isotropic_points(field, n, count, seed):
+    """Points of seeded hermitian pairs whose T2 has each rank 0..n in turn,
+    so that the point meets the base point in each dimension."""
+    rng = random.Random(seed)
+    sig = field._sigma
+    points = []
+    for i in range(count):
+        t1 = [[0] * n for _ in range(n)]
+        for a in range(n):
+            t1[a][a] = rng.choice(field.fixed_elements)
+            for b in range(a + 1, n):
+                t1[a][b] = rng.randrange(field.q)
+                t1[b][a] = sig[t1[a][b]]
+        # T2 = sum of sigma(c)^T * t * c over r echelon vectors c and
+        # nonzero fixed t, which has rank r
+        t2 = Matrix.zeros(field, n, n)
+        for j in range(i % (n + 1)):
+            c = [0] * j + [1] + [rng.randrange(field.q) for _ in range(n - j - 1)]
+            t = rng.choice(field.fixed_elements[1:])
+            t2 = t2 + outer_product(field, [sig[x] for x in c], c).scale(t)
+        points.append(bartolone_hermitian(BartolonePair(Matrix(field, t1), t2)))
+    return points
+
+
+@pytest.mark.parametrize(
+    "field_args,n", BENCHMARK_CONSTRUCTIONS, ids=["gf256-2", "gf81-2", "gf4-3", "gf5-4"]
+)
+def test_constructions_match_the_matrix_reference(field_args, n):
+    """The row kernel gives the Matrix-level reference's outputs: the pair of
+    each point, the complement of each point with the next one, with itself
+    and with the base point, and X for U = p, V = p meet the base point and
+    W a complement of V in p."""
+    field = make_field(*field_args)
+    points = seeded_isotropic_points(field, n, 12, seed=n)
+    base = base_point(field, n)
+    meets = set()
+    for i, p in enumerate(points):
+        assert decompose_isotropic(p) == decompose_isotropic_by_matrices(p)
+        q = points[(i + 1) % len(points)]
+        for other in (q, p, base):
+            reference = common_complement_by_matrices(p, other)
+            assert common_complement(p, other) == reference
+        v = p.space.intersect(base.space)
+        rows = extend_independent(field, 2 * n, v.basis.entries, p.space.basis.entries)
+        w = Subspace.from_rows(field, 2 * n, rows[v.dim :])
+        x = isotropic_meeting_perp(p, v, w)
+        assert x == isotropic_meeting_perp_by_matrices(p, v, w)
+        meets.add(v.dim)
+    assert meets == set(range(n + 1))
+
+
+# Source mutants of the kernel: (the line as it is, the line mutated).
+KERNEL_MUTANTS = {
+    "shear-r-sign": (
+        "    r = [[neg[sig[row[i]]] for row in cb] for i in range(k)]\n",
+        "    r = [[sig[row[i]] for row in cb] for i in range(k)]\n",
+    ),
+    "skew-split-no-diagonal": (
+        "        out.append([0] * i + [d] + list(row[i + 1 :]))\n",
+        "        out.append([0] * i + [0] + list(row[i + 1 :]))\n",
+    ),
+}
+
+MUTANT_RUN = """
+import sys
+import traceback
+from pathlib import Path
+
+from hermline import hermitian, make_field
+
+if __debug__:
+    sys.exit("not running under python -O")
+source = Path(hermitian.__file__).read_text()
+line, mutated = sys.argv[1], sys.argv[2]
+if source.count(line) != 1:
+    sys.exit("the mutated line is not in the kernel exactly once")
+code = compile(source.replace(line, mutated), hermitian.__file__, "exec")
+exec(code, vars(hermitian))
+field = make_field(3, 2, "frobenius")
+add, mul = field._add, field._mul
+points = hermitian.enumerate_isotropic(field, 2)
+try:
+    for i, u in enumerate(points):
+        hermitian.decompose_isotropic(u)
+        hermitian.common_complement(u, points[(i + 1) % len(points)])
+        # U = V (+) W for V spanned by r0 + c*r1 and W by r1, the rows of U
+        r0, r1 = u.space.basis.entries
+        w = hermitian.Subspace.from_rows(field, 4, [r1])
+        for c in field.elements():
+            row = [add[x][mul[c][y]] for x, y in zip(r0, r1)]
+            v = hermitian.Subspace.from_rows(field, 4, [row])
+            hermitian.isotropic_meeting_perp(u, v, w)
+except AssertionError as exc:
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    print(frame.name, exc)
+    sys.exit(0)
+sys.exit("every construction passed")
+"""
+
+
+@pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
+def test_kernel_postconditions_catch_mutants_under_O(mutant):
+    """Under python -O, a broken shear or skew split raises AssertionError
+    from the kernel instead of returning a wrong point."""
+    line, mutated = KERNEL_MUTANTS[mutant]
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", MUTANT_RUN, line, mutated],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    function, _ = run.stdout.split(" ", 1)
+    assert function in {"_skew_split", "_meeting_perp_rows", "_complement_rows"}
+
+
+def test_src_has_no_assert_statement():
+    """Every invariant in src/hermline raises explicitly, so python -O keeps it."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hermline"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("maker", ALL_CONFIGS)
