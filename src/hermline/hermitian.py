@@ -1,7 +1,8 @@
 """Hermitian matrices and the dual polar space of maximal isotropic subspaces.
 
-The standard sigma-anti-hermitian form on K^(2n) has Gram matrix
-(0, I; -I, 0): beta(x, y) = x * G * (y^sigma)^T.  Its maximal totally
+There is one form: the sigma-anti-hermitian form on K^(2n) with the
+fixed Gram matrix J = (0, I; -I, 0), beta(x, y) = x * J * (y^sigma)^T,
+which the pairing and perp compute in closed form.  Its maximal totally
 isotropic subspaces have dimension n and are exactly the points of the
 projective line parametrised by pairs of hermitian matrices,
 
@@ -66,39 +67,36 @@ from .projline import (
 
 
 class SesquilinearForm:
-    """A non-degenerate sigma-anti-hermitian form on K^(2n)."""
+    """The standard sigma-anti-hermitian form on K^(2n), with Gram matrix J.
 
-    __slots__ = ("field", "n", "gram", "_terms")
+    J = (0, I; -I, 0) is fixed, so beta(x, y) is the closed form
+    sum over i < n of x_i * sigma(y_(n+i)) - x_(n+i) * sigma(y_i).
+    gram holds J as a Matrix for restricted_gram; the pairing and the
+    perp read J's blocks off directly.
+    """
 
-    def __init__(self, field: FieldSpec, n: int, gram: Matrix | None = None):
-        if gram is None:
-            ident = Matrix.identity(field, n)
-            zero = Matrix.zeros(field, n, n)
-            gram = Matrix.from_blocks([[zero, ident], [-ident, zero]])
-        if gram.field != field or gram.rows != 2 * n or gram.cols != 2 * n:
-            raise ValueError("gram matrix must be 2n x 2n over the given field")
-        if not gram.is_invertible():
-            raise ValueError("gram matrix must be invertible")
-        if gram.sigma_transpose() != -gram:
-            raise ValueError("gram matrix must be sigma-anti-hermitian")
+    __slots__ = ("field", "n", "gram", "_halves")
+
+    def __init__(self, field: FieldSpec, n: int):
+        gram = [[0] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            gram[i][n + i] = 1
+            gram[n + i][i] = field._neg[1]
         self.field = field
         self.n = n
-        self.gram = gram
-        self._terms = tuple(
-            (i, j, g)
-            for i, row in enumerate(gram.entries)
-            for j, g in enumerate(row)
-            if g
-        )
+        self.gram = Matrix._of(field, tuple(map(tuple, gram)), 2 * n)
+        self._halves = tuple(zip(range(n), range(n, 2 * n)))
 
     def _pairing(self, x, y) -> int:
-        """beta(x, y) = sum of x_i * g_ij * sigma(y_j) over the nonzero g_ij."""
+        """beta(x, y) by the closed form, skipping the zero terms."""
         field = self.field
-        add, mul, sig = field._add, field._mul, field._sigma
+        add, sub, mul, sig = field._add, field._sub, field._mul, field._sigma
         acc = 0
-        for i, j, g in self._terms:
+        for i, j in self._halves:
             if x[i] and y[j]:
-                acc = add[acc][mul[mul[x[i]][g]][sig[y[j]]]]
+                acc = add[acc][mul[x[i]][sig[y[j]]]]
+            if x[j] and y[i]:
+                acc = sub[acc][mul[x[j]][sig[y[i]]]]
         return acc
 
     def restricted_gram(self, rows: Matrix) -> Matrix:
@@ -112,17 +110,17 @@ class SesquilinearForm:
 
     def _perp_rows(self, rows) -> tuple:
         """The RREF basis of {x : beta(v, x) = 0 for every row v}."""
-        field, d = self.field, 2 * self.n
-        sig = field._sigma.__getitem__
-        vg = _product(field, rows, self.gram.entries, d)
-        return _nullspace_rows(field, [list(map(sig, row)) for row in vg], d)
+        field, n = self.field, self.n
+        neg, sig = field._neg, field._sigma
+        # sigma(beta(v, x)) = sigma(v*J) * x^T, and v*J = (-v_B | v_A)
+        vj = [[sig[neg[x]] for x in v[n:]] + [sig[x] for x in v[:n]] for v in rows]
+        return _nullspace_rows(field, vj, 2 * n)
 
     def is_totally_isotropic(self, obj) -> bool:
         """Whether the form vanishes on the subspace (or point space).
 
-        The gram matrix is sigma-anti-hermitian, so beta(y, x) is
-        -sigma(beta(x, y)), and the pairs of basis rows with x no later
-        than y suffice.
+        J is sigma-anti-hermitian, so beta(y, x) is -sigma(beta(x, y)),
+        and the pairs of basis rows with x no later than y suffice.
         """
         space = obj.space if isinstance(obj, SubspacePoint) else obj
         return self._vanishes_on(space.basis.entries)

@@ -28,7 +28,7 @@ arithmetic is ``Matrix._map`` (x -> table[x]) and ``_zip_rows``
 product loop.
 Eliminations stop at echelon form where that suffices:
 ``extend_independent`` carries an echelon form of the rows kept so far
-and eliminates only each candidate's row against it, and
+and row reduces it with each candidate appended, below the pivots only;
 ``Subspace.intersect`` reads the intersection off an echelon form of
 the Zassenhaus block.
 """
@@ -69,11 +69,8 @@ class Matrix:
             raise ValueError("a matrix with no rows needs an explicit column count")
         elif cols < 0:
             raise ValueError(f"column count {cols} is negative")
-        q = field.q
-        for row in ents:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
-                    raise ValueError(f"{x!r} is not an element of {field!r}")
+        for x in itertools.chain.from_iterable(ents):
+            field.check_element(x)
         self.field = field
         self.rows = len(ents)
         self.cols = cols
@@ -483,9 +480,10 @@ def extend_independent(field: FieldSpec, ambient_dim: int, rows, candidates):
 
     Returns the combined list; the relative order of the kept candidate
     rows follows the iteration order, so the result is deterministic.
-    An echelon form of the rows kept so far is carried along, so each
-    candidate costs one elimination of its own row against it; once
-    the rows span the whole space, no candidate is looked at.
+    An echelon form of the rows kept so far is carried along; each
+    candidate is appended to it, the whole trial is row reduced below
+    the pivots only, and the candidate is kept when the rank rises.
+    Once the rows span the whole space, no candidate is looked at.
     """
     rows = [tuple(r) for r in rows]
     echelon = [list(r) for r in rows]

@@ -14,7 +14,6 @@ import pytest
 from hermline import (
     BartolonePair,
     Matrix,
-    SesquilinearForm,
     SubspacePoint,
     all_matrices,
     arithmetical_distance,
@@ -26,16 +25,24 @@ from hermline import (
     enumerate_isotropic,
     enumerate_points,
     enumerate_subspaces,
+    hermitian,
     hermitian_adjacent_star,
     hermitian_matrices,
     isotropic_meeting_perp,
     jordan_system_axioms_check,
     make_field,
+    nullspace,
     point_from_pair,
     standard_form,
 )
 from hermline.hermitian import _skew_split, isotropic_ids
-from hermline.matrices import Subspace, all_vectors, extend_independent, outer_product
+from hermline.matrices import (
+    Subspace,
+    all_vectors,
+    extend_independent,
+    outer_product,
+    unit_vector,
+)
 from reference_checks import (
     LADDER,
     LADDER_IDS,
@@ -83,13 +90,67 @@ def test_standard_gram_matrix(f2):
     )
 
 
-def test_form_validation(f4, f9):
-    with pytest.raises(ValueError):
-        SesquilinearForm(f4, 2, Matrix.zeros(f4, 4, 4))
-    with pytest.raises(ValueError):
-        SesquilinearForm(f9, 2, Matrix.identity(f9, 4))
-    with pytest.raises(ValueError):
-        SesquilinearForm(f4, 2, Matrix.identity(f4, 3))
+def unit_pairing_mismatches(form):
+    """The (i, j) where the pairing of the unit vectors e_i, e_j is not J_ij."""
+    units = [unit_vector(2 * form.n, i) for i in range(2 * form.n)]
+    return [
+        (i, j)
+        for i, x in enumerate(units)
+        for j, y in enumerate(units)
+        if form._pairing(x, y) != form.gram.entries[i][j]
+    ]
+
+
+@pytest.mark.parametrize("field_args, n", LADDER, ids=LADDER_IDS)
+def test_pairing_matches_the_gram_on_unit_vectors(field_args, n):
+    assert unit_pairing_mismatches(standard_form(make_field(*field_args), n)) == []
+
+
+@pytest.mark.parametrize("field_args, n", LADDER, ids=LADDER_IDS)
+def test_pairing_matches_the_gram_product(field_args, n):
+    """On seeded random pairs, beta(x, y) is x * J * sigma(y)^T by Matrix products."""
+    field = make_field(*field_args)
+    form = standard_form(field, n)
+    rng = random.Random(11)
+    for _ in range(300):
+        x, y = (tuple(rng.randrange(field.q) for _ in range(2 * n)) for _ in "xy")
+        product = Matrix(field, [x]) * form.gram * Matrix(field, [y]).sigma_transpose()
+        assert form._pairing(x, y) == product.entries[0][0]
+
+
+def test_perp_rows_match_the_nullspace_of_sigma_vj(f3, f4):
+    """On every subspace V of K^4, _perp_rows is the nullspace of sigma(V * J)."""
+    for field in (f3, f4):
+        form = standard_form(field, 2)
+        for dim in range(5):
+            for space in enumerate_subspaces(field, 4, dim):
+                vj = (space.basis * form.gram).sigma_transpose().transpose()
+                want = nullspace(vj).basis.entries
+                assert form._perp_rows(space.basis.entries) == want
+
+
+# The pairing with + for the - of its second term: (the line, the mutant).
+PAIRING_SIGN_MUTANT = (
+    "                acc = sub[acc][mul[x[j]][sig[y[i]]]]\n",
+    "                acc = add[acc][mul[x[j]][sig[y[i]]]]\n",
+)
+
+
+def test_unit_vector_oracle_catches_a_pairing_sign_mutant(f2, f3, f4):
+    """The mutant's J_(n+i, i) reads +1, so the oracle fails on GF(3).
+
+    In characteristic 2, -1 = 1 and the mutant is the same form, so no
+    oracle can fail there: the sign is tested in odd characteristic only.
+    """
+    source = Path(hermitian.__file__).read_text()
+    line, mutated = PAIRING_SIGN_MUTANT
+    assert source.count(line) == 1
+    namespace = {"__name__": "hermline._pairing_mutant", "__package__": "hermline"}
+    exec(compile(source.replace(line, mutated), hermitian.__file__, "exec"), namespace)
+    mutant = namespace["SesquilinearForm"]
+    assert unit_pairing_mismatches(mutant(f3, 2)) == [(2, 0), (3, 1)]
+    assert unit_pairing_mismatches(mutant(f2, 2)) == []
+    assert unit_pairing_mismatches(mutant(f4, 2)) == []
 
 
 def test_form_is_sesquilinear(f9):
@@ -108,7 +169,7 @@ def test_form_is_sesquilinear(f9):
 
 
 def test_form_antisymmetry_and_trace_values(f4):
-    """beta(y,x) = -sigma(beta(x,y)) and beta(x,x) = w - sigma(w) for some w."""
+    """beta(y,x) = -sigma(beta(x,y)), a property of J, and beta(x,x) = w - sigma(w)."""
     form = standard_form(f4, 2)
     trace_values = {f4.sub(w, f4.sigma(w)) for w in f4.elements()}
     vectors = list(all_vectors(f4, 4))

@@ -53,6 +53,29 @@ def test_constructor_validation(f2):
     assert Matrix(f2, [[0, 1]], cols=2).cols == 2
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (2, "2 is not an element of GF(2)"),
+        (True, "True is not an element of GF(2)"),
+        ("1", "'1' is not an element of GF(2)"),
+        (1.0, "1.0 is not an element of GF(2)"),
+    ],
+    ids=["int", "bool", "str", "float"],
+)
+def test_constructor_entry_messages(f2, entry, message):
+    with pytest.raises(ValueError) as info:
+        Matrix(f2, [[0, entry]])
+    assert str(info.value) == message
+
+
+def test_constructor_abbreviates_a_huge_entry(f2):
+    """A 4,000-digit entry is named in a short message, as check_element does."""
+    with pytest.raises(ValueError) as info:
+        Matrix(f2, [[10**4000]])
+    assert len(str(info.value).encode()) < 200
+
+
 def test_public_boundary_validation(f3):
     m = Matrix(f3, [[1, 2], [0, 1]])
     with pytest.raises(ValueError):
