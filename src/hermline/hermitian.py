@@ -10,15 +10,15 @@ projective line parametrised by pairs of hermitian matrices,
 
 where X^Sigma is the involution transpose.  This module provides the
 form, the hermitian matrix set, the hermitian parametrisation, and the
-constructive machinery behind it: given a maximal totally isotropic
-U = V + W (a direct sum) it builds a maximal totally isotropic X with
-X meet perp(V) = W, from which a common complement of any two maximal
-isotropic subspaces and the parameter pair of any isotropic point are
-computed.
+constructions behind it.  The constructive proof is the cell pair:
+_cell_pair_rows reads (T1, T2) off the rows of an isotropic point P
+with one elimination, as P = {(x | a*R) : x * R^sigmaT = a*N}.  For a
+maximal totally isotropic U = V (+) W, _meeting_perp_rows builds a
+maximal totally isotropic X with X meet perp(V) = W, and from it
+_complement_rows a common complement of two such subspaces.
 
 The constructions run on RREF entry rows, through the row kernels of
-``matrices``: _complement_rows builds the common complement and calls
-_meeting_perp_rows for X, and neither builds a Matrix or a Subspace.
+``matrices``, and none builds a Matrix or a Subspace.
 Their inputs are validated once, at the public boundary:
 isotropic_meeting_perp, common_complement and decompose_isotropic
 raise ValueError for a non-isotropic point, points of different lines
@@ -38,8 +38,6 @@ from .matrices import (
     Matrix,
     Subspace,
     _basis_rows,
-    _matrix_from_id,
-    _matrix_id,
     _meet_rows,
     _nullspace_rows,
     _product,
@@ -57,10 +55,8 @@ from .projline import (
     BartolonePair,
     SubspacePoint,
     _check_parameter_vector,
-    _Memo,
-    _preimage_ids,
+    _pair_ids,
     bartolone,
-    base_point,
     point_from_id,
     sweep_points,
 )
@@ -424,28 +420,47 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     return _point(field, n, _complement_rows(field, n, u1_rows, u2_rows))
 
 
-def decompose_isotropic(p: SubspacePoint) -> BartolonePair:
-    """A hermitian parameter pair (T1, T2) whose point is p.
+def _cell_pair_rows(field: FieldSpec, n: int, rows: tuple) -> tuple[tuple, tuple]:
+    """The entry rows of the cell pair (T1, T2) of the isotropic point P.
 
-    Raises ValueError unless p is totally isotropic.  Takes a common
-    complement X of the base point and p, whose rows (C0 | D0) have an
-    invertible D0, and solves the parametrisation with T1 = D0^-1 * C0:
-    T2 = (B*T1 - A)^-1 * B for the canonical blocks (A, B) of p.
+    rows are P's RREF rows (A | B).  Row reducing (B | A) on B's columns
+    gives (R | A') on its first r = rank(B) rows, R the RREF of B's row
+    space, and (0 | A'') below.  By isotropy N = A' * R^sigmaT is
+    hermitian and A'' * R^sigmaT = 0, so P = {(x | a*R) : x*R^sigmaT = a*N}.
+    With E picking R's pivot columns, R * E^T = I_r, so the row y of
+    (T2*T1 - I | T2), for T2 = R^sigmaT * R and T1 = E^T * (N + I_r) * E,
+    is (x | a*R) with a = y * R^sigmaT and x * R^sigmaT = a*N.
     """
-    field = p.field
-    n = p.n
+    work = [list(row[n:] + row[:n]) for row in rows]
+    pivots = _row_reduce(field, work, n)
+    top = work[: len(pivots)]
+    r_sig_t = [[field._sigma[row[j]] for row in top] for j in range(n)]
+    cell = _product(field, [row[n:] for row in top], r_sig_t, len(pivots))
+    t1 = [[0] * n for _ in range(n)]
+    for i, (pi, row) in enumerate(zip(pivots, cell)):
+        row[i] = field._add[row[i]][1]
+        for pj, x in zip(pivots, row):
+            t1[pi][pj] = x
+    t2 = _product(field, r_sig_t, top, n)
+    return tuple(map(tuple, t1)), tuple(map(tuple, t2))
+
+
+def decompose_isotropic(p: SubspacePoint) -> BartolonePair:
+    """The cell pair (T1, T2) of p: a hermitian parameter pair whose point is p.
+
+    Raises ValueError unless p is totally isotropic.  _cell_pair_rows reads
+    the pair off p's rows; rank(T2) is p's distance from the base point.
+    That both are hermitian and that their point is p is checked explicitly.
+    """
+    field, n = p.field, p.n
     _require_isotropic(p, "the point")
     rows = p.space.basis.entries
-    x = _complement_rows(field, n, base_point(field, n).space.basis.entries, rows)
-    t1 = _matrix_id(field.q, _solve(field, [r[n:] for r in x], [r[:n] for r in x]))
-    matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
-    point_id = _rows_id(field.q, 2 * n, rows)
-    found = _preimage_ids(field, n, rows, point_id, [t1], matrix)
-    if found is None:
-        raise AssertionError("B*T1 - A is singular though X avoids the point")
-    pair = BartolonePair(*(matrix[t] for t in found))
+    t1, t2 = _cell_pair_rows(field, n, rows)
+    pair = BartolonePair(Matrix._of(field, t1, n), Matrix._of(field, t2, n))
     if not (pair.t1.is_hermitian() and pair.t2.is_hermitian()):
         raise AssertionError("a parameter matrix of the pair is not hermitian")
+    if _pair_ids(field, n)(t1, t2) != _rows_id(field.q, 2 * n, rows):
+        raise AssertionError("the cell pair parametrises another point")
     return pair
 
 

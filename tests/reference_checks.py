@@ -3,11 +3,13 @@
 ``isotropic_meeting_perp_stepwise`` is an independent cross-check of
 ``hermitian.isotropic_meeting_perp``: it shears the frame of
 ``ordered_frame_by_matrices`` in two steps.
-``isotropic_meeting_perp_by_matrices``, ``common_complement_by_matrices``
-and ``decompose_isotropic_by_matrices`` are the constructions as they
-were on Matrix and Subspace values, before they ran on entry rows; with
-``skew_split_by_matrices`` they keep their postconditions as plain
-asserts.  ``check_distant_chain`` proves
+``isotropic_meeting_perp_by_matrices`` and ``common_complement_by_matrices``
+are the constructions as they were on Matrix and Subspace values, before
+they ran on entry rows; ``complement_pair_by_matrices`` is the pair of a
+point by the common complement, as ``decompose_isotropic`` found it
+before the cell pair, and ``decompose_isotropic_by_matrices`` is the
+cell pair on Matrix values.  With ``skew_split_by_matrices`` they keep
+their postconditions as plain asserts.  ``check_distant_chain`` proves
 the "distant diameter at most two" claim with explicit middle points,
 and ``graph_from_edges`` builds a small graph from a hand-written edge
 list.  ``subspace_id`` ranks a subspace object the way the pair kernel
@@ -440,12 +442,44 @@ def common_complement_by_matrices(
 
 
 def decompose_isotropic_by_matrices(p: SubspacePoint) -> BartolonePair:
-    """``decompose_isotropic`` through the Matrix-level common complement."""
+    """``decompose_isotropic`` as the cell formula on Matrix values.
+
+    The first r = rank(B) rows of the RREF of (B | A) are (R | A'), and
+    with E picking out R's pivot columns the pair is
+    T1 = E^T * (A' * R^sigmaT + I_r) * E and T2 = R^sigmaT * R.  The full
+    RREF also reduces A' by the rows (0 | A'') below, which changes
+    neither N = A' * R^sigmaT nor the pair, since A'' * R^sigmaT = 0.
+    """
+    field = p.field
+    n = p.n
+    _require_isotropic(p, "the point")
+    a, b = p.blocks()
+    r = b.rank()
+    reduced, _ = b.hstack(a).rref()
+    rr = reduced.block(0, r, 0, n)
+    cell = reduced.block(0, r, n, 2 * n) * rr.sigma_transpose()
+    pivots = [row.index(1) for row in rr.entries]
+    e = Matrix(field, [unit_vector(n, c) for c in pivots], cols=n)
+    t1 = e.transpose() * (cell + Matrix.identity(field, r)) * e
+    pair = BartolonePair(t1, rr.sigma_transpose() * rr)
+    assert pair.t1.is_hermitian() and pair.t2.is_hermitian()
+    return pair
+
+
+def complement_pair_by_matrices(p: SubspacePoint) -> BartolonePair:
+    """The pair of p through the Matrix-level common complement.
+
+    The complement X = (C0 | D0) of the base point and p has an
+    invertible D0, and T1 = D0^-1 * C0 has the hermitian preimage pair
+    (T1, (B*T1 - A)^-1 * B); decompose_isotropic took this route before
+    the cell pair.
+    """
     field = p.field
     n = p.n
     _require_isotropic(p, "the point")
     x = common_complement_by_matrices(base_point(field, n), p)
     c0, d0 = x.blocks()
+    assert d0.is_invertible()
     pair = preimage_pair(p, d0.inverse() * c0)
     assert pair.t1.is_hermitian() and pair.t2.is_hermitian()
     return pair

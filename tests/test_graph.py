@@ -295,8 +295,9 @@ CLI_GOLDEN = {
         "4d30cccb74fadd88d819e15a16201e78596376c55e6a694e5ef090e3fa80895d",
         0,
     ),
+    # re-recorded when decompose_isotropic became the cell pair
     ("decompose", "gf3", 2, None): (
-        "2fad9a500ed870c55afecb56619c426e545a76f42add61e8273d73af2dbc0e5f",
+        "c1660638647f0b31dbcdee9f4b537f52825151375997046c8ffbd1db9254e487",
         0,
     ),
     ("complement", "gf3", 2, None): (

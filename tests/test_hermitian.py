@@ -4,6 +4,7 @@ import ast
 import copy
 import hashlib
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hermline import (
     SubspacePoint,
     all_matrices,
     arithmetical_distance,
+    bartolone,
     bartolone_hermitian,
     base_point,
     block_isotropy_criterion,
@@ -25,6 +27,7 @@ from hermline import (
     enumerate_isotropic,
     enumerate_points,
     enumerate_subspaces,
+    gaussian_binomial,
     hermitian,
     hermitian_adjacent_star,
     hermitian_matrices,
@@ -47,6 +50,7 @@ from reference_checks import (
     LADDER,
     LADDER_IDS,
     common_complement_by_matrices,
+    complement_pair_by_matrices,
     contains,
     decompose_isotropic_by_matrices,
     evaluate,
@@ -399,13 +403,19 @@ def test_constructions_match_the_matrix_reference(field_args, n):
     """The row kernel gives the Matrix-level reference's outputs: the pair of
     each point, the complement of each point with the next one, with itself
     and with the base point, and X for U = p, V = p meet the base point and
-    W a complement of V in p."""
+    W a complement of V in p.  The pair that the common complement of the
+    base point and p gives, (D0^-1 * C0, T2) for X = (C0 | D0), is
+    hermitian and reproduces p too; D0.inverse and preimage_pair raise
+    ValueError when D0 or B*T1 - A is singular."""
     field = make_field(*field_args)
     points = seeded_isotropic_points(field, n, 12, seed=n)
     base = base_point(field, n)
     meets = set()
     for i, p in enumerate(points):
         assert decompose_isotropic(p) == decompose_isotropic_by_matrices(p)
+        pair = complement_pair_by_matrices(p)
+        assert pair.t1.is_hermitian() and pair.t2.is_hermitian()
+        assert bartolone(pair) == p
         q = points[(i + 1) % len(points)]
         for other in (q, p, base):
             reference = common_complement_by_matrices(p, other)
@@ -428,6 +438,18 @@ KERNEL_MUTANTS = {
     "skew-split-no-diagonal": (
         "        out.append([0] * i + [d] + list(row[i + 1 :]))\n",
         "        out.append([0] * i + [0] + list(row[i + 1 :]))\n",
+    ),
+    # T1 = E^T * N * E: the pair is hermitian but parametrises another point
+    "cell-pair-no-identity": (
+        "        row[i] = field._add[row[i]][1]\n",
+        "        row[i] = field._add[row[i]][0]\n",
+    ),
+    # R^T for R^sigmaT: T2 = R^T * R is not hermitian once R has an entry
+    # off the fixed field.  Under the identity involution R^T is R^sigmaT,
+    # so this mutant cannot fail there; MUTANT_RUN runs on GF(9)s.
+    "cell-pair-plain-transpose": (
+        "    r_sig_t = [[field._sigma[row[j]] for row in top] for j in range(n)]\n",
+        "    r_sig_t = [[row[j] for row in top] for j in range(n)]\n",
     ),
 }
 
@@ -470,8 +492,8 @@ sys.exit("every construction passed")
 
 @pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
 def test_kernel_postconditions_catch_mutants_under_O(mutant):
-    """Under python -O, a broken shear or skew split raises AssertionError
-    from the kernel instead of returning a wrong point."""
+    """Under python -O, a broken shear, skew split or cell pair raises
+    AssertionError from the kernel instead of returning a wrong result."""
     line, mutated = KERNEL_MUTANTS[mutant]
     src = Path(__file__).resolve().parent.parent / "src"
     run = subprocess.run(
@@ -483,7 +505,10 @@ def test_kernel_postconditions_catch_mutants_under_O(mutant):
     )
     assert run.returncode == 0, run.stderr
     function, _ = run.stdout.split(" ", 1)
-    assert function in {"_skew_split", "_meeting_perp_rows", "_complement_rows"}
+    if mutant.startswith("cell-pair"):
+        assert function == "decompose_isotropic"
+    else:
+        assert function in {"_skew_split", "_meeting_perp_rows", "_complement_rows"}
 
 
 def test_src_has_no_assert_statement():
@@ -500,10 +525,10 @@ def test_src_has_no_assert_statement():
 
 @pytest.mark.parametrize("maker", ALL_CONFIGS)
 def test_decompose_roundtrip(maker):
-    """Every isotropic point at n = 2, and at n = 3 over GF(2) (135 points)
-    and GF(4) with Frobenius (891 points)."""
+    """Every isotropic point at n = 2, and at n = 3 over GF(2) (135 points),
+    GF(3) (1,120 points) and GF(4) with Frobenius (891 points)."""
     field = maker()
-    sizes = (2, 3) if field.q in (2, 4) else (2,)
+    sizes = (2, 3) if field.q in (2, 3, 4) else (2,)
     for n in sizes:
         for p in enumerate_isotropic(field, n):
             pair = decompose_isotropic(p)
@@ -514,31 +539,32 @@ def test_decompose_roundtrip(maker):
 
 # sha256 of decompose_isotropic on every isotropic point, one
 # "t1 entries t2 entries" line each, and of common_complement on each
-# cyclically consecutive pair of those points, one basis line each;
-# recorded before extend_independent carried its echelon form.
+# cyclically consecutive pair of those points, one basis line each.  The
+# complements were recorded before extend_independent carried its
+# echelon form, the pairs when decompose_isotropic became the cell pair.
 CONSTRUCTION_PINS = {
     "gf2-2": (
-        "f59d766f0b92af6667c33d9465eb4c0c301b2cfb04aba41b0d25c707ac887a58",
+        "ccef7158c76fbb66743be9d954f5a67881c87e6b4b913dbadff32e172a766c7c",
         "a10e08bf7052d12dae18a43b3a263eb5e58b4c60356e41caf033bb1a607aa131",
     ),
     "gf3-2": (
-        "257476631af20f6ccf5a9683b35cc7b15d3feb6b3b6191e66716760e164774b0",
+        "bd949f3ce0b6893f41bea2839fd7cc597d02d064210cbbf1f8f3643f77b010e7",
         "b2ed97200e07e8d69c5eb3e92cc4fdcb8f72137839c479de2e0b09b3de351d34",
     ),
     "gf4-2": (
-        "99507a48bdbe2293a0500679d6dcf1a9ef15b4786c4b05e1c1fbd7a8bfd301cf",
+        "c94ee5061cf88a6b64d6549a716ec82eb4f54a03a319872469cf80746f366048",
         "2f0b26d5f49f7e4fa48c90b9c8972f7355000d555ec71a605064bbe1f6526295",
     ),
     "gf9-2": (
-        "69b1c8b8448ebd37b760170f88392e8a4d11bb8efe4b6e5d2977ad145180cdb9",
+        "015e41f1b043ea20e547fb31a6087b7a9c8dda75d4c74366d7265b2ddc309bb3",
         "1a50adec5d6667d137ab00f40582fe5d1595aaf9a30dd75bb101792a39548d4d",
     ),
     "gf2-3": (
-        "a55a4ceb8079301583b9d5cb63cba1ed1c90bfc424a591c061351ab9235de930",
+        "5936f0909c834f18e858e91cd86f2b92a1477e7756dbb0e7b493858a7966a20b",
         "bfe475c923307327dd6fa3a4f5df98c6b92a98b4c897257f3874f4047e96c307",
     ),
     "gf4-3": (
-        "72bc0b1d3d65db4e47567b594b1a678350fa34aba81efa30abea1323710934b5",
+        "359b4bd382c1ce4dc3f81b52b8a3ce7ad469f1de804262a3b49930a9c1fd218e",
         "2c5dbeb8ec0b03a6fdbbdeecdb2c5ee580cdfc86379456e1e0c8c04b31f80c0f",
     ),
 }
@@ -559,6 +585,40 @@ def test_construction_outputs_are_pinned(key):
         x = common_complement(p, points[(i + 1) % len(points)])
         complements.update(f"{x.space.basis.entries}\n".encode())
     assert (pairs.hexdigest(), complements.hexdigest()) == CONSTRUCTION_PINS[key]
+
+
+CELL_CONFIGS = dict(PINNED_CONFIGS, **{"gf3-3": ((3, 1, "identity"), 3)})
+
+
+@pytest.mark.parametrize("key", sorted(CELL_CONFIGS))
+def test_decompose_gives_the_cell_pair(key):
+    """On every isotropic point (A | B): T2 = R^sigmaT * R for R the RREF of
+    B's row space, rank(T2) = rank(B) = the arithmetical distance from the
+    base point, and T1 vanishes off R's pivot rows and columns.  The points
+    with rank(T2) = r number [n, r]_q * |H_r|, |H_r| the number of r x r
+    hermitian matrices: q^(r(r+1)/2), or s^(r^2) with s^2 = q for the
+    frobenius involution."""
+    field_args, n = CELL_CONFIGS[key]
+    field = make_field(*field_args)
+    base = base_point(field, n)
+    tally = [0] * (n + 1)
+    for p in enumerate_isotropic(field, n):
+        pair = decompose_isotropic(p)
+        b = p.blocks()[1]
+        r = b.rank()
+        rr = b.rref()[0].block(0, r, 0, n)
+        assert pair.t2 == rr.sigma_transpose() * rr
+        assert pair.t2.rank() == r == arithmetical_distance(base, p)
+        pivots = {row.index(1) for row in rr.entries}
+        for i, j in itertools.product(range(n), repeat=2):
+            assert pair.t1.entries[i][j] == 0 or {i, j} <= pivots
+        tally[r] += 1
+    q = field.q
+    if field.involution == "frobenius":
+        herm = [math.isqrt(q) ** (r * r) for r in range(n + 1)]
+    else:
+        herm = [q ** (r * (r + 1) // 2) for r in range(n + 1)]
+    assert tally == [gaussian_binomial(n, r, q) * herm[r] for r in range(n + 1)]
 
 
 def test_decompose_frozen_example(f4):
