@@ -12,18 +12,23 @@ where X^Sigma is the involution transpose.  This module provides the
 form, the hermitian matrix set, the hermitian parametrisation, and the
 constructions behind it.  The constructive proof is the cell pair:
 _cell_pair_rows reads (T1, T2) off the rows of an isotropic point P
-with one elimination, as P = {(x | a*R) : x * R^sigmaT = a*N}.  For a
-maximal totally isotropic U = V (+) W, _meeting_perp_rows builds a
-maximal totally isotropic X with X meet perp(V) = W, and from it
-_complement_rows a common complement of two such subspaces.
+with one elimination, as P = {(x | a*R) : x * R^sigmaT = a*N}.  The
+pair also names a form-preserving word g = omega * L(T2) * omega * L(T1)
+that sends the base point K^n (+) 0 to P, where, on rows,
+omega: (A | B) -> (-B | A) and L(t): (A | B) -> (A + B*t | B).  Both
+constructions move a point to the base point with such a word, solve
+there in closed form and move back: common_complement finds a common
+complement of two isotropic points, and isotropic_meeting_perp, for a
+maximal totally isotropic U = V (+) W, a maximal totally isotropic X
+with X meet perp(V) = W.
 
-The constructions run on RREF entry rows, through the row kernels of
-``matrices``, and none builds a Matrix or a Subspace.
+The constructions run on entry rows, through the row kernels of
+``matrices``, and none builds a Matrix or a Subspace before its result.
 Their inputs are validated once, at the public boundary:
 isotropic_meeting_perp, common_complement and decompose_isotropic
 raise ValueError for a non-isotropic point, points of different lines
 or a U that is not V (+) W, and then trust the rows they pass on.
-Every postcondition of the kernels is an explicit check that raises
+Every postcondition is an explicit check that raises
 AssertionError, so it also holds under python -O; this module has no
 assert statement.
 """
@@ -46,8 +51,6 @@ from .matrices import (
     _rows_id,
     _rref_id,
     _rref_layouts,
-    _zip_rows,
-    extend_independent,
     outer_product,
     unit_vector,
 )
@@ -127,11 +130,6 @@ class SesquilinearForm:
         return not any(
             pairing(x, y) for b, y in enumerate(rows) for x in rows[: b + 1]
         )
-
-    def _gram_rows(self, a, b) -> list[list[int]]:
-        """The Gram matrix (beta(x, y)) for x in the rows a and y in the rows b."""
-        pairing = self._pairing
-        return [[pairing(x, y) for y in b] for x in a]
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,100 +236,46 @@ def bartolone_hermitian(pair: BartolonePair) -> SubspacePoint:
     return point
 
 
-def _skew_split(field: FieldSpec, g) -> list[list[int]]:
-    """Some D with D - D^Sigma = g, on entry rows, for an anti-hermitian g.
-
-    Off-diagonal entries go into the upper triangle; each diagonal entry
-    is solved by scanning the field, which succeeds because the form is
-    trace-valued.  The postcondition D - D^Sigma = g implies that g is
-    anti-hermitian, so that is not checked first.
-    """
-    sub, sig = field._sub, field._sigma
-    span = range(len(g))
-    out = []
-    for i, row in enumerate(g):
-        d = next((x for x in field.elements() if sub[x][sig[x]] == row[i]), None)
-        if d is None:
-            raise AssertionError("diagonal entry is not of trace form")
-        out.append([0] * i + [d] + list(row[i + 1 :]))
-    if any(sub[out[i][j]][sig[out[j][i]]] != g[i][j] for i in span for j in span):
-        raise AssertionError("the skew split D - D^Sigma misses g")
-    return out
-
-
-def _solve(field: FieldSpec, a, b) -> list[list[int]]:
-    """a^-1 * b on entry rows, for a square a the construction makes invertible."""
-    m = len(a)
-    work = [list(x) + list(y) for x, y in zip(a, b)]
-    if _row_reduce(field, work, m) != list(range(m)):
-        raise AssertionError("a matrix the construction inverts is singular")
-    return [row[m:] for row in work]
-
-
 def _point(field: FieldSpec, n: int, rows: tuple) -> SubspacePoint:
     """The point with these RREF basis rows."""
     return SubspacePoint(Subspace._from_canonical(Matrix._of(field, rows, 2 * n)), n)
 
 
-def _meeting_perp_rows(field: FieldSpec, n: int, v_rows: tuple, w_rows: tuple):
-    """The RREF rows of a maximal totally isotropic X with X meet perp(V) = W.
+def _omega(field: FieldSpec, n: int, rows) -> list[list[int]]:
+    """The rows times omega: (A | B) -> (-B | A)."""
+    neg = field._neg
+    return [[neg[x] for x in row[n:]] + list(row[:n]) for row in rows]
 
-    v_rows and w_rows are the RREF bases of V and W, and U = V (+) W must
-    be maximal totally isotropic; that is not checked again here.  The
-    rows are ordered into a frame of K^(2n): V, W, a completion arb of
-    perp(V) to the whole space, and a completion tail of U inside
-    perp(V).  One closed-form shear of the arb rows by the V and tail
-    rows, solved from the frame's Gram blocks, makes W plus the sheared
-    arb rows span X.  Every postcondition raises AssertionError.
+
+def _shift(field: FieldSpec, n: int, rows, t, op) -> list[list[int]]:
+    """(A | B) -> (A op B*t | B): the rows times L(t) for op = field._add,
+    times L(-t) for op = field._sub."""
+    bt = _product(field, [row[n:] for row in rows], t, n)
+    return [
+        [op[x][y] for x, y in zip(row, d)] + list(row[n:]) for row, d in zip(rows, bt)
+    ]
+
+
+def _from_base(field: FieldSpec, n: int, rows, s1, s2) -> list[list[int]]:
+    """The rows times g = omega * L(S2) * omega * L(S1).
+
+    g sends (I | 0) to (S2*S1 - I | S2), so for the cell pair (S1, S2)
+    of a point it sends the base point to that point.  omega and L(t)
+    for hermitian t keep the form: g * J * g^sigmaT = J.
     """
-    form = standard_form(field, n)
-    gram = form._gram_rows
-    k = len(v_rows)
-    u_rows = v_rows + w_rows
-    vperp = form._perp_rows(v_rows)
-    tail = tuple(extend_independent(field, 2 * n, u_rows, vperp)[n:])
-    if len(tail) != n - k:
-        raise AssertionError("perp(V) does not complete U by n - k rows")
-    units = (unit_vector(2 * n, i) for i in range(2 * n))
-    arb = tuple(extend_independent(field, 2 * n, u_rows + tail, units)[2 * n - k :])
-    if len(arb) != k:
-        raise AssertionError("the unit vectors do not complete perp(V) by k rows")
+    add = field._add
+    rows = _shift(field, n, _omega(field, n, rows), s2, add)
+    return _shift(field, n, _omega(field, n, rows), s1, add)
 
-    # the rows of the frame's Gram matrix that the shear reads: U's and arb's
-    upper = gram(u_rows, u_rows + arb + tail)
-    if any(map(any, (row[:n] for row in upper))) or any(
-        map(any, (row[n + k :] for row in upper[:k]))
-    ):
-        raise AssertionError("the frame's Gram matrix is not zero on U and V x tail")
-    a = [row[n : n + k] for row in upper[:k]]
-    bb = [row[n : n + k] for row in upper[k:]]
-    c = [row[n + k :] for row in upper[k:]]
-    lower = gram(arb, arb + tail)
-    d = _skew_split(field, [row[:k] for row in lower])
-    e = [row[k:] for row in lower]
-    f = _skew_split(field, gram(tail, tail))
 
-    # arb <- arb + s*V + r*tail, where r = -(c^-1 * bb)^Sigma and
-    # s = ((e + r*f) * c^-1 * bb - d) * a^-1
-    neg, sig, add, sub = field._neg, field._sigma, field._add, field._sub
-    cb = _solve(field, c, bb)
-    r = [[neg[sig[row[i]]] for row in cb] for i in range(k)]
-    erf = _zip_rows(add, e, _product(field, r, f, n - k))
-    left = _zip_rows(sub, _product(field, erf, cb, k), d)
-    ident = [[int(i == j) for j in range(k)] for i in range(k)]
-    s = _product(field, left, _solve(field, a, ident), k)
-    shear = [si + unit + ri for si, unit, ri in zip(s, ident, r)]
-    sheared = _product(field, shear, v_rows + arb + tail, 2 * n)
-    x_rows = w_rows + tuple(map(tuple, sheared))
-    if any(map(any, gram(x_rows, x_rows))):
-        raise AssertionError("the sheared rows are not totally isotropic")
+def _to_base(field: FieldSpec, n: int, rows, s1, s2) -> list[list[int]]:
+    """The rows times g^-1 = L(-S1) * omega * L(-S2) * omega.
 
-    x = _basis_rows(field, x_rows, 2 * n)
-    if len(x) != n or not form._vanishes_on(x):
-        raise AssertionError("X is not a maximal totally isotropic space")
-    if _meet_rows(field, 2 * n, x, vperp) != w_rows:
-        raise AssertionError("X meet perp(V) is not W")
-    return x
+    omega^-1 = -omega, and the two signs cancel.
+    """
+    sub = field._sub
+    rows = _omega(field, n, _shift(field, n, rows, s1, sub))
+    return _omega(field, n, _shift(field, n, rows, s2, sub))
 
 
 def isotropic_meeting_perp(
@@ -341,9 +285,13 @@ def isotropic_meeting_perp(
 
     The input must satisfy U = V (+) W with U maximal totally isotropic;
     this is checked here, once, with a ValueError naming what fails.
-    The construction, _meeting_perp_rows, computes the Gram matrix of an
-    ordered frame and applies a single closed-form shear transition to
-    it; the sheared middle rows span X.
+    The word g of U's cell pair sends the base point K^n (+) 0 to U, so
+    W * g^-1 = (C | 0) lies in the base point, and X' = (C | 0) plus
+    (0 | nullspace(sigma(C))) is maximal totally isotropic and meets the
+    base point in W * g^-1.  X = X' * g then meets U in W, hence perp(V)
+    in W: a vector of X orthogonal to V is orthogonal to W, as X is
+    isotropic, so it lies in perp(U) = U and thus in W.  V enters only
+    through the validation and the postcondition.
     """
     field = u.field
     n = u.n
@@ -361,54 +309,29 @@ def isotropic_meeting_perp(
         or _rank(field, u.space.basis.entries + v_rows + w_rows, 2 * n) != n
     ):
         raise ValueError("u = v (+) w must be a direct sum decomposition")
-    return _point(field, n, _meeting_perp_rows(field, n, v_rows, w_rows))
-
-
-def _complement_rows(field: FieldSpec, n: int, u1: tuple, u2: tuple) -> tuple:
-    """The RREF rows of a maximal totally isotropic complement of U1 and U2.
-
-    u1 and u2 are the RREF bases of two maximal totally isotropic
-    points, which is not checked again here.  Writes V = U1 meet U2,
-    picks complements W1, W2 of V inside U1, U2 from their bases,
-    rescales W1 so the form pairs the two complements as (0, I; -I, 0),
-    and sums the paired basis vectors to get a diagonal W.  Then
-    U = V (+) W is maximal totally isotropic and the X with
-    X meet perp(V) = W avoids both inputs.  Every postcondition raises
-    AssertionError.
-    """
-    d = 2 * n
+    s1, s2 = _cell_pair_rows(field, n, u.space.basis.entries)
+    moved = _to_base(field, n, w_rows, s1, s2)
+    sig = field._sigma
+    sigma_c = [[sig[x] for x in row[:n]] for row in moved]
+    rows = [row[:n] + [0] * n for row in moved]
+    rows += [[0] * n + list(d) for d in _nullspace_rows(field, sigma_c, n)]
+    x = _basis_rows(field, _from_base(field, n, rows, s1, s2), 2 * n)
     form = standard_form(field, n)
-    v = _meet_rows(field, d, u1, u2)
-    k = len(v)
-    w1 = _basis_rows(field, extend_independent(field, d, v, u1)[k:], d)
-    w2 = _basis_rows(field, extend_independent(field, d, v, u2)[k:], d)
-    if len(w1) != n - k or len(w2) != n - k:
-        raise AssertionError("V does not have complements of dimension n - k")
-    scaled = _solve(field, form._gram_rows(w1, w2), w1)
-    w = _basis_rows(field, _zip_rows(field._add, scaled, w2), d)
-    if len(w) != n - k:
-        raise AssertionError("the diagonal W lost rank")
-    # w1 + w = w2 + w = w1 (+) w2: w lies in w1 (+) w2 and meets both trivially
-    if (
-        _rank(field, w1 + w2, d) != 2 * (n - k)
-        or _rank(field, w1 + w2 + w, d) != 2 * (n - k)
-        or _rank(field, w + w1, d) != 2 * (n - k)
-        or _rank(field, w + w2, d) != 2 * (n - k)
-    ):
-        raise AssertionError("W is not a diagonal of W1 (+) W2")
-    if _rank(field, v + w, d) != n or not form._vanishes_on(v + w):
-        raise AssertionError("U = V (+) W is not maximal totally isotropic")
-    x = _meeting_perp_rows(field, n, v, w)
-    if _rank(field, x + u1, d) != d or _rank(field, x + u2, d) != d:
-        raise AssertionError("X meets an input point")
-    return x
+    if len(x) != n or not form._vanishes_on(x):
+        raise AssertionError("X is not a maximal totally isotropic space")
+    if _meet_rows(field, 2 * n, x, form._perp_rows(v_rows)) != w_rows:
+        raise AssertionError("X meet perp(V) is not W")
+    return _point(field, n, x)
 
 
 def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     """A maximal totally isotropic complement of both input points.
 
     Raises ValueError unless both points are totally isotropic points of
-    one line; the construction is _complement_rows.
+    one line.  The word g of U1's cell pair sends the base point to U1;
+    P' = U2 * g^-1 has a cell pair (T1', T2'), and (T1' | I) complements
+    both the base point and P', as (T2'*T1' - I | T2') - T2' * (T1' | I)
+    = (-I | 0).  So X = (T1' | I) * g complements U1 and U2.
     """
     field = u1.field
     n = u1.n
@@ -417,15 +340,25 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     _require_isotropic(u1, "u1")
     _require_isotropic(u2, "u2")
     u1_rows, u2_rows = u1.space.basis.entries, u2.space.basis.entries
-    return _point(field, n, _complement_rows(field, n, u1_rows, u2_rows))
+    s1, s2 = _cell_pair_rows(field, n, u1_rows)
+    t1, _ = _cell_pair_rows(field, n, _to_base(field, n, u2_rows, s1, s2))
+    rows = [list(row) + list(unit_vector(n, i)) for i, row in enumerate(t1)]
+    x = _basis_rows(field, _from_base(field, n, rows, s1, s2), 2 * n)
+    d = 2 * n
+    if len(x) != n or not standard_form(field, n)._vanishes_on(x):
+        raise AssertionError("X is not a maximal totally isotropic space")
+    if _rank(field, x + u1_rows, d) != d or _rank(field, x + u2_rows, d) != d:
+        raise AssertionError("X meets an input point")
+    return _point(field, n, x)
 
 
 def _cell_pair_rows(field: FieldSpec, n: int, rows: tuple) -> tuple[tuple, tuple]:
     """The entry rows of the cell pair (T1, T2) of the isotropic point P.
 
-    rows are P's RREF rows (A | B).  Row reducing (B | A) on B's columns
-    gives (R | A') on its first r = rank(B) rows, R the RREF of B's row
-    space, and (0 | A'') below.  By isotropy N = A' * R^sigmaT is
+    rows are n independent rows (A | B) spanning P, such as its RREF
+    rows.  Row reducing (B | A) on B's columns gives (R | A') on its
+    first r = rank(B) rows, R the RREF of B's row space, and (0 | A'')
+    below.  By isotropy N = A' * R^sigmaT is
     hermitian and A'' * R^sigmaT = 0, so P = {(x | a*R) : x*R^sigmaT = a*N}.
     With E picking R's pivot columns, R * E^T = I_r, so the row y of
     (T2*T1 - I | T2), for T2 = R^sigmaT * R and T1 = E^T * (N + I_r) * E,

@@ -27,10 +27,8 @@ arithmetic is ``Matrix._map`` (x -> table[x]) and ``_zip_rows``
 (x, y -> table[x][y]) over a field table.  ``src/`` has no other
 product loop.
 Eliminations stop at echelon form where that suffices:
-``extend_independent`` carries an echelon form of the rows kept so far
-and row reduces it with each candidate appended, below the pivots only;
-``Subspace.intersect`` reads the intersection off an echelon form of
-the Zassenhaus block.
+``_rank`` reduces below the pivots only, and ``Subspace.intersect``
+reads the intersection off an echelon form of the Zassenhaus block.
 """
 
 from __future__ import annotations
@@ -473,30 +471,6 @@ class Subspace:
 
 def unit_vector(length: int, index: int) -> tuple[int, ...]:
     return tuple(int(i == index) for i in range(length))
-
-
-def extend_independent(field: FieldSpec, ambient_dim: int, rows, candidates):
-    """Greedily extend rows by candidates that raise the rank.
-
-    Returns the combined list; the relative order of the kept candidate
-    rows follows the iteration order, so the result is deterministic.
-    An echelon form of the rows kept so far is carried along; each
-    candidate is appended to it, the whole trial is row reduced below
-    the pivots only, and the candidate is kept when the rank rises.
-    Once the rows span the whole space, no candidate is looked at.
-    """
-    rows = [tuple(r) for r in rows]
-    echelon = [list(r) for r in rows]
-    if len(_row_reduce(field, echelon, ambient_dim, below_only=True)) != len(rows):
-        raise ValueError("starting rows are not independent")
-    for cand in candidates:
-        if len(echelon) == ambient_dim:
-            break
-        trial = echelon + [list(cand)]
-        if len(_row_reduce(field, trial, ambient_dim, below_only=True)) > len(echelon):
-            rows.append(tuple(cand))
-            echelon = trial
-    return rows
 
 
 def nullspace(m: Matrix) -> Subspace:

@@ -1,22 +1,25 @@
 """Reference code that only the tests use.
 
-``isotropic_meeting_perp_stepwise`` is an independent cross-check of
-``hermitian.isotropic_meeting_perp``: it shears the frame of
-``ordered_frame_by_matrices`` in two steps.
 ``isotropic_meeting_perp_by_matrices`` and ``common_complement_by_matrices``
-are the constructions as they were on Matrix and Subspace values, before
-they ran on entry rows; ``complement_pair_by_matrices`` is the pair of a
-point by the common complement, as ``decompose_isotropic`` found it
-before the cell pair, and ``decompose_isotropic_by_matrices`` is the
-cell pair on Matrix values.  With ``skew_split_by_matrices`` they keep
-their postconditions as plain asserts.  ``check_distant_chain`` proves
+are independent constructions with the contracts of
+``hermitian.isotropic_meeting_perp`` and ``hermitian.common_complement``,
+on Matrix and Subspace values: they order a frame of K^(2n)
+(``ordered_frame_by_matrices``) and shear it in closed form, as the
+library did before it moved points to the base point by the word of a
+cell pair.  ``isotropic_meeting_perp_stepwise`` shears the same frame in
+two steps.  ``complement_pair_by_matrices`` is the pair of a point by the
+common complement, as ``decompose_isotropic`` found it before the cell
+pair, and ``decompose_isotropic_by_matrices`` is the cell pair on Matrix
+values.  With ``skew_split_by_matrices`` they keep their postconditions
+as plain asserts.  ``check_distant_chain`` proves
 the "distant diameter at most two" claim with explicit middle points,
 and ``graph_from_edges`` builds a small graph from a hand-written edge
 list.  ``subspace_id`` ranks a subspace object the way the pair kernel
-ranks its reduced rows.  ``bartolone_by_matrices``,
-``extend_independent_by_rebuild``, ``hermitian_matrices_by_filter`` and
-``isotropic_points_by_filter`` are the plain versions that
-``bartolone``, ``extend_independent``, ``hermitian_matrices`` and
+ranks its reduced rows.  ``extend_independent_by_rebuild``
+greedily extends rows by the candidates that raise their rank; the frame
+references use it.  ``bartolone_by_matrices``,
+``hermitian_matrices_by_filter`` and ``isotropic_points_by_filter`` are
+the plain versions that ``bartolone``, ``hermitian_matrices`` and
 ``isotropic_ids`` replace; ``bartolone_by_matrices`` multiplies through
 the same kernel as ``bartolone``, so ``product_by_entries`` checks that
 kernel against the product written from its definition.
@@ -77,7 +80,6 @@ from hermline.matrices import (
     _rref_id,
     _rref_layouts,
     all_matrices,
-    extend_independent,
     unit_vector,
 )
 from hermline.projline import (
@@ -252,8 +254,9 @@ def product_by_entries(field: FieldSpec, a: Matrix, b: Matrix) -> tuple:
 
 
 def extend_independent_by_rebuild(field: FieldSpec, ambient_dim: int, rows, candidates):
-    """``extend_independent`` by ranking every trial matrix from scratch.
+    """Greedily extend rows by the candidates that raise the rank.
 
+    Returns the combined list, the kept candidates in iteration order.
     Each candidate builds a validating Matrix of the rows kept so far
     plus the candidate and keeps the candidate when the rank rises.
     """
@@ -342,9 +345,11 @@ def ordered_frame_by_matrices(u: SubspacePoint, v: Subspace, w: Subspace):
     w_rows = list(w.basis.entries)
     u_rows = v_rows + w_rows
     vperp = form.perp(v)
-    tail_rows = extend_independent(field, 2 * n, u_rows, vperp.basis.entries)[n:]
+    tail_rows = extend_independent_by_rebuild(
+        field, 2 * n, u_rows, vperp.basis.entries
+    )[n:]
     assert len(tail_rows) == n - k
-    arb_rows = extend_independent(
+    arb_rows = extend_independent_by_rebuild(
         field, 2 * n, u_rows + tail_rows, (unit_vector(2 * n, i) for i in range(2 * n))
     )[2 * n - k :]
     assert len(arb_rows) == k
@@ -354,8 +359,9 @@ def ordered_frame_by_matrices(u: SubspacePoint, v: Subspace, w: Subspace):
 def isotropic_meeting_perp_by_matrices(
     u: SubspacePoint, v: Subspace, w: Subspace
 ) -> SubspacePoint:
-    """``isotropic_meeting_perp`` on Matrix values: the frame's Gram
-    matrix and one closed-form shear transition of the whole frame."""
+    """A maximal totally isotropic X with X meet perp(V) = W, on Matrix
+    values: the frame's Gram matrix and one closed-form shear transition
+    of the whole frame."""
     field = u.field
     n = u.n
     form, k, rows, vperp = ordered_frame_by_matrices(u, v, w)
@@ -402,7 +408,10 @@ def isotropic_meeting_perp_by_matrices(
 def common_complement_by_matrices(
     u1: SubspacePoint, u2: SubspacePoint
 ) -> SubspacePoint:
-    """``common_complement`` on Matrix and Subspace values."""
+    """A common complement of two isotropic points, on Matrix and Subspace
+    values: V = U1 meet U2, complements W1 and W2 of V in U1 and U2,
+    a diagonal W of W1 (+) W2 on which the form vanishes, and the X
+    with X meet perp(V) = W for U = V (+) W."""
     field = u1.field
     n = u1.n
     if u2.field != field or u2.n != n:
@@ -415,7 +424,7 @@ def common_complement_by_matrices(
     k = v.dim
 
     def complement_rows(u: SubspacePoint):
-        return extend_independent(
+        return extend_independent_by_rebuild(
             field, 2 * n, v.basis.entries, u.space.basis.entries
         )[k:]
 

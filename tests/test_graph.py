@@ -300,8 +300,9 @@ CLI_GOLDEN = {
         "c1660638647f0b31dbcdee9f4b537f52825151375997046c8ffbd1db9254e487",
         0,
     ),
+    # re-recorded when common_complement moved points by the cell pair's word
     ("complement", "gf3", 2, None): (
-        "9178548e71a4fd97b7adaf43b9a9fda3690635c1981679ba071c806e9c2098dd",
+        "dd5b28490842cbb9ac92f550b7099e9120cca2b3347c10ea9a82496c57d0215c",
         0,
     ),
 }

@@ -38,11 +38,10 @@ from hermline import (
     point_from_pair,
     standard_form,
 )
-from hermline.hermitian import _skew_split, isotropic_ids
+from hermline.hermitian import _omega, _shift, isotropic_ids
 from hermline.matrices import (
     Subspace,
     all_vectors,
-    extend_independent,
     outer_product,
     unit_vector,
 )
@@ -54,11 +53,11 @@ from reference_checks import (
     contains,
     decompose_isotropic_by_matrices,
     evaluate,
+    extend_independent_by_rebuild,
     hermitian_matrices_by_filter,
     isotropic_meeting_perp_by_matrices,
     isotropic_meeting_perp_stepwise,
     isotropic_points_by_filter,
-    skew_split_by_matrices,
     subspace_id,
 )
 
@@ -238,35 +237,60 @@ def test_bartolone_hermitian_rejects_non_hermitian(f4):
     assert standard_form(f4, 2).is_totally_isotropic(point)
 
 
-def test_skew_split(f4, f9):
-    """_skew_split finds D with D - D^Sigma = G for anti-hermitian G."""
-    for field in (f4, f9):
-        anti = [
-            g
-            for g in itertools.islice(all_matrices(field, 2, 2), 0, None, 3)
-            if g.sigma_transpose() == -g
-        ]
-        assert anti
-        for g in anti:
-            d = Matrix(field, _skew_split(field, g.entries))
-            assert d - d.sigma_transpose() == g
-            assert d == skew_split_by_matrices(g)
+@pytest.mark.parametrize("field_args, n", LADDER, ids=LADDER_IDS)
+def test_omega_and_hermitian_shifts_keep_the_form(field_args, n):
+    """On Matrix values, omega = (0, I; -I, 0) and L(t) = (I, 0; t, I) for
+    every hermitian t satisfy g * J * g^sigmaT = J, and _omega and _shift
+    are the products of rows with them; L(t) for a non-hermitian t does
+    not keep J."""
+    field = make_field(*field_args)
+    j = standard_form(field, n).gram
+    ident = Matrix.identity(field, n)
+    zero = Matrix.zeros(field, n, n)
+    rows = Matrix.identity(field, 2 * n).entries
+
+    def keeps(g):
+        return g * j * g.sigma_transpose() == j
+
+    def shift(t):
+        return Matrix.from_blocks([[ident, zero], [t, ident]])
+
+    omega = Matrix.from_blocks([[zero, ident], [-ident, zero]])
+    assert keeps(omega)
+    assert _omega(field, n, rows) == list(map(list, omega.entries))
+    for t in hermitian_matrices(field, n):
+        assert keeps(shift(t))
+        for op, g in ((field._add, shift(t)), (field._sub, shift(-t))):
+            assert _shift(field, n, rows, t.entries, op) == list(map(list, g.entries))
+    t = next(m for m in all_matrices(field, n, n) if not m.is_hermitian())
+    assert not keeps(shift(t))
 
 
-def test_meeting_perp_exhaustive(f2):
-    """All isotropic U and all splittings U = V (+) W at the binary field."""
-    form = standard_form(f2, 2)
-    checked = 0
-    for u in enumerate_isotropic(f2, 2):
-        for v, w in splittings(f2, u):
-            x = isotropic_meeting_perp(u, v, w)
-            assert form.is_totally_isotropic(x)
-            assert x.space.intersect(form.perp(v)) == w
-            y = isotropic_meeting_perp_stepwise(u, v, w)
-            assert form.is_totally_isotropic(y)
-            assert y.space.intersect(form.perp(v)) == w
-            checked += 1
-    assert checked == 120
+def test_meeting_perp_exhaustive(f2, f3, f4):
+    """All isotropic U and all splittings U = V (+) W at n = 2 over GF(2),
+    GF(3) and GF(4)s: 2 + q(q+1) per point, V = 0, V = U, or V and W two
+    distinct lines of U.  X meets U in W, so one X serves every
+    complement V' of W in U: X meet perp(V') = W."""
+    checked = []
+    for field in (f2, f3, f4):
+        form = standard_form(field, 2)
+        checked.append(0)
+        for u in enumerate_isotropic(field, 2):
+            complements = {}
+            for v, w in splittings(field, u):
+                complements.setdefault(w, []).append(v)
+            for w, vs in complements.items():
+                first = isotropic_meeting_perp(u, vs[0], w)
+                for v in vs:
+                    perp = form.perp(v)
+                    x = isotropic_meeting_perp(u, v, w)
+                    y = isotropic_meeting_perp_stepwise(u, v, w)
+                    for z in (x, y):
+                        assert form.is_totally_isotropic(z)
+                        assert z.space.intersect(perp) == w
+                    assert first.space.intersect(perp) == w
+                    checked[-1] += 1
+    assert checked == [120, 560, 594]
 
 
 def test_meeting_perp_extreme_splittings(f9):
@@ -400,16 +424,25 @@ def seeded_isotropic_points(field, n, count, seed):
     "field_args,n", BENCHMARK_CONSTRUCTIONS, ids=["gf256-2", "gf81-2", "gf4-3", "gf5-4"]
 )
 def test_constructions_match_the_matrix_reference(field_args, n):
-    """The row kernel gives the Matrix-level reference's outputs: the pair of
-    each point, the complement of each point with the next one, with itself
-    and with the base point, and X for U = p, V = p meet the base point and
-    W a complement of V in p.  The pair that the common complement of the
-    base point and p gives, (D0^-1 * C0, T2) for X = (C0 | D0), is
-    hermitian and reproduces p too; D0.inverse and preimage_pair raise
-    ValueError when D0 or B*T1 - A is singular."""
+    """The constructions are not unique, so the library and the Matrix-level
+    references are both checked against the contract on the same seeded
+    inputs: the complement X of each point with the next one, with itself
+    and with the base point is isotropic of dimension n and meets both
+    points trivially, and for U = p, V = p meet the base point and W a
+    complement of V in p, X is isotropic of dimension n and X meet
+    perp(V) = W.  The pair of each point is the reference's cell pair.
+    The pair that the common complement of the base point and p gives,
+    (D0^-1 * C0, T2) for X = (C0 | D0), is hermitian and reproduces p
+    too; D0.inverse and preimage_pair raise ValueError when D0 or
+    B*T1 - A is singular."""
     field = make_field(*field_args)
+    form = standard_form(field, n)
     points = seeded_isotropic_points(field, n, 12, seed=n)
     base = base_point(field, n)
+
+    def isotropic(x):
+        return x.space.dim == n and form.is_totally_isotropic(x)
+
     meets = set()
     for i, p in enumerate(points):
         assert decompose_isotropic(p) == decompose_isotropic_by_matrices(p)
@@ -418,26 +451,43 @@ def test_constructions_match_the_matrix_reference(field_args, n):
         assert bartolone(pair) == p
         q = points[(i + 1) % len(points)]
         for other in (q, p, base):
-            reference = common_complement_by_matrices(p, other)
-            assert common_complement(p, other) == reference
+            for make in (common_complement, common_complement_by_matrices):
+                x = make(p, other)
+                assert isotropic(x)
+                assert x.space.intersect(p.space).dim == 0
+                assert x.space.intersect(other.space).dim == 0
         v = p.space.intersect(base.space)
-        rows = extend_independent(field, 2 * n, v.basis.entries, p.space.basis.entries)
+        rows = extend_independent_by_rebuild(
+            field, 2 * n, v.basis.entries, p.space.basis.entries
+        )
         w = Subspace.from_rows(field, 2 * n, rows[v.dim :])
-        x = isotropic_meeting_perp(p, v, w)
-        assert x == isotropic_meeting_perp_by_matrices(p, v, w)
+        perp = form.perp(v)
+        for make in (isotropic_meeting_perp, isotropic_meeting_perp_by_matrices):
+            x = make(p, v, w)
+            assert isotropic(x)
+            assert x.space.intersect(perp) == w
         meets.add(v.dim)
     assert meets == set(range(n + 1))
 
 
 # Source mutants of the kernel: (the line as it is, the line mutated).
 KERNEL_MUTANTS = {
-    "shear-r-sign": (
-        "    r = [[neg[sig[row[i]]] for row in cb] for i in range(k)]\n",
-        "    r = [[sig[row[i]] for row in cb] for i in range(k)]\n",
+    # omega: (A | B) -> (B | A) scales the form by -1, so the word still
+    # keeps isotropy but no longer sends the base point to U1
+    "omega-no-sign": (
+        "    return [[neg[x] for x in row[n:]] + list(row[:n]) for row in rows]\n",
+        "    return [list(row[n:]) + list(row[:n]) for row in rows]\n",
     ),
-    "skew-split-no-diagonal": (
-        "        out.append([0] * i + [d] + list(row[i + 1 :]))\n",
-        "        out.append([0] * i + [0] + list(row[i + 1 :]))\n",
+    # g^-1 with L(+S1) for L(-S1): no longer the inverse of g
+    "inverse-word-plus-s1": (
+        "    rows = _omega(field, n, _shift(field, n, rows, s1, sub))\n",
+        "    rows = _omega(field, n, _shift(field, n, rows, s1, field._add))\n",
+    ),
+    # the annihilator of W' = (C | 0) as the nullspace of C, not sigma(C):
+    # X' is not isotropic once C has an entry off the fixed field
+    "annihilator-no-sigma": (
+        "    sigma_c = [[sig[x] for x in row[:n]] for row in moved]\n",
+        "    sigma_c = [list(row[:n]) for row in moved]\n",
     ),
     # T1 = E^T * N * E: the pair is hermitian but parametrises another point
     "cell-pair-no-identity": (
@@ -492,8 +542,10 @@ sys.exit("every construction passed")
 
 @pytest.mark.parametrize("mutant", sorted(KERNEL_MUTANTS))
 def test_kernel_postconditions_catch_mutants_under_O(mutant):
-    """Under python -O, a broken shear, skew split or cell pair raises
-    AssertionError from the kernel instead of returning a wrong result."""
+    """Under python -O, a broken word or cell pair raises AssertionError
+    from a postcondition instead of returning a wrong result.  A broken
+    cell pair may surface in decompose_isotropic or in a construction
+    that moves points by the pair's word."""
     line, mutated = KERNEL_MUTANTS[mutant]
     src = Path(__file__).resolve().parent.parent / "src"
     run = subprocess.run(
@@ -505,10 +557,11 @@ def test_kernel_postconditions_catch_mutants_under_O(mutant):
     )
     assert run.returncode == 0, run.stderr
     function, _ = run.stdout.split(" ", 1)
+    constructions = {"common_complement", "isotropic_meeting_perp"}
     if mutant.startswith("cell-pair"):
-        assert function == "decompose_isotropic"
+        assert function in constructions | {"decompose_isotropic"}
     else:
-        assert function in {"_skew_split", "_meeting_perp_rows", "_complement_rows"}
+        assert function in constructions
 
 
 def test_src_has_no_assert_statement():
@@ -540,32 +593,32 @@ def test_decompose_roundtrip(maker):
 # sha256 of decompose_isotropic on every isotropic point, one
 # "t1 entries t2 entries" line each, and of common_complement on each
 # cyclically consecutive pair of those points, one basis line each.  The
-# complements were recorded before extend_independent carried its
-# echelon form, the pairs when decompose_isotropic became the cell pair.
+# pairs were recorded when decompose_isotropic became the cell pair, the
+# complements when common_complement moved points by the cell pair's word.
 CONSTRUCTION_PINS = {
     "gf2-2": (
         "ccef7158c76fbb66743be9d954f5a67881c87e6b4b913dbadff32e172a766c7c",
-        "a10e08bf7052d12dae18a43b3a263eb5e58b4c60356e41caf033bb1a607aa131",
+        "a3a842404d6b2184b38ae5de3f4b38d2afbff6acb36649c6d45e50a490e31b20",
     ),
     "gf3-2": (
         "bd949f3ce0b6893f41bea2839fd7cc597d02d064210cbbf1f8f3643f77b010e7",
-        "b2ed97200e07e8d69c5eb3e92cc4fdcb8f72137839c479de2e0b09b3de351d34",
+        "a8959da59a1e64753c6022c84e1e46930fb72ed0a42ed8de9831c3a289385f96",
     ),
     "gf4-2": (
         "c94ee5061cf88a6b64d6549a716ec82eb4f54a03a319872469cf80746f366048",
-        "2f0b26d5f49f7e4fa48c90b9c8972f7355000d555ec71a605064bbe1f6526295",
+        "4b9bfa2b4e8365966d6886d1778e3e95efa5c8aea95810c5655c1b44e664221a",
     ),
     "gf9-2": (
         "015e41f1b043ea20e547fb31a6087b7a9c8dda75d4c74366d7265b2ddc309bb3",
-        "1a50adec5d6667d137ab00f40582fe5d1595aaf9a30dd75bb101792a39548d4d",
+        "2149cfacac63fa1e0303c3f216edacc37478e3b54c54d7873eb8a47909444613",
     ),
     "gf2-3": (
         "5936f0909c834f18e858e91cd86f2b92a1477e7756dbb0e7b493858a7966a20b",
-        "bfe475c923307327dd6fa3a4f5df98c6b92a98b4c897257f3874f4047e96c307",
+        "11550a32c5be37b1e3fad6a424b9d549bdfcb15f4efb62afca869745223a085a",
     ),
     "gf4-3": (
         "359b4bd382c1ce4dc3f81b52b8a3ce7ad469f1de804262a3b49930a9c1fd218e",
-        "2c5dbeb8ec0b03a6fdbbdeecdb2c5ee580cdfc86379456e1e0c8c04b31f80c0f",
+        "673ac52437c91d7967a0d2ccd0b304bf8962bfbea9c377920c3ea539d21caa9f",
     ),
 }
 

@@ -12,7 +12,6 @@ from hermline.matrices import (
     _matrix_id,
     _product,
     all_vectors,
-    extend_independent,
     outer_product,
     subspace_from_id,
     unit_vector,
@@ -311,7 +310,9 @@ def test_subspace_sum_and_intersection_oracle(f2, f3, f4):
                     related = Subspace(a.basis.block(0, db, 0, 4))
                 else:
                     units = [unit_vector(4, i) for i in range(4)]
-                    rows = extend_independent(field, 4, a.basis.entries, units)[:db]
+                    rows = extend_independent_by_rebuild(
+                        field, 4, a.basis.entries, units
+                    )[:db]
                     related = Subspace(Matrix(field, rows, cols=4))
                 overlaps = []
                 for b, inside_b in others + [(related, members(related))]:
@@ -345,64 +346,6 @@ def test_zero_subspace(f3):
     assert z.intersect(plane) == z
     assert contains(plane, z)
     assert z.contains_vector((0, 0, 0, 0))
-
-
-def test_extend_independent(f2):
-    rows = [(1, 0, 0, 0)]
-    out = extend_independent(f2, 4, rows, [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
-    assert out[0] == (1, 0, 0, 0)
-    assert Matrix(f2, out[:3], cols=4).rank() == 3
-    with pytest.raises(ValueError):
-        extend_independent(f2, 4, [(1, 0, 0, 0), (1, 0, 0, 0)], [])
-
-
-@pytest.mark.parametrize(
-    "field_args",
-    [(2, 1, "identity"), (3, 1, "identity"), (2, 2, "frobenius"), (3, 2, "frobenius")],
-    ids=["gf2", "gf3", "gf4", "gf9"],
-)
-def test_extend_independent_matches_rebuild(field_args):
-    """The carried echelon keeps the same rows, in the same order, as
-    ranking every trial from scratch; zero, repeated and dependent
-    candidates are among the inputs."""
-    field = make_field(*field_args)
-    rng = random.Random(13)
-    add, mul = field._add, field._mul
-
-    def sparse(d):
-        return tuple(rng.randrange(field.q) if rng.random() < 0.4 else 0 for _ in range(d))
-
-    def combination(pool, d):
-        vec = [0] * d
-        for row in pool:
-            c = rng.randrange(field.q)
-            vec = [add[x][mul[c][y]] for x, y in zip(vec, row)]
-        return tuple(vec)
-
-    for d in range(2, 9):
-        for _ in range(12):
-            start = extend_independent_by_rebuild(
-                field, d, [], [sparse(d) for _ in range(rng.randrange(d))]
-            )
-            pool = list(start)
-            candidates = []
-            for _ in range(d + 4):
-                kind = rng.randrange(4)
-                if kind == 0:
-                    cand = (0,) * d
-                elif kind == 1 and pool:
-                    cand = combination(rng.sample(pool, rng.randint(1, len(pool))), d)
-                else:
-                    cand = sparse(d)
-                candidates.append(cand)
-                pool.append(cand)
-            expected = extend_independent_by_rebuild(field, d, start, candidates)
-            assert extend_independent(field, d, start, candidates) == expected
-            assert extend_independent(field, d, start, iter(candidates)) == expected
-            if start:
-                dependent = start + [combination(start, d)]
-                with pytest.raises(ValueError):
-                    extend_independent(field, d, dependent, candidates)
 
 
 def test_nullspace(f3):
