@@ -27,7 +27,6 @@ from .harness import (
 from .hermitian import (
     SesquilinearForm,
     bartolone_hermitian,
-    block_isotropy_criterion,
     common_complement,
     decompose_isotropic,
     enumerate_isotropic,
@@ -47,11 +46,9 @@ from .projline import (
     arithmetical_distance,
     bartolone,
     base_point,
-    embed_matrix_space,
     enumerate_points,
     is_adjacent,
     is_distant,
-    jordan_action,
     pencil,
     point_from_matrix,
     point_from_pair,
@@ -85,11 +82,9 @@ __all__ = [
     "bartolone",
     "bartolone_hermitian",
     "base_point",
-    "block_isotropy_criterion",
     "build_graph",
     "common_complement",
     "decompose_isotropic",
-    "embed_matrix_space",
     "enumerate_grassmannian",
     "enumerate_isotropic",
     "enumerate_points",
@@ -101,7 +96,6 @@ __all__ = [
     "is_adjacent",
     "is_distant",
     "isotropic_meeting_perp",
-    "jordan_action",
     "jordan_system_axioms_check",
     "make_field",
     "nullspace",

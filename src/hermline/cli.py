@@ -82,10 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json_argument(text: str) -> dict:
-    """Parse an argument that is inline JSON or a path to a JSON file."""
+    """Parse an argument that is inline JSON or a path to a JSON file.
+
+    Text that starts with { or [ is inline JSON, so an array reaches the
+    matrix schema's check instead of being opened as a file name.
+    """
     stripped = text.strip()
     try:
-        if stripped.startswith("{"):
+        if stripped.startswith(("{", "[")):
             return json.loads(stripped)
         with open(text, "r", encoding="utf-8") as handle:
             return json.load(handle)

@@ -58,6 +58,7 @@ from .projline import (
     BartolonePair,
     SubspacePoint,
     _check_parameter_vector,
+    _check_same_line,
     _pair_ids,
     bartolone,
     point_from_id,
@@ -69,21 +70,16 @@ class SesquilinearForm:
     """The standard sigma-anti-hermitian form on K^(2n), with Gram matrix J.
 
     J = (0, I; -I, 0) is fixed, so beta(x, y) is the closed form
-    sum over i < n of x_i * sigma(y_(n+i)) - x_(n+i) * sigma(y_i).
-    gram holds J as a Matrix for restricted_gram; the pairing and the
-    perp read J's blocks off directly.
+    sum over i < n of x_i * sigma(y_(n+i)) - x_(n+i) * sigma(y_i), and
+    the pairing and the perp read J's blocks off directly; no J is
+    stored.
     """
 
-    __slots__ = ("field", "n", "gram", "_halves")
+    __slots__ = ("field", "n", "_halves")
 
     def __init__(self, field: FieldSpec, n: int):
-        gram = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            gram[i][n + i] = 1
-            gram[n + i][i] = field._neg[1]
         self.field = field
         self.n = n
-        self.gram = Matrix._of(field, tuple(map(tuple, gram)), 2 * n)
         self._halves = tuple(zip(range(n), range(n, 2 * n)))
 
     def _pairing(self, x, y) -> int:
@@ -97,10 +93,6 @@ class SesquilinearForm:
             if x[j] and y[i]:
                 acc = sub[acc][mul[x[j]][sig[y[i]]]]
         return acc
-
-    def restricted_gram(self, rows: Matrix) -> Matrix:
-        """The Gram matrix of the form on the given row vectors."""
-        return rows * self.gram * rows.sigma_transpose()
 
     def perp(self, space: Subspace) -> Subspace:
         """The perpendicular subspace {x : beta(v, x) = 0 for all v}."""
@@ -135,12 +127,6 @@ class SesquilinearForm:
 @functools.lru_cache(maxsize=None)
 def standard_form(field: FieldSpec, n: int) -> SesquilinearForm:
     return SesquilinearForm(field, n)
-
-
-def block_isotropy_criterion(p: SubspacePoint) -> bool:
-    """The block form of isotropy: A * B^Sigma = B * A^Sigma."""
-    a, b = p.blocks()
-    return a * b.sigma_transpose() == b * a.sigma_transpose()
 
 
 @functools.lru_cache(maxsize=8)
@@ -335,8 +321,7 @@ def common_complement(u1: SubspacePoint, u2: SubspacePoint) -> SubspacePoint:
     """
     field = u1.field
     n = u1.n
-    if u2.field != field or u2.n != n:
-        raise ValueError("points belong to different projective lines")
+    _check_same_line(u1, u2)
     _require_isotropic(u1, "u1")
     _require_isotropic(u2, "u2")
     u1_rows, u2_rows = u1.space.basis.entries, u2.space.basis.entries

@@ -6,14 +6,14 @@ form: two subspaces are equal exactly when their stored bases are equal.
 A subspace's integer id is its position in ``enumerate_subspaces``,
 read off its basis rows by ``_rows_id`` and inverted by
 ``subspace_from_id`` (``_rref_rows`` on entry tuples).
-Zero-row and zero-column matrices are permitted throughout; the block
-constructions in the isotropic-subspace algorithms rely on them.
+Zero-row and zero-column matrices are permitted throughout; the zero
+subspace of K^d, for one, has a 0 x d basis.
 
 Validation happens once, at the boundary: the public constructor,
-``from_json``, ``scale``, ``row_vector`` and ``Subspace.from_rows``
-check shapes and entries.  Internal paths trust their inputs:
-arithmetic, reshaping, elimination and the enumerations build their
-results with ``Matrix._of``, which skips the checks.
+``from_json``, ``scale`` and ``Subspace.from_rows`` check shapes and
+entries.  Internal paths trust their inputs: arithmetic, reshaping,
+elimination and the enumerations build their results with
+``Matrix._of``, which skips the checks.
 Hashes are computed on first use.
 
 Arithmetic has one path.  ``_product`` is the only matrix-product loop
@@ -107,24 +107,6 @@ class Matrix:
                 cols=n,
             )
         return m
-
-    @classmethod
-    def row_vector(cls, field: FieldSpec, vec) -> "Matrix":
-        vec = tuple(vec)
-        return cls(field, (vec,), cols=len(vec))
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "Matrix":
-        """Assemble a matrix from a 2d grid of conformal blocks.
-
-        Each block row is joined by hstack and the rows by vstack, whose
-        checks reject blocks of other fields or of non-conformal shapes.
-        """
-        grid = [list(row) for row in blocks]
-        if not grid or not all(grid):
-            raise ValueError("a block grid needs at least one block in every row")
-        rows = [functools.reduce(Matrix.hstack, brow) for brow in grid]
-        return functools.reduce(Matrix.vstack, rows)
 
     # -- identity --------------------------------------------------------
 
@@ -228,15 +210,6 @@ class Matrix:
 
     # -- Gauss-Jordan ------------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", int]:
-        """Reduced row echelon form and rank."""
-        work = [list(row) for row in self.entries]
-        pivots = _row_reduce(self.field, work, self.cols)
-        return (
-            Matrix._of(self.field, tuple(tuple(r) for r in work), self.cols),
-            len(pivots),
-        )
-
     def rank(self) -> int:
         return _rank(self.field, self.entries, self.cols)
 
@@ -270,9 +243,6 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("hermitian only makes sense for square matrices")
         return self.sigma_transpose() == self
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
 
     # -- serialisation --------------------------------------------------------
 
@@ -417,10 +387,6 @@ class Subspace:
         return self
 
     @classmethod
-    def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls._from_canonical(Matrix(field, (), cols=ambient_dim))
-
-    @classmethod
     def from_rows(cls, field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
         return cls(Matrix(field, rows, cols=ambient_dim))
 
@@ -460,13 +426,6 @@ class Subspace:
         d = self.ambient_dim
         rows = _meet_rows(self.field, d, self.basis.entries, other.basis.entries)
         return Subspace._from_canonical(Matrix._of(self.field, rows, d))
-
-    def contains_vector(self, vec) -> bool:
-        vec = tuple(vec)
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector has the wrong length")
-        stacked = self.basis.vstack(Matrix.row_vector(self.field, vec))
-        return stacked.rank() == self.dim
 
 
 def unit_vector(length: int, index: int) -> tuple[int, ...]:

@@ -16,10 +16,11 @@ column spaces, and N an r x r matrix read off T1 by table lookups.  One
 memo over the sweep maps the triple to the id, filled by _pair_ids on
 the first pair that reaches it.  The module also provides the distant
 and adjacency relations with the arithmetical distance that refines
-them, and the constructions attached to the parametrisation: the
-embedding of the matrix space, spheres around the base point, stars,
-tops, pencils, annihilators, and the point maps induced by twisted ring
-isomorphisms and anti-isomorphisms.
+them, and the constructions attached to the parametrisation: spheres
+around the base point, stars, tops, pencils, annihilators, preimage
+pairs with their stable-rank witnesses, and the twisted ring
+isomorphisms and anti-isomorphisms (JordanMapSpec) whose images of a
+parameter pair give the induced point maps.
 """
 
 from __future__ import annotations
@@ -297,11 +298,6 @@ def _pair_columns(field: FieldSpec, n: int, t1s, t2s):
         yield column
 
 
-def embed_matrix_space(t1_0: Matrix, t2: Matrix) -> SubspacePoint:
-    """The embedding T2 -> point of (T1 fixed at t1_0); injective in T2."""
-    return bartolone(BartolonePair(t1_0, t2))
-
-
 def _check_same_line(p: SubspacePoint, q: SubspacePoint) -> None:
     if p.field != q.field or p.n != q.n:
         raise ValueError("points belong to different projective lines")
@@ -501,16 +497,6 @@ class JordanMapSpec:
             f"JordanMapSpec({self.kind}, frobenius_power={self.frobenius_power}, "
             f"q={list(self.q_matrix.entries)})"
         )
-
-
-def jordan_action(spec: JordanMapSpec, pair: BartolonePair) -> SubspacePoint:
-    """The image point of the parametrised point under the twisted map.
-
-    The pair (T1, T2) maps to (T1^iota, T2^iota) and the result is the
-    point they parametrise.  The induced map on points does not depend
-    on the chosen parameter pair.
-    """
-    return bartolone(BartolonePair(spec.apply(pair.t1), spec.apply(pair.t2)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -47,8 +47,10 @@ polynomial sums and products, the way ``FieldSpec`` did before its
 log/antilog tables.  ``field_power`` is the square-and-multiply power
 that ``FieldSpec`` had as its ``pow`` method.  ``contains``,
 ``evaluate`` and ``from_coeffs`` test subspace containment, evaluate the
-form and pack polynomial-basis coefficients into an element.  None of
-them runs from the command line.
+form and pack polynomial-basis coefficients into an element.
+``gram_matrix`` (J, which the form does not store), ``restricted_gram``
+and ``block_isotropy_criterion`` are the Matrix-level references for the
+form's closed forms.  None of them runs from the command line.
 """
 
 import functools
@@ -129,6 +131,25 @@ def evaluate(form: SesquilinearForm, x, y) -> int:
     if len(x) != 2 * form.n or len(y) != 2 * form.n:
         raise ValueError(f"vectors must have length {2 * form.n}")
     return form._pairing(x, y)
+
+
+@functools.lru_cache(maxsize=None)
+def gram_matrix(field: FieldSpec, n: int) -> Matrix:
+    """J = (0, I; -I, 0), the Gram matrix of the standard form, as a Matrix."""
+    ident = Matrix.identity(field, n)
+    zero = Matrix.zeros(field, n, n)
+    return zero.hstack(ident).vstack((-ident).hstack(zero))
+
+
+def restricted_gram(form: SesquilinearForm, rows: Matrix) -> Matrix:
+    """The Gram matrix of the form on the given row vectors."""
+    return rows * gram_matrix(form.field, form.n) * rows.sigma_transpose()
+
+
+def block_isotropy_criterion(p: SubspacePoint) -> bool:
+    """The block form of isotropy: A * B^Sigma = B * A^Sigma."""
+    a, b = p.blocks()
+    return a * b.sigma_transpose() == b * a.sigma_transpose()
 
 
 def from_coeffs(field: FieldSpec, coeffs) -> int:
@@ -281,10 +302,11 @@ def hermitian_matrices_by_filter(field: FieldSpec, n: int) -> tuple:
 def isotropic_points_by_filter(field: FieldSpec, n: int) -> tuple:
     """Every point whose restricted Gram matrix is zero, in enumeration order."""
     form = standard_form(field, n)
+    zero = Matrix.zeros(field, n, n)
     return tuple(
         p
         for p in enumerate_points(field, n)
-        if form.restricted_gram(p.space.basis).is_zero()
+        if restricted_gram(form, p.space.basis) == zero
     )
 
 
@@ -366,7 +388,7 @@ def isotropic_meeting_perp_by_matrices(
     n = u.n
     form, k, rows, vperp = ordered_frame_by_matrices(u, v, w)
     frame = Matrix._of(field, tuple(rows), 2 * n)
-    m = form.restricted_gram(frame)
+    m = restricted_gram(form, frame)
 
     a = m.block(0, k, n, n + k)
     bb = m.block(k, n, n, n + k)
@@ -374,7 +396,9 @@ def isotropic_meeting_perp_by_matrices(
     g33 = m.block(n, n + k, n, n + k)
     e = m.block(n, n + k, n + k, 2 * n)
     g44 = m.block(n + k, 2 * n, n + k, 2 * n)
-    assert m.block(0, n, 0, n).is_zero() and m.block(0, k, n + k, 2 * n).is_zero()
+    z = Matrix.zeros
+    assert m.block(0, n, 0, n) == z(field, n, n)
+    assert m.block(0, k, n + k, 2 * n) == z(field, k, n - k)
 
     d = skew_split_by_matrices(g33)
     f = skew_split_by_matrices(g44)
@@ -383,20 +407,16 @@ def isotropic_meeting_perp_by_matrices(
     s = ((e - bb.sigma_transpose() * c_inv_sig * f) * c_inv * bb - d) * a.inverse()
     r = -(bb.sigma_transpose() * c_inv_sig)
 
-    ident_k = Matrix.identity(field, k)
-    ident_nk = Matrix.identity(field, n - k)
-    z = Matrix.zeros
-    transition = Matrix.from_blocks(
-        [
-            [ident_k, z(field, k, n - k), z(field, k, k), z(field, k, n - k)],
-            [z(field, n - k, k), ident_nk, z(field, n - k, k), z(field, n - k, n - k)],
-            [s, z(field, k, n - k), ident_k, r],
-            [z(field, n - k, k), z(field, n - k, n - k), z(field, n - k, k), ident_nk],
-        ]
+    ident = Matrix.identity(field, 2 * n)
+    middle = s.hstack(z(field, k, n - k)).hstack(Matrix.identity(field, k)).hstack(r)
+    transition = (
+        ident.block(0, n, 0, 2 * n)
+        .vstack(middle)
+        .vstack(ident.block(n + k, 2 * n, 0, 2 * n))
     )
     new_frame = transition * frame
-    sheared = form.restricted_gram(new_frame)
-    assert sheared.block(k, n + k, k, n + k).is_zero()
+    sheared = restricted_gram(form, new_frame)
+    assert sheared.block(k, n + k, k, n + k) == z(field, n, n)
 
     x_rows = new_frame.entries[k : n + k]
     x = SubspacePoint(Subspace(Matrix._of(field, x_rows, 2 * n)), n)
@@ -432,7 +452,7 @@ def common_complement_by_matrices(
     w2 = Subspace(Matrix._of(field, tuple(complement_rows(u2)), 2 * n))
     assert w1.dim == n - k and w2.dim == n - k
 
-    pairing = w1.basis * form.gram * w2.basis.sigma_transpose()
+    pairing = w1.basis * gram_matrix(field, n) * w2.basis.sigma_transpose()
     scaled = pairing.inverse() * w1.basis
     w = Subspace(scaled + w2.basis)
     assert w.dim == n - k
@@ -464,7 +484,7 @@ def decompose_isotropic_by_matrices(p: SubspacePoint) -> BartolonePair:
     _require_isotropic(p, "the point")
     a, b = p.blocks()
     r = b.rank()
-    reduced, _ = b.hstack(a).rref()
+    reduced = Subspace(b.hstack(a)).basis
     rr = reduced.block(0, r, 0, n)
     cell = reduced.block(0, r, n, 2 * n) * rr.sigma_transpose()
     pivots = [row.index(1) for row in rr.entries]
@@ -518,7 +538,7 @@ def isotropic_meeting_perp_stepwise(
             rows[target_rows[i]] = tuple(vec)
 
     def gram() -> Matrix:
-        return form.restricted_gram(Matrix(field, rows, cols=2 * n))
+        return restricted_gram(form, Matrix(field, rows, cols=2 * n))
 
     arb = list(range(n, n + k))
     tail = list(range(n + k, 2 * n))
@@ -528,13 +548,13 @@ def isotropic_meeting_perp_stepwise(
     shear(arb, -(bb.sigma_transpose() * c.inverse().sigma_transpose()), tail)
 
     m = gram()
-    assert m.block(k, n, n, n + k).is_zero()
+    assert m.block(k, n, n, n + k) == Matrix.zeros(field, n - k, k)
     a = m.block(0, k, n, n + k)
     d = skew_split_by_matrices(m.block(n, n + k, n, n + k))
     shear(arb, -(d * a.inverse()), list(range(k)))
 
     m = gram()
-    assert m.block(k, n + k, k, n + k).is_zero()
+    assert m.block(k, n + k, k, n + k) == Matrix.zeros(field, n, n)
     x_rows = rows[k : n + k]
     x = SubspacePoint(Subspace.from_rows(field, 2 * n, x_rows), n)
     assert form.is_totally_isotropic(x)
@@ -770,7 +790,7 @@ def neighbour_by_subspace(cases: _PairCases, p: SubspacePoint) -> SubspacePoint:
     kept = list(p.space.basis.entries[: n - 1])
     while True:
         vec = tuple(cases.rng.randrange(cases.field.q) for _ in range(2 * n))
-        if p.space.contains_vector(vec):
+        if contains(p.space, Subspace.from_rows(cases.field, 2 * n, [vec])):
             continue
         space = Subspace.from_rows(cases.field, 2 * n, kept + [vec])
         if space.dim == n:

@@ -297,6 +297,9 @@ def test_usage_errors(capsys):
     assert "2x4" in err
     code, out, err = run(capsys, "bartolone", "--p", "2", "--t1", IDENTITY_2)
     assert code == 2
+    # inline JSON that starts with [ is parsed, not opened as a file name
+    code, out, err = run(capsys, "bartolone", "--p", "2", "--t1", "[1]", "--t2", "{}")
+    assert (code, err) == (2, "error: matrix JSON must be an object\n")
     hostile = [
         '{"rows": Infinity, "cols": 4, "entries": []}',
         '{"rows": 2.5, "cols": 4, "entries": [[0, 0, 0, 0], [0, 0, 0, 0]]}',

@@ -21,7 +21,6 @@ from hermline import (
     bartolone,
     bartolone_hermitian,
     base_point,
-    block_isotropy_criterion,
     common_complement,
     decompose_isotropic,
     enumerate_isotropic,
@@ -48,16 +47,19 @@ from hermline.matrices import (
 from reference_checks import (
     LADDER,
     LADDER_IDS,
+    block_isotropy_criterion,
     common_complement_by_matrices,
     complement_pair_by_matrices,
     contains,
     decompose_isotropic_by_matrices,
     evaluate,
     extend_independent_by_rebuild,
+    gram_matrix,
     hermitian_matrices_by_filter,
     isotropic_meeting_perp_by_matrices,
     isotropic_meeting_perp_stepwise,
     isotropic_points_by_filter,
+    restricted_gram,
     subspace_id,
 )
 
@@ -83,12 +85,11 @@ def splittings(field, u):
 
 
 def test_standard_gram_matrix(f2):
-    form = standard_form(f2, 2)
-    assert form.gram == Matrix(
+    assert gram_matrix(f2, 2) == Matrix(
         f2, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     )
     f3 = make_field(3)
-    assert standard_form(f3, 2).gram == Matrix(
+    assert gram_matrix(f3, 2) == Matrix(
         f3, [[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]]
     )
 
@@ -100,7 +101,7 @@ def unit_pairing_mismatches(form):
         (i, j)
         for i, x in enumerate(units)
         for j, y in enumerate(units)
-        if form._pairing(x, y) != form.gram.entries[i][j]
+        if form._pairing(x, y) != gram_matrix(form.field, form.n).entries[i][j]
     ]
 
 
@@ -114,10 +115,11 @@ def test_pairing_matches_the_gram_product(field_args, n):
     """On seeded random pairs, beta(x, y) is x * J * sigma(y)^T by Matrix products."""
     field = make_field(*field_args)
     form = standard_form(field, n)
+    j = gram_matrix(field, n)
     rng = random.Random(11)
     for _ in range(300):
         x, y = (tuple(rng.randrange(field.q) for _ in range(2 * n)) for _ in "xy")
-        product = Matrix(field, [x]) * form.gram * Matrix(field, [y]).sigma_transpose()
+        product = Matrix(field, [x]) * j * Matrix(field, [y]).sigma_transpose()
         assert form._pairing(x, y) == product.entries[0][0]
 
 
@@ -127,7 +129,7 @@ def test_perp_rows_match_the_nullspace_of_sigma_vj(f3, f4):
         form = standard_form(field, 2)
         for dim in range(5):
             for space in enumerate_subspaces(field, 4, dim):
-                vj = (space.basis * form.gram).sigma_transpose().transpose()
+                vj = (space.basis * gram_matrix(field, 2)).sigma_transpose().transpose()
                 want = nullspace(vj).basis.entries
                 assert form._perp_rows(space.basis.entries) == want
 
@@ -201,7 +203,7 @@ def test_block_criterion_matches_form():
         field = make_field(*field_args)
         form = standard_form(field, n)
         for p in enumerate_points(field, n):
-            by_gram = form.restricted_gram(p.space.basis).is_zero()
+            by_gram = restricted_gram(form, p.space.basis) == Matrix.zeros(field, n, n)
             assert form.is_totally_isotropic(p) == by_gram
             assert block_isotropy_criterion(p) == by_gram
 
@@ -244,7 +246,7 @@ def test_omega_and_hermitian_shifts_keep_the_form(field_args, n):
     are the products of rows with them; L(t) for a non-hermitian t does
     not keep J."""
     field = make_field(*field_args)
-    j = standard_form(field, n).gram
+    j = gram_matrix(field, n)
     ident = Matrix.identity(field, n)
     zero = Matrix.zeros(field, n, n)
     rows = Matrix.identity(field, 2 * n).entries
@@ -253,9 +255,9 @@ def test_omega_and_hermitian_shifts_keep_the_form(field_args, n):
         return g * j * g.sigma_transpose() == j
 
     def shift(t):
-        return Matrix.from_blocks([[ident, zero], [t, ident]])
+        return ident.hstack(zero).vstack(t.hstack(ident))
 
-    omega = Matrix.from_blocks([[zero, ident], [-ident, zero]])
+    omega = zero.hstack(ident).vstack((-ident).hstack(zero))
     assert keeps(omega)
     assert _omega(field, n, rows) == list(map(list, omega.entries))
     for t in hermitian_matrices(field, n):
@@ -297,7 +299,7 @@ def test_meeting_perp_extreme_splittings(f9):
     """The all-of-U and none-of-U splittings work over every configuration."""
     form = standard_form(f9, 2)
     for u in enumerate_isotropic(f9, 2)[:20]:
-        zero = Subspace.zero(f9, 4)
+        zero = Subspace.from_rows(f9, 4, ())
         x = isotropic_meeting_perp(u, zero, u.space)
         assert form.is_totally_isotropic(x)
         assert x.space.intersect(form.perp(zero)) == u.space
@@ -318,9 +320,7 @@ def test_meeting_perp_validation(f2):
         if not standard_form(f2, 2).is_totally_isotropic(p)
     )
     with pytest.raises(ValueError):
-        isotropic_meeting_perp(
-            not_iso, Subspace.zero(f2, 4), not_iso.space
-        )
+        isotropic_meeting_perp(not_iso, Subspace.from_rows(f2, 4, ()), not_iso.space)
 
 
 def test_common_complement_all_pairs(f2):
@@ -363,7 +363,7 @@ def test_construction_boundary_errors(f2, f3):
     u = iso[5]
     other = next(p for p in iso if p.space.intersect(u.space).dim == 0)
     line = Subspace.from_rows(f2, 4, u.space.basis.entries[:1])
-    zero = Subspace.zero(f2, 4)
+    zero = Subspace.from_rows(f2, 4, ())
     meet = isotropic_meeting_perp
     lines = "points belong to different projective lines"
     direct = "u = v (+) w must be a direct sum decomposition"
@@ -374,8 +374,8 @@ def test_construction_boundary_errors(f2, f3):
         (common_complement, (base, base_point(f3, 2)), lines),
         (common_complement, (base, base_point(f2, 3)), lines),
         (meet, (not_iso, zero, not_iso.space), "u is not totally isotropic"),
-        (meet, (u, Subspace.zero(f3, 4), u.space), "v lives in the wrong space"),
-        (meet, (u, zero, Subspace.zero(f2, 6)), "w lives in the wrong space"),
+        (meet, (u, Subspace.from_rows(f3, 4, ()), u.space), "v lives in the wrong space"),
+        (meet, (u, zero, Subspace.from_rows(f2, 6, ())), "w lives in the wrong space"),
         (meet, (u, line, line), direct),
         (meet, (u, zero, line), direct),
         (meet, (u, zero, other.space), direct),
@@ -564,16 +564,68 @@ def test_kernel_postconditions_catch_mutants_under_O(mutant):
         assert function in constructions
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_trees() -> dict:
+    """The parsed modules of src/hermline, by file name."""
+    src = ROOT / "src" / "hermline"
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(src.glob("*.py"))}
+
+
 def test_src_has_no_assert_statement():
     """Every invariant in src/hermline raises explicitly, so python -O keeps it."""
-    src = Path(__file__).resolve().parent.parent / "src" / "hermline"
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in src_trees().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# The public names of src/hermline that no code there calls, each with the
+# caller outside src/ that needs it: the CLI, perfbench, the library API
+# that the README lists, or ROADMAP item 5, which moves the BFS together
+# with its perfbench metric.
+LIBRARY_API = {
+    **dict.fromkeys(
+        ["FieldSpec.frobenius", "FieldSpec.sigma", "SesquilinearForm.perp"]
+        + ["Subspace.from_rows", "Subspace.intersect", "SubspacePoint.blocks"]
+        + ["annihilator", "is_adjacent", "is_distant", "isotropic_meeting_perp"]
+        + ["nullspace", "pencil", "sphere", "stable_rank_witness", "star"],
+        "readme",
+    ),
+    "bartolone_hermitian": "perfbench",
+    "RelationGraph.bfs_distances": "roadmap-item-5",
+}
+
+
+def test_src_public_names_have_a_caller():
+    """Each public function, class and method of src/hermline is referenced
+    in src/ outside its own definition, or is in LIBRARY_API.  Re-exports
+    in __init__ are no reference, but any name or attribute spelled like
+    the definition is, so a name collision (a local add passes
+    FieldSpec.add) can let a name through: this is a guard, not a proof.
+    """
+    trees = src_trees().values()
+    uses = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            uses.setdefault(name, set()).add(node)
+    public = {}
+    for node in (node for tree in trees for node in tree.body):
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d, prefix in [(node, "")] + [(m, f"{node.name}.") for m in members]:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name[0] != "_":
+                public[prefix + d.name] = d
+    uncalled = [q for q, d in public.items() if not uses.get(d.name, set()) - set(ast.walk(d))]
+    assert [q for q in uncalled if q not in LIBRARY_API] == []
+    assert set(LIBRARY_API) <= set(public)
+    assert set(LIBRARY_API.values()) <= {"cli", "perfbench", "readme", "roadmap-item-5"}
+    readme = (ROOT / "README.md").read_text()
+    assert [q for q, why in LIBRARY_API.items() if why == "readme" and f"`{q}`" not in readme] == []
 
 
 @pytest.mark.parametrize("maker", ALL_CONFIGS)
@@ -659,7 +711,7 @@ def test_decompose_gives_the_cell_pair(key):
         pair = decompose_isotropic(p)
         b = p.blocks()[1]
         r = b.rank()
-        rr = b.rref()[0].block(0, r, 0, n)
+        rr = Subspace(b).basis
         assert pair.t2 == rr.sigma_transpose() * rr
         assert pair.t2.rank() == r == arithmetical_distance(base, p)
         pivots = {row.index(1) for row in rr.entries}
@@ -683,7 +735,7 @@ def test_decompose_frozen_example(f4):
 
 def test_decompose_base_point_has_zero_t2(f3):
     pair = decompose_isotropic(base_point(f3, 2))
-    assert pair.t2.is_zero()
+    assert pair.t2 == Matrix.zeros(f3, 2, 2)
 
 
 def test_decompose_rejects_non_isotropic(f2):

@@ -18,12 +18,10 @@ from hermline import (
     arithmetical_distance,
     bartolone,
     base_point,
-    embed_matrix_space,
     enumerate_points,
     hermitian_matrices,
     is_adjacent,
     is_distant,
-    jordan_action,
     make_field,
     pencil,
     point_from_matrix,
@@ -75,7 +73,7 @@ def test_base_point(f2):
     assert base_point(f2, 2).space.basis == Matrix(f2, [[1, 0, 0, 0], [0, 1, 0, 0]])
     a, b = base_point(f2, 2).blocks()
     assert a == Matrix.identity(f2, 2)
-    assert b.is_zero()
+    assert b == Matrix.zeros(f2, 2, 2)
 
 
 def test_bartolone_frozen_examples(f2):
@@ -167,7 +165,7 @@ def test_annihilator_exhaustive(f2):
         assert ann == (-pair.t2).vstack(pair.t1 * pair.t2 - ident)
         assert ann.rank() == 2
         left = (pair.t2 * pair.t1 - ident).hstack(pair.t2)
-        assert (left * ann).is_zero()
+        assert left * ann == Matrix.zeros(f2, 2, 2)
 
 
 @pytest.mark.parametrize("config", LADDER, ids=LADDER_IDS)
@@ -198,7 +196,7 @@ def test_annihilator_shares_pack_the_columns(config):
 def test_embedding_injectivity(f2, f3):
     for field in (f2, f3):
         for t1_0 in (Matrix.zeros(field, 2, 2), Matrix.identity(field, 2)):
-            images = {embed_matrix_space(t1_0, t2) for t2 in all_matrices(field, 2, 2)}
+            images = {bartolone(BartolonePair(t1_0, t2)) for t2 in all_matrices(field, 2, 2)}
             assert len(images) == field.q**4
 
 
@@ -231,7 +229,7 @@ def test_jordan_action_well_defined_on_collisions(f2):
         by_point.setdefault(bartolone(pair), []).append(pair)
     collisions = 0
     for point, pairs in by_point.items():
-        images = {jordan_action(spec, pair) for pair in pairs}
+        images = {bartolone(BartolonePair(spec.apply(p.t1), spec.apply(p.t2))) for p in pairs}
         assert len(images) == 1
         collisions += len(pairs) - 1
     assert collisions > 0
