@@ -534,6 +534,23 @@ def _kernel_coordinates(field: FieldSpec, n: int, rows) -> dict:
     return {_matrix_id(q, (v,)): x for x, v in enumerate(columns)}
 
 
+def _below(rng: random.Random, q: int, count: int) -> list[int]:
+    """count draws below q: the values of count calls of rng.randrange(q).
+
+    randrange(q) reads k = q.bit_length() bits with getrandbits, again
+    while they read q or more (CPython's _randbelow_with_getrandbits,
+    3.10 to 3.13); this loop takes the same steps, so the values and the
+    generator's state are randrange's, without its frames per draw.
+    """
+    bits, k, drawn = rng.getrandbits, q.bit_length(), []
+    for _ in range(count):
+        r = bits(k)
+        while r >= q:
+            r = bits(k)
+        drawn.append(r)
+    return drawn
+
+
 class _PairCases:
     """The parameter pairs (T1, T2) of the batch checks on one (field, n).
 
@@ -553,13 +570,15 @@ class _PairCases:
     annihilator shares and the exhaustive adjacency masks.  A check
     draws its pairs, and the T1s and neighbours between them, from
     random.Random(seed) started as it asks for its pairs, so a seed
-    names the same cases whatever ran before.  A check states its
+    names the same cases whatever ran before; _below draws every value,
+    randrange's values read through getrandbits.  A check states its
     property once, as a row of verdicts read from the same memos in
     both modes, and _tally reads the rows of both modes the same way.
     The twisted-map cases run on entry tuples and ids: other pairs of a
-    point come from _preimage_ids on the point's rows, sampled
-    neighbours from one elimination, and a point object is built only
-    for a witness.
+    point come from _preimage_ids on the point's rows, each drawn
+    (point, T1) solved and checked once per case set in `solved`,
+    sampled neighbours from one elimination, and a point object is
+    built only for a witness.
     """
 
     def __init__(self, field: FieldSpec, n: int):
@@ -571,6 +590,9 @@ class _PairCases:
             lambda spec: _Memo(lambda t: _matrix_id(field.q, spec.apply(m[t]).entries))
         )
         self.pair = _Memo(lambda p: self._preimage(p, _witness_ids(field, n)))
+        self.solved = _Memo(
+            lambda key: _preimage_ids(field, n, self.rows[key[0]], key[0], key[1:], m)
+        )
         self.exhaustive = _exhaustible(field, n)
         self.mode = "exhaustive" if self.exhaustive else "sampled"
         self.kernel = _Memo(self._kernel)
@@ -624,10 +646,8 @@ class _PairCases:
 
     def _draw(self) -> int:
         """The id of a random matrix, its entries drawn in row-major order."""
-        q, draw, t = self.field.q, self.rng.randrange, 0
-        for _ in range(self.n * self.n):
-            t = t * q + draw(q)
-        return t
+        q = self.field.q
+        return _matrix_id(q, (_below(self.rng, q, self.n * self.n),))
 
     def pairs(self, seed: int, samples: int):
         """A sampled check's drawn pairs; its rng starts here, from seed."""
@@ -666,18 +686,22 @@ class _PairCases:
         Sampled: of two pairs whose T1 is drawn, again until B*T1 - A is
         invertible for the point's rows (A | B), the first whose image
         differs from the pair's, else the second; the second is drawn
-        only when the first agrees.
+        only when the first agrees.  Each drawn (point, T1) is read from
+        `solved`, so the maps of a run, which draw the same T1s from the
+        same seed, solve and check it once.
         """
         if self.exhaustive:
             image_of = self.point_image(spec)
             return lambda t1, t2s, points: map(image_of.__getitem__, points)
-        image, images = self.image(spec), self.image_row(spec)
-        drawn = iter(self._draw, None)
+        image, images, solved = self.image(spec), self.image_row(spec), self.solved
 
         def others(t1: int, t2s, points):
             for mine, p in zip(images(t1, t2s), points):
                 for _ in range(2):
-                    theirs = image(*self._preimage(p, drawn))
+                    found = None
+                    while found is None:
+                        found = solved[p, self._draw()]
+                    theirs = image(*found)
                     if theirs != mine:
                         break
                 yield theirs
@@ -746,7 +770,7 @@ class _PairCases:
         field, n, rows = self.field, self.n, self.rows[p]
         pivots = [row.index(1) for row in rows]
         while True:
-            vec = [self.rng.randrange(field.q) for _ in range(2 * n)]
+            vec = _below(self.rng, field.q, 2 * n)
             if _product(field, ([vec[c] for c in pivots],), rows, 2 * n)[0] != vec:
                 work = [list(row) for row in rows[: n - 1]] + [vec]
                 _row_reduce(field, work, 2 * n)

@@ -94,9 +94,15 @@ class SesquilinearForm:
                 acc = sub[acc][mul[x[j]][sig[y[i]]]]
         return acc
 
+    def _rows_of(self, space: Subspace) -> tuple:
+        """space's basis rows; a ValueError unless space lies in K^(2n)."""
+        if space.field != self.field or space.ambient_dim != 2 * self.n:
+            raise ValueError("the subspace lives in the wrong space")
+        return space.basis.entries
+
     def perp(self, space: Subspace) -> Subspace:
         """The perpendicular subspace {x : beta(v, x) = 0 for all v}."""
-        rows = self._perp_rows(space.basis.entries)
+        rows = self._perp_rows(self._rows_of(space))
         return Subspace._from_canonical(Matrix._of(self.field, rows, 2 * self.n))
 
     def _perp_rows(self, rows) -> tuple:
@@ -114,7 +120,7 @@ class SesquilinearForm:
         and the pairs of basis rows with x no later than y suffice.
         """
         space = obj.space if isinstance(obj, SubspacePoint) else obj
-        return self._vanishes_on(space.basis.entries)
+        return self._vanishes_on(self._rows_of(space))
 
     def _vanishes_on(self, rows) -> bool:
         """Whether the form vanishes on the span of the entry rows."""

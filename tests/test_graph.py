@@ -308,9 +308,10 @@ CLI_GOLDEN = {
 }
 
 
-# sha256 of every randrange result (as "value,") of the sampled checks and
-# the number of draws, keyed as CLI_GOLDEN, recorded before the drawn
-# matrices were built with the trusting constructor.  Other keys draw
+# sha256 of every drawn value (as "value,") of the sampled checks and the
+# number of draws, keyed as CLI_GOLDEN, recorded from randrange before the
+# drawn matrices were built with the trusting constructor; harness._below,
+# which now draws them, must return the same values.  Other keys draw
 # nothing.
 CLI_DRAWS = {
     ("verify-remarks", "gf9", 2, 0): (
@@ -342,16 +343,16 @@ def _cli_argv(key) -> list:
 def test_cli_stdout_golden(key, capsys, monkeypatch):
     draws = hashlib.sha256()
     count = 0
+    real_below = harness._below
 
-    class CountingRandom(harness.random.Random):
-        def randrange(self, *args):
-            nonlocal count
-            value = super().randrange(*args)
-            draws.update(b"%d," % value)
-            count += 1
-            return value
+    def counting_below(*args):
+        nonlocal count
+        values = real_below(*args)
+        draws.update(b"".join(b"%d," % value for value in values))
+        count += len(values)
+        return values
 
-    monkeypatch.setattr(harness.random, "Random", CountingRandom)
+    monkeypatch.setattr(harness, "_below", counting_below)
     digest, status = CLI_GOLDEN[key]
     assert main(_cli_argv(key)) == status
     out = capsys.readouterr().out

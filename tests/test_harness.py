@@ -702,23 +702,29 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
     """The entry-tuple sampled cases agree with the Matrix-based ones.
 
     Both run the twisted-map checks for the default maps and the
-    Shifted one, whose verdicts mix passes and failures.  They draw the
-    same randrange stream, reach the same verdict on every case and
-    print byte-identical reports.
+    Shifted one, whose verdicts mix passes and failures.  The entry-tuple
+    cases draw every value through harness._below and the Matrix-based
+    ones through randrange; both streams are the same, and both reach
+    the same verdict on every case and print byte-identical reports.
     """
     *field_args, n = config
     field = make_field(*field_args)
     specs = default_jordan_specs(field, n)
     specs.append(("shifted", Shifted(AUTOMORPHISM, 0, Matrix.identity(field, n))))
-    real_tally, rng = harness._tally, random.Random
+    real_tally, real_below, rng = harness._tally, harness._below, random.Random
     runs = []
     for cases in (harness._PairCases, PairCasesByMatrices):
-        draws, verdicts = [], []
+        draws, verdicts = {"_below": [], "randrange": []}, []
+
+        def recording_below(*args):
+            values = real_below(*args)
+            draws["_below"].extend(values)
+            return values
 
         class CountingRandom(rng):
             def randrange(self, *args):
-                draws.append(super().randrange(*args))
-                return draws[-1]
+                draws["randrange"].append(super().randrange(*args))
+                return draws["randrange"][-1]
 
         def recording_tally(name, mode, rows, witness):
             def recorded():
@@ -729,6 +735,7 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
 
             return real_tally(name, mode, recorded(), witness)
 
+        monkeypatch.setattr(harness, "_below", recording_below)
         monkeypatch.setattr(harness.random, "Random", CountingRandom)
         monkeypatch.setattr(harness, "_tally", recording_tally)
         monkeypatch.setattr(harness, "_PairCases", cases)
@@ -741,7 +748,8 @@ def test_sampled_twisted_maps_match_matrices(config, seed, monkeypatch):
         assert all('"mode": "sampled"' in report for report in reports)
         runs.append((draws, verdicts, reports))
     (draws, verdicts, reports), reference = runs
-    assert draws == reference[0]
+    assert not draws["randrange"] and not reference[0]["_below"]
+    assert draws["_below"] == reference[0]["randrange"]
     assert verdicts == reference[1]
     assert reports == reference[2]
     assert False in verdicts and True in verdicts
@@ -842,6 +850,95 @@ def test_sampled_table_eliminates_each_pair_once(monkeypatch):
     table = harness._cases(config.field(), 3).table
     assert set(reduced.values()) == {1}
     assert len(reduced) == sum(map(len, table.values()))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256])
+def test_below_draws_what_randrange_draws(q):
+    """harness._below returns randrange's values and leaves its state.
+
+    It takes the getrandbits steps of CPython's randrange; a Python
+    whose randrange draws otherwise fails here by name.
+    """
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = [theirs.randrange(q) for _ in range(10_000)]
+        assert harness._below(ours, q, 10_000) == drawn
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize(
+    "field,n",
+    [(make_field(2), 3), (make_field(5), 2), (make_field(3, 2, "frobenius"), 2)],
+    ids=["gf2-3", "gf5-2", "gf9-2"],
+)
+def test_drawn_matrix_id_reads_randrange_entries_in_row_major_order(field, n):
+    """_draw's id is the base-q numeral of randrange's entries, row by row."""
+    cases = harness._PairCases(field, n)
+    cases.rng, rng = random.Random(3), random.Random(3)
+    for _ in range(500):
+        t = 0
+        for _ in range(n * n):
+            t = t * field.q + rng.randrange(field.q)
+        assert cases._draw() == t
+
+
+def test_sampled_twisted_maps_solve_each_drawn_pair_once(monkeypatch):
+    """The twisted-map checks of a run solve each drawn (point, T1) once.
+
+    On GF(2) n = 3 at seed 0 every map draws the same T1s; solved once
+    per case set, the kernel runs 3,799 times in all, representative
+    pairs included (6,560 when each map solved its own).
+    """
+    drawn, total, well_defined = collections.Counter(), 0, False
+    real_preimages, real_check = projline._preimages, harness.check_jordan_well_defined
+
+    def counting(field, n):
+        solve = real_preimages(field, n)
+
+        def counted(rows, t1):
+            nonlocal total
+            total += 1
+            drawn[rows, t1] += well_defined
+            return solve(rows, t1)
+
+        return counted
+
+    def check(*args, **kwargs):
+        nonlocal well_defined
+        well_defined = True
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            well_defined = False
+
+    monkeypatch.setattr(projline, "_preimages", counting)
+    monkeypatch.setattr(harness, "check_jordan_well_defined", check)
+    report = verify_remarks(GeometryConfig(p=2, n=3), seed=0)
+    assert report["passed"]
+    assert sum(drawn.values()) > 1_000 and max(drawn.values()) == 1
+    assert total <= 3_800
+
+
+def test_sampled_transposed_preimage_is_an_error(monkeypatch):
+    """A kernel returning T2 transposed raises in both sampled checks,
+    also under python -O: each memoised solve keeps its check."""
+    real = projline._preimages
+
+    def transposed(field, n):
+        solve = real(field, n)
+
+        def preimage(rows, t1):
+            t2 = solve(rows, t1)
+            return None if t2 is None else tuple(zip(*t2))
+
+        return preimage
+
+    monkeypatch.setattr(projline, "_preimages", transposed)
+    field = make_field(2)
+    for label, spec in default_jordan_specs(field, 3):
+        for check in (check_jordan_well_defined, check_jordan_adjacency):
+            with pytest.raises(AssertionError, match="another point"):
+                check(field, 3, spec, label)
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,19 @@ def test_perp_dimensions_and_involution(f2):
                     assert evaluate(form, v, w) == 0
 
 
+def test_form_rejects_a_subspace_of_another_space(f2, f3):
+    """perp and is_totally_isotropic raise on a subspace of K^d, d != 2n,
+    or of another field, as isotropic_meeting_perp does."""
+    form = standard_form(f2, 2)
+    line6 = Subspace.from_rows(f2, 6, [(1, 0, 0, 0, 0, 0)])
+    line3 = Subspace.from_rows(f3, 4, [(1, 2, 0, 1)])
+    for space in (line6, line3):
+        with pytest.raises(ValueError, match="wrong space"):
+            form.perp(space)
+        with pytest.raises(ValueError, match="wrong space"):
+            form.is_totally_isotropic(space)
+
+
 def test_block_criterion_matches_form():
     """On every point of the ladder: the pairwise test, the Gram product and
     the block criterion A * B^Sigma = B * A^Sigma agree."""
