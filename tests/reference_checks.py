@@ -44,7 +44,10 @@ it was before the representative pairs: the image of the first pair of
 each point in the pair table.
 ``field_tables_by_polynomials`` builds the field tables from
 polynomial sums and products, the way ``FieldSpec`` did before its
-log/antilog tables.  ``field_power`` is the square-and-multiply power
+log/antilog tables, and ``field_tables_by_logs`` fills the log/antilog
+tables entry by entry from polynomial primitive powers
+(``primitive_powers_by_polynomials``), the way ``FieldSpec`` did before
+it built each row in one C call.  ``field_power`` is the square-and-multiply power
 that ``FieldSpec`` had as its ``pow`` method.  ``contains``,
 ``evaluate`` and ``from_coeffs`` test subspace containment, evaluate the
 form and pack polynomial-basis coefficients into an element.
@@ -62,7 +65,6 @@ from hermline.fields import (
     _digits,
     _find_modulus,
     _pack,
-    _poly_mul,
     _poly_rem,
 )
 from hermline.hermitian import SesquilinearForm, _require_isotropic, standard_form
@@ -238,6 +240,67 @@ def field_tables_by_polynomials(p: int, k: int, involution: str) -> dict:
         "_frob": frob,
         "_sigma": sig,
         "fixed_elements": tuple(a for a in range(p**k) if sig[a] == a),
+    }
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def primitive_powers_by_polynomials(p: int, k: int, modulus) -> list[int]:
+    """g^0, ..., g^(q-2) for the first g of order q - 1, by polynomial products."""
+    q, one = p**k, [1] + [0] * (k - 1)
+    for g in range(1, q):
+        dg, digits, powers = _digits(g, p, k), one, []
+        for _ in range(q - 1):
+            powers.append(_pack(digits, p))
+            digits = _poly_rem(_poly_mul(digits, dg, p) + [0], modulus, p)
+            if digits == one:
+                break
+        if digits == one and len(powers) == q - 1:
+            return powers
+    raise RuntimeError(f"no element of order {q - 1}: {modulus} is reducible")
+
+
+def field_tables_by_logs(p: int, k: int, involution: str) -> dict:
+    """The eight tables of FieldSpec(p, k, involution), by FieldSpec's names.
+
+    Sums are filled digit by digit and products from the log/antilog
+    tables of the first primitive element, entry by entry.
+    """
+    q = p**k
+    add = [tuple(range(q))]
+    for a in range(1, q):
+        low = [(a + r) % p for r in range(p)]
+        add.append(tuple([s + p * h for h in add[a // p][: q // p] for s in low]))
+    neg = [0] * q
+    for a in range(1, q):
+        neg[a] = -a % p + p * neg[a // p]
+    sub = tuple(tuple(map(row.__getitem__, neg)) for row in add)
+
+    exp = primitive_powers_by_polynomials(p, k, _find_modulus(p, k))
+    logs = sorted(range(q - 1), key=exp.__getitem__)
+    exp += exp
+    rows = ((0,) + tuple(map(exp[e:].__getitem__, logs)) for e in logs)
+    mul = (q * (0,),) + tuple(rows)
+    inv = (0,) + tuple(exp[q - 1 - e] for e in logs)
+    frob = tuple((0,) + tuple(exp[e * p**j % (q - 1)] for e in logs) for j in range(k))
+    sig = frob[k // 2 if involution == FROBENIUS else 0]
+    assert all(sig[sig[a]] == a for a in range(q))
+    return {
+        "_add": tuple(add),
+        "_sub": sub,
+        "_neg": tuple(neg),
+        "_mul": mul,
+        "_inv": inv,
+        "_frob": frob,
+        "_sigma": sig,
+        "fixed_elements": tuple(a for a in range(q) if sig[a] == a),
     }
 
 

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from hermline import FROBENIUS, IDENTITY, fields, make_field
-from reference_checks import field_power, field_tables_by_polynomials, from_coeffs
+from reference_checks import (
+    field_power,
+    field_tables_by_logs,
+    field_tables_by_polynomials,
+    from_coeffs,
+)
 
 PRIME_POWERS = [
     (p, k)
@@ -170,6 +175,15 @@ def test_make_field_validation():
         make_field(2, 3, FROBENIUS)
 
 
+def test_bool_parameters_are_refused():
+    """A bool p or k would share the cache key of the int it equals."""
+    with pytest.raises(ValueError):
+        make_field(2, True)
+    with pytest.raises(ValueError):
+        make_field(True)
+    assert type(make_field(2, 1).k) is int and make_field(2, 1).k == 1
+
+
 def test_involution_aliases():
     assert make_field(2, 2, "frobenius_half") is make_field(2, 2, FROBENIUS)
     assert make_field(3, 1, "id") is make_field(3, 1, IDENTITY)
@@ -209,6 +223,23 @@ def test_tables_match_polynomial_reference():
             field = fields.FieldSpec(p, k, involution)
             for name, table in field_tables_by_polynomials(p, k, involution).items():
                 assert getattr(field, name) == table, (p, k, involution, name)
+
+
+@pytest.mark.parametrize(
+    "p,k,involution",
+    [
+        (2, 9, IDENTITY),
+        (2, 10, IDENTITY),
+        (5, 4, FROBENIUS),
+        (3, 6, FROBENIUS),
+        (31, 2, FROBENIUS),
+    ],
+)
+def test_large_field_tables_match_log_reference(p, k, involution):
+    """Above q = 256 every table equals the entry-by-entry log/antilog build."""
+    field = fields.FieldSpec(p, k, involution)
+    for name, table in field_tables_by_logs(p, k, involution).items():
+        assert getattr(field, name) == table, name
 
 
 @pytest.mark.parametrize("p,k,involution", [(2, 10, IDENTITY), (3, 6, FROBENIUS)])
@@ -279,3 +310,49 @@ def test_sigma_check_rejects_a_table_that_is_no_automorphism(involution, monkeyp
     monkeypatch.setattr(fields, "_primitive_powers", lambda p, k, modulus: [1] * 8)
     with pytest.raises(RuntimeError, match="not an involution"):
         fields.FieldSpec(3, 2, involution)
+
+
+def _swapped_frobenius(field):
+    """sigma conjugated by the swap of two non-fixed elements, a and b != sigma(a).
+
+    It is still an involution, but no longer multiplicative.
+    """
+    sig = field._sigma
+    a = next(x for x in field.elements() if sig[x] != x)
+    b = next(x for x in field.elements() if sig[x] != x and x not in (a, sig[a]))
+    swap = list(field.elements())
+    swap[a], swap[b] = b, a
+    return tuple(swap[sig[swap[x]]] for x in field.elements())
+
+
+def test_involution_check_rejects_a_non_multiplicative_involution():
+    f16 = make_field(2, 4, FROBENIUS)
+    fields._check_involution(FROBENIUS, f16._sigma, f16._mul)
+    bad, mul = _swapped_frobenius(f16), f16._mul
+    assert all(bad[bad[x]] == x for x in f16.elements())
+    pairs = [(a, b) for a in f16.elements() for b in f16.elements()]
+    assert any(bad[mul[a][b]] != mul[bad[a]][bad[b]] for a, b in pairs)
+    with pytest.raises(RuntimeError, match="not an involution"):
+        fields._check_involution(FROBENIUS, bad, f16._mul)
+
+
+def test_involution_check_rejects_a_non_multiplicative_involution_under_optimize():
+    """The check is not an assert, so python -O keeps it."""
+    bad = _swapped_frobenius(make_field(2, 4, FROBENIUS))
+    code = (
+        "import hermline.fields as f\n"
+        "f16 = f.make_field(2, 4, 'frobenius')\n"
+        "try:\n"
+        f"    f._check_involution('frobenius', {bad!r}, f16._mul)\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout.startswith("raised ") and "not an involution" in proc.stdout
