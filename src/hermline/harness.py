@@ -34,6 +34,7 @@ from .matrices import (
     _entries_from_id,
     _matrix_id,
     _product,
+    _rank,
     _row_reduce,
     _rows_id,
     _rref_rows,
@@ -43,6 +44,7 @@ from .matrices import (
 from .projline import (
     ANTIAUTOMORPHISM,
     AUTOMORPHISM,
+    BartolonePair,
     JordanMapSpec,
     SubspacePoint,
     _Memo,
@@ -51,6 +53,7 @@ from .projline import (
     _pair_ids,
     _preimage_ids,
     _witness_ids,
+    annihilator,
     arithmetical_distance,
     base_point,
     enumerate_points,
@@ -566,14 +569,14 @@ class _PairCases:
     built.  The one case set of a run, from _cases, owns what its checks
     share, each value computed on first read: the table, each id's
     entries, Matrix and RREF rows, one memo of image ids per map, each
-    point's representative pair and kernel coordinates, the exhaustive
-    annihilator shares and the exhaustive adjacency masks.  A check
-    draws its pairs, and the T1s and neighbours between them, from
-    random.Random(seed) started as it asks for its pairs, so a seed
+    point's representative pair, and in exhaustive mode each point's
+    kernel coordinates, the annihilator shares and the adjacency masks.
+    A check draws its pairs, and the T1s and neighbours between them,
+    from random.Random(seed) started as it asks for its pairs, so a seed
     names the same cases whatever ran before; _below draws every value,
     randrange's values read through getrandbits.  A check states its
-    property once, as a row of verdicts read from the same memos in
-    both modes, and _tally reads the rows of both modes the same way.
+    property as a row of verdicts, once for both modes but for the
+    annihilator's drawn pairs, and _tally reads all rows the same way.
     The twisted-map cases run on entry tuples and ids: other pairs of a
     point come from _preimage_ids on the point's rows, each drawn
     (point, T1) solved and checked once per case set in `solved`,
@@ -595,7 +598,10 @@ class _PairCases:
         )
         self.exhaustive = _exhaustible(field, n)
         self.mode = "exhaustive" if self.exhaustive else "sampled"
-        self.kernel = _Memo(self._kernel)
+        coordinates = functools.partial(_kernel_coordinates, field, n)
+        self.kernel = _Memo(  # exhaustive: a column outside the kernel reads 0
+            lambda p: collections.defaultdict(int, coordinates(self.rows[p]))
+        )
         if self.exhaustive:
             self.table = pair_point_table(field, n)
         else:
@@ -622,27 +628,6 @@ class _PairCases:
             for t2 in range(len(self.table))
         ]
         return [list(zip(*shares)) for shares in zip(*per_t2)]
-
-    def _kernel(self, p: int) -> dict:
-        """Point p's kernel coordinates: column id -> its free entries' matrix id.
-
-        A column outside the kernel of p's RREF rows reads 0, as the zero
-        column does.  Exhaustive: the whole kernel is listed at once, by
-        _kernel_coordinates.  Sampled: each column read is tested.
-        """
-        field, n, rows = self.field, self.n, self.rows[p]
-        if self.exhaustive:
-            return collections.defaultdict(int, _kernel_coordinates(field, n, rows))
-        q = field.q
-        transposed, pivots = tuple(zip(*rows)), {row.index(1) for row in rows}
-
-        def free_entries(column: int) -> int:
-            v = _digits(column, q, 2 * n)[::-1]
-            if any(_product(field, (v,), transposed, n)[0]):
-                return 0
-            return _matrix_id(q, [[x for c, x in enumerate(v) if c not in pivots]])
-
-        return _Memo(free_entries)
 
     def _draw(self) -> int:
         """The id of a random matrix, its entries drawn in row-major order."""
@@ -707,23 +692,6 @@ class _PairCases:
                 yield theirs
 
         return others
-
-    def annihilators(self, t1: int, t2s):
-        """The annihilator of each (T1, T2), T2 in t2s, as _annihilator_shares packs it.
-
-        Exhaustive, where t2s is every id, the shares of T1's rows are
-        read whole from `shares`; sampled, each pair is packed on its own.
-        """
-        n = self.n
-        if self.exhaustive:
-            rows = _digits(t1, self.field.q**n, n)[::-1]  # the ids of T1's rows
-            return map(sum, zip(*map(operator.getitem, self.shares, rows)))
-        shares = functools.partial(_annihilator_shares, self.field, n)
-        t1 = [(d,) for d in self.entries[t1]]  # one row at each index
-        return [
-            sum(itertools.chain.from_iterable(shares(self.entries[t2], t1)))
-            for t2 in t2s
-        ]
 
     def adjacent_points(self, spec: JordanMapSpec, seed: int, samples: int):
         """Yield rows (p, qs, kept): points qs adjacent to p, and if their images are.
@@ -832,14 +800,15 @@ def check_annihilator(
     """The pair's point annihilates the stacked matrix, which has rank n.
 
     The point's RREF basis B spans the row space of (T2*T1 - I | T2), so
-    it annihilates the matrix exactly when that generator does.  Its
-    columns are packed in one id, the sum of _annihilator_shares.  Each
-    column v is looked up in the point's kernel coordinates, v's entries
-    at B's free columns, onto which the kernel of B projects
-    isomorphically; with every column in the kernel, rank n means an
-    invertible minor on the free rows, looked up by its matrix id.  A
-    column outside the kernel reads 0, a zero row of the minor, so the
-    pair fails as it should.
+    it annihilates the matrix exactly when that generator does.  Sampled,
+    each drawn pair's matrix is built by annihilator, multiplied by B
+    and ranked.  Exhaustive, its columns are packed in one id, the sum of
+    _annihilator_shares.  Each column v is looked up in the point's
+    kernel coordinates, v's entries at B's free columns, onto which the
+    kernel of B projects isomorphically; with every column in the
+    kernel, rank n means an invertible minor on the free rows, looked up
+    by its matrix id.  A column outside the kernel reads 0, a zero row of
+    the minor, so the pair fails as it should.
     """
     qn, width = field.q**n, field.q ** (2 * n)
     cases = _cases(field, n)
@@ -847,7 +816,13 @@ def check_annihilator(
     places = [width**k for k in range(n)]  # the columns, last first
 
     def row(t1, t2s, points):
-        packed = list(cases.annihilators(t1, t2s))
+        if not cases.exhaustive:
+            (t2,), (p,) = t2s, points
+            ann = annihilator(BartolonePair(cases.matrix[t1], cases.matrix[t2])).entries
+            product = _product(field, cases.rows[p], ann, n)
+            return (not any(map(any, product)) and _rank(field, ann, n) == n,)
+        rows = _digits(t1, qn, n)[::-1]  # the ids of T1's rows
+        packed = list(map(sum, zip(*map(operator.getitem, cases.shares, rows))))
         kernels = list(map(cases.kernel.__getitem__, points))
         minor = itertools.repeat(0, len(packed))
         for place in places:

@@ -25,7 +25,8 @@ are the row forms behind the methods: ``_rank``, ``_basis_rows``,
 ``Subspace.intersect``, ``nullspace`` and ``Matrix._zip``.  Entrywise
 arithmetic is ``Matrix._map`` (x -> table[x]) and ``_zip_rows``
 (x, y -> table[x][y]) over a field table.  ``src/`` has no other
-product loop.
+product loop, but for the GF(2) kernels of ``projline``, which XOR rows
+packed into ints.
 Eliminations stop at echelon form where that suffices:
 ``_rank`` reduces below the pivots only, and ``Subspace.intersect``
 reads the intersection off an echelon form of the Zassenhaus block.

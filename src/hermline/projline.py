@@ -9,7 +9,9 @@ parametrisation
     (T1, T2)  ->  row space of (T2*T1 - I, T2),
 
 which private kernels compute on entry tuples as point ids: _pair_ids
-for one pair (bartolone unranks its id into a point), and _pair_columns
+for one pair (bartolone unranks its id into a point), over GF(2) on
+rows packed into ints and row reduced by XOR, as is the preimage solve
+_preimages, and over other fields on lists; and _pair_columns
 for the pair sweeps, one T2 at a time, which names the point of each
 pair by the triple (R, C, N): R and C the reduced bases of T2's row and
 column spaces, and N an r x r matrix read off T1 by table lookups.  One
@@ -173,12 +175,18 @@ def bartolone(pair: BartolonePair) -> SubspacePoint:
 def _pair_ids(field: FieldSpec, n: int):
     """The parametrisation on entry tuples: (T1, T2) -> id of its point.
 
-    The returned function builds (T2*T1 - I | T2) as lists from the
-    rows of _product, row reduces it and reads the point id off the
-    reduced rows, with no Matrix, Subspace or SubspacePoint.  It is the
-    single-pair kernel: bartolone unranks its ids, and _pair_columns
-    calls it once per point that a sweep reaches.
+    The returned function row reduces (T2*T1 - I | T2) and reads the
+    point id off the reduced rows, with no Matrix, Subspace or
+    SubspacePoint: _packed_pair_ids over GF(2), else _list_pair_ids, the
+    tests' reference on every field.  bartolone unranks its ids, and
+    _pair_columns calls it once per point that a sweep reaches.  Lost
+    rank raises AssertionError, also under python -O.
     """
+    return _packed_pair_ids(n) if field.q == 2 else _list_pair_ids(field, n)
+
+
+def _list_pair_ids(field: FieldSpec, n: int):
+    """_pair_ids on rows as lists, from the rows of _product and _row_reduce."""
     sub = field._sub
     q = field.q
     layouts = _rref_layouts(q, 2 * n, n)
@@ -192,6 +200,80 @@ def _pair_ids(field: FieldSpec, n: int):
         if len(pivots) != n:
             raise AssertionError("parametrised block pair lost rank")
         return _rref_id(q, layouts, pivots, work)
+
+    return pair_id
+
+
+def _xor_reduce(rows) -> dict:
+    """The RREF of GF(2) rows packed into ints, as {leading bit: row}.
+
+    Each row is reduced by the rows kept, then a remainder is cleared out
+    of them and kept.  The keys sum to the mask of the pivot columns.
+    """
+    basis = {}
+    for row in rows:
+        for lead, kept in basis.items():
+            if row & lead:
+                row ^= kept
+        if row:
+            lead = 1 << (row.bit_length() - 1)
+            for other, kept in basis.items():
+                if kept & lead:
+                    basis[other] = kept ^ row
+            basis[lead] = row
+    return basis
+
+
+def _packed_products(n: int):
+    """For GF(2) rows x of length n or 2n, and T1: each x XOR x[-n:]*T1 << n.
+
+    Rows are packed into ints, column c of x at bit len(x) - 1 - c, so a
+    row of T2 gives the row of (T2*T1 | T2), a row (A | B) of (A+B*T1 | B).
+    """
+    pack = _Memo(
+        lambda x: (int("".join(map(str, x)), 2), [k for k in range(n) if x[k - n]])
+    )
+
+    def products(rows, t1: tuple) -> list[int]:
+        left, work = [pack[x][0] << n for x in t1], []
+        for x in rows:
+            value, ks = pack[x]
+            for k in ks:
+                value ^= left[k]
+            work.append(value)
+        return work
+
+    return products
+
+
+def _packed_pair_ids(n: int):
+    """_pair_ids over GF(2): _packed_products XOR I, then _xor_reduce.
+
+    The id is read through the _rref_layouts templates: per pivot mask,
+    a dict maps each reduced row the pattern admits to its share of the id.
+    """
+    layouts, products = _rref_layouts(2, 2 * n, n), _packed_products(n)
+    bits = [1 << c for c in reversed(range(2 * n))]  # column c is bit 2n - 1 - c
+
+    def read(mask: int) -> tuple[int, dict]:
+        pivots = tuple(c for c, bit in enumerate(bits) if mask & bit)
+        offset, free = layouts[pivots]
+        shares, shift = {}, sum(map(len, free))
+        for pivot, cols in zip(pivots, free):
+            shift -= len(cols)
+            for x, entries in enumerate(itertools.product((0, 1), repeat=len(cols))):
+                row = bits[pivot] + sum(bits[c] for c, e in zip(cols, entries) if e)
+                shares[row] = x << shift
+        return offset, shares
+
+    reads = _Memo(read)
+
+    def pair_id(t1: tuple, t2: tuple) -> int:
+        basis = _xor_reduce(map(operator.xor, products(t2, t1), bits))  # bits[i]: -I
+        if len(basis) != n:
+            raise AssertionError("parametrised block pair lost rank")
+        offset, shares = reads[sum(basis)]
+        return offset + sum(map(shares.__getitem__, basis.values()))
 
     return pair_id
 
@@ -344,14 +426,19 @@ def _witness_ids(field: FieldSpec, n: int):
 def _preimages(field: FieldSpec, n: int):
     """The parametrisation solved for T2, on entry tuples.
 
-    The returned function takes the rows (A | B) of a point and a T1,
-    forms B*T1 - A as the product (A | B) * (-I ; T1) and row reduces
-    (B*T1 - A | B) once.  When its pivots are 0..n-1, B*T1 - A is
-    invertible, the right block is T2 = (B*T1 - A)^-1 * B, and
+    The returned function takes the rows (A | B) of a point and a T1 and
+    row reduces (B*T1 - A | B) once.  When its pivots are 0..n-1, B*T1 - A
+    is invertible, the right block is T2 = (B*T1 - A)^-1 * B, and
     (T2*T1 - I | T2) = (B*T1 - A)^-1 * (A | B) spans the point.
-    Otherwise it returns None.  It is the one preimage kernel, and
-    _preimage_ids is its one caller.
+    Otherwise it returns None.  It is _packed_preimages over GF(2), else
+    _list_preimages, the tests' reference on every field; it is the one
+    preimage kernel, and _preimage_ids is its one caller.
     """
+    return _packed_preimages(n) if field.q == 2 else _list_preimages(field, n)
+
+
+def _list_preimages(field: FieldSpec, n: int):
+    """_preimages on rows as lists: B*T1 - A is the product (A | B) * (-I ; T1)."""
     minus_ident, pivots = (-Matrix.identity(field, n)).entries, list(range(n))
 
     def preimage(rows: tuple, t1: tuple) -> tuple | None:
@@ -361,6 +448,20 @@ def _preimages(field: FieldSpec, n: int):
         if _row_reduce(field, work, n) != pivots:
             return None
         return tuple(tuple(row[n:]) for row in work)
+
+    return preimage
+
+
+def _packed_preimages(n: int):
+    """_preimages over GF(2): _xor_reduce on the _packed_products of (A | B)."""
+    products, leads = _packed_products(n), [1 << (2 * n - 1 - i) for i in range(n)]
+    right = _Memo(lambda row: tuple(map(int, format(row, f"0{2 * n}b")[n:])))
+
+    def preimage(rows: tuple, t1: tuple) -> tuple | None:
+        basis = _xor_reduce(products(rows, t1))
+        if sum(basis) != sum(leads):
+            return None
+        return tuple(right[basis[lead]] for lead in leads)
 
     return preimage
 

@@ -32,7 +32,13 @@ from hermline import (
     top,
 )
 from hermline import projline
-from hermline.matrices import Subspace, _matrix_from_id, _matrix_id, all_vectors
+from hermline.matrices import (
+    Subspace,
+    _matrix_from_id,
+    _matrix_id,
+    _rref_rows,
+    all_vectors,
+)
 from hermline.harness import pair_point_table
 from hermline.projline import _pair_columns, _pair_ids, point_from_id
 from reference_checks import (
@@ -537,10 +543,72 @@ def test_pair_point_table_matches_pair_ids(field_args):
     assert pair_point_table(field, 2) == literal
 
 
-def test_pair_ids_raise_on_lost_rank(f2, monkeypatch):
-    """The rank-n postcondition is a raised error, not an assert statement."""
-    pair_id = _pair_ids(f2, 2)
-    ident = Matrix.identity(f2, 2).entries
-    monkeypatch.setattr(projline, "_row_reduce", lambda field, work, cols: [0])
+@pytest.mark.parametrize(
+    "field_args,elimination,lost",
+    [
+        ((3, 1, "identity"), "_row_reduce", lambda field, work, cols: [0]),
+        ((2, 1, "identity"), "_xor_reduce", lambda rows: {1: 1}),
+    ],
+    ids=["gf3", "gf2"],
+)
+def test_pair_ids_raise_on_lost_rank(field_args, elimination, lost, monkeypatch):
+    """The rank-n postcondition is a raised error, not an assert statement.
+
+    GF(3) runs the list kernel, GF(2) the packed one; each elimination
+    is patched to keep one row.
+    """
+    field = make_field(*field_args)
+    pair_id = _pair_ids(field, 2)
+    ident = Matrix.identity(field, 2).entries
+    monkeypatch.setattr(projline, elimination, lost)
     with pytest.raises(AssertionError, match="lost rank"):
         pair_id(ident, ident)
+
+
+def _seeded_gf2_pairs(n: int, count: int, seed: int = 0) -> list[tuple]:
+    rng = random.Random(seed)
+
+    def draw():
+        return tuple(tuple(rng.getrandbits(1) for _ in range(n)) for _ in range(n))
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "n,count",
+    [(2, None), (3, 20_000), (4, 20_000), (5, 20_000)],
+    ids=["n2-every", "n3-seeded", "n4-seeded", "n5-seeded"],
+)
+def test_packed_pair_ids_match_list_kernel(f2, n, count):
+    """Over GF(2) _pair_ids is the packed kernel, and it gives the list
+    kernel's id on every pair at n = 2 and on seeded pairs above."""
+    if count is None:
+        mats = [m.entries for m in all_matrices(f2, n, n)]
+        pairs = list(itertools.product(mats, repeat=2))
+    else:
+        pairs = _seeded_gf2_pairs(n, count)
+    packed, listed = _pair_ids(f2, n), projline._list_pair_ids(f2, n)
+    assert packed.__qualname__.startswith("_packed_pair_ids")
+    assert [packed(*pair) for pair in pairs] == [listed(*pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_preimages_match_list_kernel(f2, n):
+    """Seeded (point rows, T1) cases, both kernels: the same T2 or None.
+
+    The rows are those of seeded pairs' points; each is solved for its
+    own T1, which always has a T2, and for a seeded T1, which often has
+    none because B*T1 - A is singular.
+    """
+    packed, listed = projline._preimages(f2, n), projline._list_preimages(f2, n)
+    assert packed.__qualname__.startswith("_packed_preimages")
+    pair_id, solved, singular = projline._list_pair_ids(f2, n), 0, 0
+    pairs = _seeded_gf2_pairs(n, 2_000, seed=n)
+    for (t1, t2), (other, _) in zip(pairs, pairs[1:] + pairs[:1]):
+        rows = _rref_rows(2, 2 * n, n, pair_id(t1, t2))
+        assert packed(rows, t1) == listed(rows, t1) == t2
+        found = packed(rows, other)
+        assert found == listed(rows, other)
+        solved += found is not None
+        singular += found is None
+    assert solved > 0 and singular > 0
