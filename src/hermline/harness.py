@@ -23,12 +23,7 @@ import operator
 import random
 
 from .fields import FieldSpec, _digits, check_field_parameters, make_field
-from .hermitian import (
-    enumerate_isotropic,
-    hermitian_adjacent_star,
-    hermitian_matrices,
-    isotropic_ids,
-)
+from .hermitian import hermitian_adjacent_star, hermitian_matrices, isotropic_ids
 from .matrices import (
     Matrix,
     _entries_from_id,
@@ -38,7 +33,6 @@ from .matrices import (
     _row_reduce,
     _rows_id,
     _rref_rows,
-    enumerate_subspaces,
     unit_vector,
 )
 from .projline import (
@@ -289,43 +283,39 @@ def verify_theorem1(cfg: GeometryConfig) -> dict:
 # -- graphs -------------------------------------------------------------------
 
 
-def _relation_neighbours(field: FieldSpec, n: int, points, kind: str) -> list[int]:
-    """For each point id, the bitmask of the ids of the points related to it.
+def _relation_neighbours(field: FieldSpec, n: int, ids, kind: str) -> list[int]:
+    """For the point ids, in increasing order, the masks of the related points.
 
-    Two n-spaces meet in dimension >= d exactly when they contain a
-    common d-space, so the points meeting P that much are the OR, over
-    the d-spaces D of P, of the points through D.  Distant points are
-    the rest of the set for d = 1; adjacent ones are those of
-    d = n - 1 less P itself.  The d-spaces of P, with RREF basis B, are
-    spanned by C * B over the RREF bases C of the d-spaces of K^n, and
-    C * B is already the RREF basis of its span.  Row r of C is zero
-    before its pivot c_r and 1 there; rows i >= c_r of B are zero before
-    their pivots p_i >= p_(c_r), and column p_i of B is the unit column
-    e_i.  So row r of C * B leads with 1 at p_(c_r), and column p_(c_r)
-    of C * B is column c_r of C, a unit column.  The entries of C * B
-    thus name D, with no elimination.
+    Bit j of the mask at position i is set when the points ids[i] and
+    ids[j] are related.  Two n-spaces meet in dimension >= d exactly
+    when they contain a common d-space, so the points meeting P that
+    much are those through any d-space D of P: each D keeps the list of
+    the positions of its points, and its mask is ORed into each of
+    them.  Distant points are the rest of the set for d = 1; adjacent
+    ones are those of d = n - 1 less P itself.  The d-spaces of P, with
+    RREF basis B, are spanned by C * B over the RREF bases C of the
+    d-spaces of K^n, and C * B is already the RREF basis of its span.
+    Row r of C is zero before its pivot c_r and 1 there; rows i >= c_r
+    of B are zero before their pivots p_i >= p_(c_r), and column p_i of
+    B is the unit column e_i.  So row r of C * B leads with 1 at
+    p_(c_r), and column p_(c_r) of C * B is column c_r of C, a unit
+    column.  The entries of C * B thus name D, with no elimination.
     """
-    distant = kind == "distant"
+    q, distant = field.q, kind == "distant"
     dim = 1 if distant else n - 1
-    bases = [c.basis.entries for c in enumerate_subspaces(field, n, dim)]
-    ids: dict = {}
-    spaces = [
-        [
-            ids.setdefault(tuple(map(tuple, _product(field, c, b, 2 * n))), len(ids))
-            for c in bases
-        ]
-        for b in (point.space.basis.entries for point in points)
-    ]
-    through = [0] * len(ids)
-    for i, ts in enumerate(spaces):
-        for t in ts:
-            through[t] |= 1 << i
-    everyone = (1 << len(points)) - 1
-    return [
-        functools.reduce(operator.or_, [through[t] for t in ts])
-        ^ (everyone if distant else 1 << i)
-        for i, ts in enumerate(spaces)
-    ]
+    bases = [_rref_rows(q, n, dim, c) for c in range(gaussian_binomial(n, dim, q))]
+    members = collections.defaultdict(list)
+    for j, i in enumerate(ids):
+        b = _rref_rows(q, 2 * n, n, i)
+        for c in bases:
+            members[tuple(map(tuple, _product(field, c, b, 2 * n)))].append(j)
+    masks = [0] * len(ids)
+    for js in members.values():
+        mask = sum(map((1).__lshift__, js))
+        for j in js:
+            masks[j] |= mask
+    everyone = (1 << len(ids)) - 1
+    return [mask ^ (everyone if distant else 1 << j) for j, mask in enumerate(masks)]
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -426,14 +416,12 @@ def build_graph(
     if point_set not in ("all", "isotropic"):
         raise ValueError(f"unknown point set {point_set!r}")
     ensure_within_budget(cfg)
-    field = cfg.field()
+    field, n = cfg.field(), cfg.n
     if point_set == "all":
-        points = enumerate_points(field, cfg.n)
+        ids = range(gaussian_binomial(2 * n, n, field.q))
     else:
-        points = enumerate_isotropic(field, cfg.n)
-    return RelationGraph(
-        kind, point_set, _relation_neighbours(field, cfg.n, points, kind)
-    )
+        ids = isotropic_ids(field, n)[1]
+    return RelationGraph(kind, point_set, _relation_neighbours(field, n, ids, kind))
 
 
 def graph_report(cfg: GeometryConfig, graph: RelationGraph) -> dict:
@@ -594,7 +582,7 @@ class _PairCases:
         )
         self.pair = _Memo(lambda p: self._preimage(p, _witness_ids(field, n)))
         self.solved = _Memo(
-            lambda key: _preimage_ids(field, n, self.rows[key[0]], key[0], key[1:], m)
+            lambda key: _preimage_ids(field, n, self.rows[key[0]], key[0], key[1:], e)
         )
         self.exhaustive = _exhaustible(field, n)
         self.mode = "exhaustive" if self.exhaustive else "sampled"
@@ -611,8 +599,8 @@ class _PairCases:
     @functools.cached_property
     def neighbours(self) -> list[int]:
         """For each point id, the bitmask of the ids of the points adjacent to it."""
-        points = enumerate_points(self.field, self.n)
-        return _relation_neighbours(self.field, self.n, points, "adjacency")
+        ids = range(gaussian_binomial(2 * self.n, self.n, self.field.q))
+        return _relation_neighbours(self.field, self.n, ids, "adjacency")
 
     @functools.cached_property
     def shares(self) -> list[list[tuple]]:
@@ -724,7 +712,7 @@ class _PairCases:
         Over _witness_ids that is p's representative pair, preimage_pair's.
         A point without one raises AssertionError, under python -O too.
         """
-        found = _preimage_ids(self.field, self.n, self.rows[p], p, t1s, self.matrix)
+        found = _preimage_ids(self.field, self.n, self.rows[p], p, t1s, self.entries)
         if found is None:
             raise AssertionError("a point has no parameter pair")
         return found

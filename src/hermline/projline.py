@@ -35,7 +35,7 @@ from .fields import FieldSpec
 from .matrices import (
     Matrix,
     Subspace,
-    _matrix_from_id,
+    _entries_from_id,
     _matrix_id,
     _product,
     _row_reduce,
@@ -466,20 +466,21 @@ def _packed_preimages(n: int):
     return preimage
 
 
-def _preimage_ids(field: FieldSpec, n: int, rows, point_id: int, t1_ids, matrix):
+def _preimage_ids(field: FieldSpec, n: int, rows, point_id: int, t1_ids, entries):
     """The ids of (T1, T2) for the first T1 in t1_ids that has a T2, or None.
 
     rows are the RREF rows (A | B) of the point with id point_id, and
-    matrix maps a matrix id to its Matrix.  T2 comes from the _preimages
-    kernel, and the pair's _pair_ids id is checked against point_id,
-    under python -O too.  preimage_pair, and so stable_rank_witness, and
-    the sampled twisted-map checks all solve through it.
+    entries maps a matrix id to its entry tuple.  T2 comes from the
+    _preimages kernel, and the pair's _pair_ids id is checked against
+    point_id, under python -O too.  preimage_pair, and so
+    stable_rank_witness, and the sampled twisted-map checks all solve
+    through it.
     """
     solve, pair_id = _preimages(field, n), _pair_ids(field, n)
     for t1 in t1_ids:
-        t2 = solve(rows, matrix[t1].entries)
+        t2 = solve(rows, entries[t1])
         if t2 is not None:
-            if pair_id(matrix[t1].entries, t2) != point_id:
+            if pair_id(entries[t1], t2) != point_id:
                 raise AssertionError("a preimage pair parametrises another point")
             return t1, _matrix_id(field.q, t2)
     return None
@@ -492,7 +493,7 @@ def preimage_pair(p: SubspacePoint, t1: Matrix | None = None) -> BartolonePair:
     any T1 with B*T1 - A invertible yields T2 = (B*T1 - A)^-1 * B.
     When t1 is not given, the first of stable_rank_witness's candidates
     that has a T2 is used.  The pair's point id is checked against p's,
-    under python -O too.
+    under python -O too.  Matrices are built only for the pair found.
     """
     field, n, rows = p.field, p.n, p.space.basis.entries
     if t1 is None:
@@ -502,11 +503,11 @@ def preimage_pair(p: SubspacePoint, t1: Matrix | None = None) -> BartolonePair:
     else:
         t1_ids = [_matrix_id(field.q, t1.entries)]
     point_id = _rows_id(field.q, 2 * n, rows)
-    matrix = _Memo(functools.partial(_matrix_from_id, field, n, n))
-    found = _preimage_ids(field, n, rows, point_id, t1_ids, matrix)
+    entries = _Memo(functools.partial(_entries_from_id, field.q, n, n))
+    found = _preimage_ids(field, n, rows, point_id, t1_ids, entries)
     if found is None:
         raise ValueError("B*T1 - A is not invertible for this T1")
-    return BartolonePair(*(matrix[t] for t in found))
+    return BartolonePair(*(Matrix._of(field, entries[t], n) for t in found))
 
 
 def annihilator(pair: BartolonePair) -> Matrix:

@@ -24,6 +24,8 @@ from hypothesis import example, given, strategies as st
 from hermline import (
     GeometryConfig,
     RelationGraph,
+    Subspace,
+    SubspacePoint,
     arithmetical_distance,
     build_graph,
     enumerate_isotropic,
@@ -37,6 +39,7 @@ from hermline import (
 from hermline import harness
 from hermline.cli import main
 from hermline.harness import _bfs_levels
+from hermline.hermitian import isotropic_ids
 from reference_checks import graph_from_edges
 
 FIELDS = {
@@ -398,6 +401,14 @@ def _points(label: str, n: int, point_set: str):
     return enumerate_isotropic(field, n)
 
 
+def _ids(label: str, n: int, point_set: str):
+    """The point ids of a graph, in increasing order."""
+    field = make_field(*FIELDS[label])
+    if point_set == "all":
+        return range(gaussian_binomial(2 * n, n, field.q))
+    return isotropic_ids(field, n)[1]
+
+
 def _graph(label: str, n: int, kind: str, point_set: str) -> RelationGraph:
     p, k, involution = FIELDS[label]
     cfg = GeometryConfig(p=p, k=k, involution=involution, n=n)
@@ -483,9 +494,59 @@ MASK_PINS = {
 def test_relation_masks_pinned(key):
     label, n, point_set, kind = key
     field = make_field(*FIELDS[label])
-    masks = harness._relation_neighbours(field, n, _points(label, n, point_set), kind)
+    masks = harness._relation_neighbours(field, n, _ids(label, n, point_set), kind)
     digest = hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
     assert digest == MASK_PINS[key]
+
+
+@pytest.mark.parametrize(
+    "field_args,n", [((5, 1, "identity"), 2), (FIELDS["gf3"], 2), (FIELDS["gf2"], 3)]
+)
+@pytest.mark.parametrize("kind", ["distant", "adjacency"])
+def test_isotropic_masks_are_the_induced_subgraph(field_args, n, kind):
+    """The isotropic graph is the all-points graph restricted to isotropic_ids.
+
+    Bit j of an isotropic mask marks the j-th isotropic id, so each
+    isotropic point's all-points mask, read at the isotropic ids and
+    renumbered by position, is its isotropic mask.
+    """
+    field = make_field(*field_args)
+    count, iso = isotropic_ids(field, n)
+    full = harness._relation_neighbours(field, n, range(count), kind)
+    restricted = []
+    for i in iso:
+        bits = harness._bits(full[i]).ljust(count, b"\0")
+        restricted.append(sum(1 << j for j, k in enumerate(iso) if bits[k]))
+    assert harness._relation_neighbours(field, n, iso, kind) == restricted
+
+
+def test_graphs_build_no_subspace_or_point_objects(monkeypatch):
+    """build_graph and the case set's adjacency masks run on ids alone.
+
+    The point enumerations' caches are cleared first, so a graph built
+    from points would construct them here.
+    """
+    enumerate_points.cache_clear()
+    enumerate_isotropic.cache_clear()
+    built = []
+    from_canonical = Subspace._from_canonical.__func__
+    point_init = SubspacePoint.__init__
+
+    def counted_from_canonical(cls, matrix):
+        built.append("subspace")
+        return from_canonical(cls, matrix)
+
+    def counted_point_init(self, space, n):
+        built.append("point")
+        point_init(self, space, n)
+
+    cases = harness._PairCases(make_field(*FIELDS["gf4"]), 2)
+    monkeypatch.setattr(Subspace, "_from_canonical", classmethod(counted_from_canonical))
+    monkeypatch.setattr(SubspacePoint, "__init__", counted_point_init)
+    assert len(_graph("gf2", 3, "adjacency", "all").neighbours) == 1395
+    assert len(_graph("gf3", 3, "distant", "isotropic").neighbours) == 1120
+    assert len(cases.neighbours) == gaussian_binomial(4, 2, 4)
+    assert built == []
 
 
 @pytest.mark.parametrize("label,n,point_set", SMALL_GRAPHS + LARGE_GRAPHS)

@@ -606,7 +606,9 @@ LIBRARY_API = {
         ["FieldSpec.frobenius", "FieldSpec.sigma", "SesquilinearForm.perp"]
         + ["Subspace.from_rows", "Subspace.intersect", "SubspacePoint.blocks"]
         + ["annihilator", "is_adjacent", "is_distant", "isotropic_meeting_perp"]
-        + ["nullspace", "pencil", "sphere", "stable_rank_witness", "star"],
+        + ["nullspace", "pencil", "sphere", "stable_rank_witness", "star", "top"]
+        + ["FieldSpec.add", "FieldSpec.sub", "FieldSpec.mul", "FieldSpec.neg"]
+        + ["FieldSpec.inv", "FieldSpec.coeffs"],
         "readme",
     ),
     "bartolone_hermitian": "perfbench",
