@@ -6,9 +6,9 @@ with stable key order; graphs additionally export as DOT or as a CSV
 degree sequence.  Matrices and points are passed as JSON, either
 inline or as a path to a JSON file, and point bases are canonicalised
 before use.  Exit status is 0 on success, 1 when a verification check
-fails and 2 on usage errors, including configurations whose predicted
-point count or field-table size exceeds the budget, json and dot graphs
-with more edges than the budget and an --out file that cannot be written.
+fails and 2 on usage errors, including an --out file that cannot be
+written and a run whose predicted work exceeds the budget, which
+harness.ensure_within_budget counts before any table is built.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="largest predicted point count or field-table size (q^2) accepted, "
-        "and largest edge count written by graph in json or dot",
+        help="largest predicted count of each kind of work accepted: field-table "
+        "entries (q^2), points, triple products, graph incidences and edges",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--out", default=None, help="write output to this file")
@@ -147,12 +147,6 @@ def _cmd_graph(cfg: GeometryConfig, args) -> tuple:
     graph = build_graph(cfg, kind=args.relation, point_set=args.points)
     if args.format == "csv":
         return graph.degrees_csv(), True
-    edges = sum(graph.degree_sequence()) // 2
-    if edges > cfg.budget:
-        raise BudgetExceededError(
-            f"{edges} edges exceed the budget {cfg.budget}; use --format csv "
-            "or raise --budget to write them"
-        )
     if args.format == "dot":
         return graph.to_dot(), True
     return graph_report(cfg, graph), True
@@ -203,16 +197,13 @@ class _Subcommand(NamedTuple):
     """A subcommand: its handler, help text and extra arguments.
 
     The handler returns the output (a report dict, or text for the dot
-    and csv graph formats) and whether its checks passed.  Before any
-    field table is built, every subcommand has its q^2 table entries and
-    a budgeted one its predicted point count checked: it enumerates
-    points, or sweeps matrices, of which there are q^(n^2) <= [2n,n]_q.
+    and csv graph formats) and whether its checks passed.  main has the
+    work of every subcommand counted against the budget before it runs.
     """
 
     run: Callable
     help: str
     arguments: tuple = ()
-    budgeted: bool = True
     formats: tuple = ("json",)
 
 
@@ -249,13 +240,11 @@ _SUBCOMMANDS = {
             _json_argument("--t1", "first parameter matrix"),
             _json_argument("--t2", "second parameter matrix"),
         ),
-        budgeted=False,
     ),
     "decompose": _Subcommand(
         _cmd_decompose,
         "write an isotropic point as a hermitian parameter pair",
         arguments=(_json_argument("--point", "point basis matrix"),),
-        budgeted=False,
     ),
     "complement": _Subcommand(
         _cmd_complement,
@@ -264,7 +253,6 @@ _SUBCOMMANDS = {
             _json_argument("--u1", "first point basis"),
             _json_argument("--u2", "second point basis"),
         ),
-        budgeted=False,
     ),
     "jordan-check": _Subcommand(
         _cmd_jordan_check, "check closure axioms of the hermitian matrix system"
@@ -299,11 +287,10 @@ def main(argv=None) -> int:
             budget=args.budget,
         )
         command = _SUBCOMMANDS[args.command]
-        if command.budgeted:
-            ensure_within_budget(cfg)
-        cfg.field()
         if args.format not in command.formats:
             raise ValueError(f"{args.command} only supports --format json")
+        relation, points = (getattr(args, a, None) for a in ("relation", "points"))
+        ensure_within_budget(cfg, args.command, relation, points, args.format)
         output, passed = command.run(cfg, args)
         if not isinstance(output, str):
             output = report_to_json(output)

@@ -1,16 +1,16 @@
 """Enumeration, graph building and batch verification over a configuration.
 
 A :class:`GeometryConfig` names a field, an involution and a block size
-n.  The harness enumerates the point set (guarded by a Gaussian
-binomial budget estimate), verifies that the hermitian parametrisation
-hits exactly the maximal totally isotropic subspaces, builds distant
-and adjacency graphs as neighbour bitmasks, and runs the batch checks
-(embedding injectivity, the rank distance law, annihilators, twisted
-point maps, hermitian stars) exhaustively when the pair space is small
-and by seeded sampling otherwise, plus the Jordan closure laws of the
-hermitian matrices.  The pair checks of a run share one case set and
-draw their cases from their own seeds.  All reports are plain dicts
-with stable key order, so serialising them is deterministic.
+n.  The harness enumerates the point set, verifies that the hermitian
+parametrisation hits exactly the maximal totally isotropic subspaces,
+builds distant and adjacency graphs as neighbour bitmasks, and runs the
+batch checks (embedding injectivity, the rank distance law,
+annihilators, twisted point maps, hermitian stars) exhaustively when the
+pair space is small and by seeded sampling otherwise, plus the Jordan
+closure laws of the hermitian matrices, each after ensure_within_budget
+has counted its work.  The pair checks of a run share one case set and
+draw their cases from their own seeds.  All reports are plain dicts with
+stable key order, so serialising them is deterministic.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ import collections
 import functools
 import itertools
 import json
+import math
 import operator
 import random
 
-from .fields import FieldSpec, _digits, check_field_parameters, make_field
+from .fields import FROBENIUS, FieldSpec, _digits, check_field_parameters, make_field
 from .hermitian import hermitian_adjacent_star, hermitian_matrices, isotropic_ids
+from .hermitian import _hermitian_exponent
 from .matrices import (
     Matrix,
     _entries_from_id,
@@ -56,6 +58,11 @@ from .projline import (
 )
 
 DEFAULT_BUDGET = 1_000_000
+_EXACT_BELOW = 2**64  # a count past this and the budget is only bounded below
+_POINT_SETS = {  # the points each subcommand but graph enumerates
+    "enumerate": "all", "verify-theorem1": "all", "verify-remarks": "all",
+    "isotropic": "isotropic",
+}
 _EXHAUSTIVE_PAIR_LIMIT = 70_000
 _WITNESS_CAP = 10
 
@@ -94,12 +101,7 @@ class GeometryConfig(
 
     def field(self) -> FieldSpec:
         """The field, refused before its q^2-entry tables exceed the budget."""
-        entries = _capped_power(self.p, 2 * self.k, self.budget)
-        if entries > self.budget:
-            raise BudgetExceededError(
-                f"field tables of at least {entries} entries exceed the budget "
-                f"{self.budget}; raise --budget to build them"
-            )
+        ensure_within_budget(self)
         return make_field(self.p, self.k, self.involution)
 
     def report_header(self, check: str) -> dict:
@@ -143,27 +145,64 @@ def predicted_point_count(cfg: GeometryConfig) -> int:
 
     No field is built.  The count is at least q^(n*n) = p^(k*n*n), so
     the power is formed one factor of p at a time and, once it passes
-    the budget, returned as a lower bound instead: a huge k or n then
-    costs at most log2(budget) + 1 multiplications.
+    both the budget and 2^64, returned as a lower bound instead: a huge
+    k or n then costs at most log2(max(budget, 2^64)) + 1 multiplications.
     """
-    bound = _capped_power(cfg.p, cfg.k * cfg.n * cfg.n, cfg.budget)
-    if bound > cfg.budget:
+    cap = max(cfg.budget, _EXACT_BELOW)
+    bound = _capped_power(cfg.p, cfg.k * cfg.n * cfg.n, cap)
+    if bound > cap:
         return bound
     return gaussian_binomial(2 * cfg.n, cfg.n, cfg.p**cfg.k)
 
 
-def ensure_within_budget(cfg: GeometryConfig) -> None:
-    predicted = predicted_point_count(cfg)
-    if predicted > cfg.budget:
-        raise BudgetExceededError(
-            f"predicted point count of at least {predicted} exceeds the budget "
-            f"{cfg.budget}; raise --budget to force the enumeration"
-        )
+def _work(cfg: GeometryConfig, command, relation, point_set, fmt):
+    """Yield (count, what) for the work of command, cheapest first.
+
+    Closed forms in p, k, the involution and n (Brouwer, Cohen & Neumaier,
+    Distance-Regular Graphs, 9.3-9.4), s = sqrt(q) for frobenius, else q;
+    graph ORs in the [n,1]_q d-spaces of each point.  The first count
+    past the field's is capped or bounded below, so a huge k or n fails
+    fast, and a later one is only formed once those before it pass.
+    """
+    p, k, n, cap = cfg.p, cfg.k, cfg.n, max(cfg.budget, _EXACT_BELOW)
+    yield _capped_power(p, 2 * k, cap), "field tables of {} entries"
+    involution = check_field_parameters(p, k, cfg.involution)
+    h = _hermitian_exponent(k, involution, n)  # |H| = p^h
+    if command == "jordan-check":  # A*B*A for all hermitian A and B
+        yield _capped_power(p, 2 * h, cap), "{} hermitian triple products"
+    point_set = _POINT_SETS.get(command, point_set)
+    q, s = p**k, p ** (k // 2 if involution == FROBENIUS else k)
+    if point_set == "all":
+        yield (points := predicted_point_count(cfg)), "{} points"
+    elif point_set == "isotropic":  # at least the |H| points with T1 = I
+        points = _capped_power(p, h, cap)
+        if points <= cap:
+            points = math.prod(q**i * s + 1 for i in range(n))
+        yield points, "{} isotropic points"
+    if command != "graph":
+        return
+    yield points * gaussian_binomial(n, 1, q), "{} incidences"
+    if fmt in ("json", "dot"):
+        d = n if relation == "distant" else 1
+        degree = gaussian_binomial(n, d, q) * q ** (d * (d - 1) // 2) * s**d
+        if point_set == "all":  # the Grassmann graph, not the dual polar one
+            degree = q ** (d * d) * gaussian_binomial(n, d, q) ** 2
+        yield points * degree // 2, "{} edges in json or dot"
+
+
+def ensure_within_budget(cfg, command=None, relation=None, point_set=None, fmt=None):
+    """Refuse, before any table is built, the first count of command's
+    work over the budget; without a command, count the field tables."""
+    for count, what in _work(cfg, command, relation, point_set, fmt):
+        if count > cfg.budget:
+            shown = f"at least {count}" if count > _EXACT_BELOW else count
+            refused = f"{what.format(shown)} exceed the budget {cfg.budget}"
+            raise BudgetExceededError(refused + "; raise --budget to allow them")
 
 
 def enumerate_grassmannian(cfg: GeometryConfig) -> tuple[SubspacePoint, ...]:
     """All points of the line for this configuration, budget permitting."""
-    ensure_within_budget(cfg)
+    ensure_within_budget(cfg, "enumerate")
     return enumerate_points(cfg.field(), cfg.n)
 
 
@@ -251,7 +290,7 @@ def verify_theorem1(cfg: GeometryConfig) -> dict:
     the form's isotropy test over the whole point enumeration.  Points
     are built only for the witnesses of a failure.
     """
-    ensure_within_budget(cfg)
+    ensure_within_budget(cfg, "verify-theorem1")
     field = cfg.field()
     n = cfg.n
     grassmannian, isotropic = isotropic_ids(field, n)
@@ -415,7 +454,7 @@ def build_graph(
         raise ValueError(f"unknown relation {kind!r}")
     if point_set not in ("all", "isotropic"):
         raise ValueError(f"unknown point set {point_set!r}")
-    ensure_within_budget(cfg)
+    ensure_within_budget(cfg, "graph", kind, point_set)
     field, n = cfg.field(), cfg.n
     if point_set == "all":
         ids = range(gaussian_binomial(2 * n, n, field.q))
@@ -936,7 +975,7 @@ def jordan_system_axioms_check(field: FieldSpec, n: int) -> dict:
 
 def verify_remarks(cfg: GeometryConfig, seed: int = 0) -> dict:
     """Run the embedding, distance, annihilator, twisted-map and star checks."""
-    ensure_within_budget(cfg)
+    ensure_within_budget(cfg, "verify-remarks")
     field = cfg.field()
     n = cfg.n
     checks = [

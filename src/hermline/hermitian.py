@@ -157,11 +157,15 @@ def hermitian_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
             rows[i][j] = x
             rows[j][i] = sig[x]
         out.append(Matrix._of(field, tuple(map(tuple, rows)), n))
-    fixed = field.p ** (field.k // 2) if field.involution == FROBENIUS else field.q
-    count = fixed**n * field.q ** (n * (n - 1) // 2)
+    count = field.p ** _hermitian_exponent(field.k, field.involution, n)
     if len(out) != count or len(set(out)) != count:
         raise RuntimeError(f"the hermitian matrices of {field!r} are incomplete")
     return tuple(out)
+
+
+def _hermitian_exponent(k: int, involution: str, n: int) -> int:
+    """The e with p^e hermitian n x n matrices over GF(p^k): |F0|^n * q^(n(n-1)/2)."""
+    return k * n * n // 2 if involution == FROBENIUS else k * n * (n + 1) // 2
 
 
 @functools.lru_cache(maxsize=8)

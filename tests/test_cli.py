@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermline import fields
+from hermline import cli, fields, harness
 from hermline.cli import main
 
 IDENTITY_2 = '{"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}'
@@ -230,7 +230,7 @@ def test_graph_formats(capsys):
 
 def test_graph_edge_budget(capsys):
     """json and dot write every edge, so the budget bounds them; csv does not."""
-    argv = ["graph", "--p", "2", "--budget", "100"]
+    argv = ["graph", "--p", "2", "--budget", "200"]
     for fmt in ("json", "dot"):
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert code == 2
@@ -239,6 +239,71 @@ def test_graph_edge_budget(capsys):
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 0
     assert len(out.strip().split("\n")) == 36
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["graph", "--p", "2", "--n", "4"], "3011805 incidences"),
+        (
+            ["graph", "--p", "2", "--k", "4", "--involution", "frobenius"],
+            "1192737 incidences",
+        ),
+        (
+            ["jordan-check", "--p", "2", "--k", "2", "--n", "3"],
+            "16777216 hermitian triple products",
+        ),
+        (["jordan-check", "--p", "2", "--n", "4"], "1048576 hermitian triple products"),
+        (["enumerate", "--p", "2", "--n", "9"], "at least 36893488147419103232 points"),
+    ],
+)
+def test_work_counted_before_field_tables(argv, named, capsys, monkeypatch):
+    """At the default budget each run is refused by the count of its own
+    work, named exactly below 2^64 and as the capped 2^65 above."""
+
+    def no_tables(*args):
+        raise AssertionError("field tables built before the budget check")
+
+    monkeypatch.setattr(fields, "FieldSpec", no_tables)
+    monkeypatch.setattr(harness, "make_field", no_tables)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" {named} exceed the budget 1000000" in err
+    assert ("at least" in err) == named.startswith("at least")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isotropic", "--p", "3", "--k", "2", "--involution", "frobenius", "--n", "3"],
+        ["verify-theorem1", "--p", "2", "--n", "4"],
+        ["verify-theorem1", "--p", "2", "--k", "2", "--n", "3"],
+        ["graph", "--p", "5", "--n", "3", "--points", "isotropic", "--format", "csv"],
+    ],
+)
+def test_work_gate_accepts(argv, capsys, monkeypatch):
+    """These pass the gate at the default budget; their work is not run."""
+    command = cli._SUBCOMMANDS[argv[0]]
+    stub = command._replace(run=lambda cfg, args: ("", True))
+    monkeypatch.setitem(cli._SUBCOMMANDS, argv[0], stub)
+    assert run(capsys, *argv) == (0, "", "")
+
+
+def test_edge_budget_checked_before_the_graph_is_built(capsys, monkeypatch):
+    """GF(2) n = 2 has 105 incidences and 280 edges."""
+
+    def no_graph(*args):
+        raise AssertionError("graph built before the edge budget check")
+
+    monkeypatch.setattr(harness, "_relation_neighbours", no_graph)
+    argv = ["graph", "--p", "2", "--budget", "200"]
+    for fmt in ("json", "dot"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "280 edges" in err
 
 
 def test_format_gating(capsys):

@@ -2,9 +2,11 @@
 
 import collections
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -39,7 +41,11 @@ from hermline.harness import (
     pair_point_table,
 )
 from hermline import harness, projline
-from hermline.hermitian import hermitian_adjacent_star
+from hermline.hermitian import (
+    hermitian_adjacent_star,
+    hermitian_matrices,
+    isotropic_ids,
+)
 from hermline.projline import preimage_pair, stable_rank_witness
 import reference_checks
 from reference_checks import (
@@ -121,6 +127,65 @@ def test_budget_gate():
     with pytest.raises(BudgetExceededError):
         verify_theorem1(GeometryConfig(p=2, n=2, budget=30))
     assert len(enumerate_grassmannian(GeometryConfig(p=2, budget=35))) == 35
+
+
+def _load_oracles():
+    """perfbench/oracles.py, loaded by path: its closed forms import nothing
+    of hermline, so they are an independent check of the gate's counts."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
+
+
+def _work(cfg, command=None, relation=None, point_set=None, fmt=None) -> dict:
+    """The gate's counts for a command, by what they count."""
+    work = harness._work(cfg, command, relation, point_set, fmt)
+    return {what: count for count, what in work}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GeometryConfig(p=2),
+        GeometryConfig(p=3),
+        GeometryConfig(p=2, k=2),
+        GeometryConfig(p=2, k=2, involution="frobenius"),
+        GeometryConfig(p=5),
+        GeometryConfig(p=3, k=2, involution="frobenius"),
+        GeometryConfig(p=2, n=3),
+    ],
+    ids=["gf2", "gf3", "gf4", "gf4s", "gf5", "gf9s", "gf2-3"],
+)
+def test_work_counts_match_oracles_and_built_objects(cfg):
+    field, n = cfg.field(), cfg.n
+    q, hermitian = field.q, field.involution == "frobenius"
+    points = oracles.point_count(q, n)
+    isotropic = oracles.isotropic_count(q, n, hermitian)
+    herm = oracles.hermitian_matrix_count(q, n, hermitian)
+    assert _work(cfg) == {"field tables of {} entries": q * q}
+    assert _work(cfg, "enumerate")["{} points"] == points
+    assert _work(cfg, "isotropic")["{} isotropic points"] == isotropic
+    assert isotropic == len(isotropic_ids(field, n)[1])
+    assert _work(cfg, "jordan-check")["{} hermitian triple products"] == herm**2
+    assert herm == len(hermitian_matrices(field, n))
+    for point_set, relation in itertools.product(
+        ("all", "isotropic"), ("distant", "adjacency")
+    ):
+        nodes = points if point_set == "all" else isotropic
+        degree = oracles.graph_degree(q, n, relation, point_set, hermitian)
+        counts = _work(cfg, "graph", relation, point_set, "json")
+        assert counts["{} incidences"] == nodes * oracles.gaussian_binomial(n, 1, q)
+        edges = counts["{} edges in json or dot"]
+        assert edges == nodes * degree // 2
+        graph = build_graph(cfg, relation, point_set)
+        assert edges == sum(graph.degree_sequence()) // 2
+        csv = _work(cfg, "graph", relation, point_set, "csv")
+        assert "{} edges in json or dot" not in csv
 
 
 @pytest.mark.parametrize(
