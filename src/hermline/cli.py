@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_BUDGET,
         help="largest predicted count of each kind of work accepted: field-table "
-        "entries (q^2), points, triple products, graph incidences and edges",
+        "entries (q^2), points, report entries, triple products, graph "
+        "incidences and edges",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common.add_argument("--out", default=None, help="write output to this file")

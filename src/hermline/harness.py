@@ -28,11 +28,12 @@ from .hermitian import hermitian_adjacent_star, hermitian_matrices, isotropic_id
 from .hermitian import _hermitian_exponent
 from .matrices import (
     Matrix,
+    _basis_rows,
     _entries_from_id,
     _matrix_id,
+    _nullspace_rows,
     _product,
     _rank,
-    _row_reduce,
     _rows_id,
     _rref_rows,
     unit_vector,
@@ -81,17 +82,18 @@ class GeometryConfig(
     """A verification target: GF(p^k) with an involution and block size n.
 
     An immutable, hashable record, checked whenever one is made, by
-    _replace and _make too.
+    _replace and _make too: n and budget are ints, not bools, as
+    check_field_parameters holds p and k.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.n < 2:
-            raise ValueError("the geometry needs n >= 2")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        for name, least in (("n", 2), ("budget", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         check_field_parameters(self.p, self.k, self.involution)
         return self
 
@@ -160,7 +162,8 @@ def _work(cfg: GeometryConfig, command, relation, point_set, fmt):
 
     Closed forms in p, k, the involution and n (Brouwer, Cohen & Neumaier,
     Distance-Regular Graphs, 9.3-9.4), s = sqrt(q) for frobenius, else q;
-    graph ORs in the [n,1]_q d-spaces of each point.  The first count
+    enumerate and isotropic report an n x 2n basis per point, and graph
+    ORs in the [n,1]_q d-spaces of each point.  The first count
     past the field's is capped or bounded below, so a huge k or n fails
     fast, and a later one is only formed once those before it pass.
     """
@@ -179,6 +182,8 @@ def _work(cfg: GeometryConfig, command, relation, point_set, fmt):
         if points <= cap:
             points = math.prod(q**i * s + 1 for i in range(n))
         yield points, "{} isotropic points"
+    if command in ("enumerate", "isotropic"):  # an n x 2n basis per reported point
+        yield points * 2 * n * n, "{} report entries"
     if command != "graph":
         return
     yield points * gaussian_binomial(n, 1, q), "{} incidences"
@@ -202,7 +207,7 @@ def ensure_within_budget(cfg, command=None, relation=None, point_set=None, fmt=N
 
 def enumerate_grassmannian(cfg: GeometryConfig) -> tuple[SubspacePoint, ...]:
     """All points of the line for this configuration, budget permitting."""
-    ensure_within_budget(cfg, "enumerate")
+    ensure_within_budget(cfg, point_set="all")
     return enumerate_points(cfg.field(), cfg.n)
 
 
@@ -542,26 +547,17 @@ def check_embedding_injectivity(field: FieldSpec, n: int) -> dict:
 
 
 def _kernel_coordinates(field: FieldSpec, n: int, rows) -> dict:
-    """The kernel of a point's RREF rows B: each column id -> its free entries.
+    """The kernel of a point's RREF rows B: each column id -> its coordinates.
 
-    A column v with B*v = 0 is fixed by its entries x at B's free
-    columns: at the pivot of row r it is minus the sum of B[r][f] * x_f
-    over the free columns f.  So the kernel is x*M over all x in K^n,
-    one product, for the n x 2n matrix M whose row k has 1 at the k-th
-    free column f and -B[r][f] at the pivot of each row r.  Each kernel
-    column's id maps to the matrix id of its x.
+    The kernel is x*K over all x in K^n, one product, for the basis K
+    of _nullspace_rows; each kernel column's id maps to the matrix id
+    of its x, and a column outside the kernel reads 0.
     """
-    q, neg = field.q, field._neg
-    pivots = [row.index(1) for row in rows]
-    spread = []
-    for f in (c for c in range(2 * n) if c not in pivots):
-        spread.append([0] * (2 * n))
-        spread[-1][f] = 1
-        for row, pivot in zip(rows, pivots):
-            spread[-1][pivot] = neg[row[f]]
-    xs = itertools.product(range(q), repeat=n)
-    columns = _product(field, xs, spread, 2 * n)
-    return {_matrix_id(q, (v,)): x for x, v in enumerate(columns)}
+    xs = itertools.product(range(field.q), repeat=n)
+    columns = _product(field, xs, _nullspace_rows(field, rows, 2 * n), 2 * n)
+    return collections.defaultdict(
+        int, {_matrix_id(field.q, (v,)): x for x, v in enumerate(columns)}
+    )
 
 
 def _below(rng: random.Random, q: int, count: int) -> list[int]:
@@ -593,11 +589,12 @@ class _PairCases:
     Above the limit _pair_ids fills the table in, off the entry tuples
     of the ids, as it is read, and a check runs on `samples` random
     pairs, each a row of one.  The mode is fixed when the case set is
-    built.  The one case set of a run, from _cases, owns what its checks
-    share, each value computed on first read: the table, each id's
-    entries, Matrix and RREF rows, one memo of image ids per map, each
-    point's representative pair, and in exhaustive mode each point's
-    kernel coordinates, the annihilator shares and the adjacency masks.
+    built.  The one case set of a run, from _cases, owns only what two
+    or more of its checks read, each value computed on first read: the
+    table, each id's entries, Matrix, rank and RREF rows, one memo of
+    image ids per map, each point's representative pair, and in
+    exhaustive mode the adjacency masks.  What one check reads alone,
+    as the annihilator's shares and kernels, that check builds.
     A check draws its pairs, and the T1s and neighbours between them,
     from random.Random(seed) started as it asks for its pairs, so a seed
     names the same cases whatever ran before; _below draws every value,
@@ -615,6 +612,7 @@ class _PairCases:
         self.field, self.n = field, n
         self.entries = e = _Memo(functools.partial(_entries_from_id, field.q, n, n))
         self.matrix = m = _Memo(lambda t: Matrix._of(field, e[t], n))
+        self.rank = _Memo(lambda t: _rank(field, e[t], n))
         self.rows = _Memo(functools.partial(_rref_rows, field.q, 2 * n, n))
         self.images = _Memo(
             lambda spec: _Memo(lambda t: _matrix_id(field.q, spec.apply(m[t]).entries))
@@ -625,10 +623,6 @@ class _PairCases:
         )
         self.exhaustive = _exhaustible(field, n)
         self.mode = "exhaustive" if self.exhaustive else "sampled"
-        coordinates = functools.partial(_kernel_coordinates, field, n)
-        self.kernel = _Memo(  # exhaustive: a column outside the kernel reads 0
-            lambda p: collections.defaultdict(int, coordinates(self.rows[p]))
-        )
         if self.exhaustive:
             self.table = pair_point_table(field, n)
         else:
@@ -641,21 +635,6 @@ class _PairCases:
         ids = range(gaussian_binomial(2 * self.n, self.n, self.field.q))
         return _relation_neighbours(self.field, self.n, ids, "adjacency")
 
-    @functools.cached_property
-    def shares(self) -> list[list[tuple]]:
-        """shares[i][d]: the annihilator share of every T2 for row i of T1 of id d.
-
-        Exhaustive only.  Each T2's shares come from one product of all
-        q^n rows, in id order, by T2, shared by every index i.
-        """
-        field, n = self.field, self.n
-        rows = [list(itertools.product(range(field.q), repeat=n))] * n
-        per_t2 = [
-            _annihilator_shares(field, n, self.entries[t2], rows)
-            for t2 in range(len(self.table))
-        ]
-        return [list(zip(*shares)) for shares in zip(*per_t2)]
-
     def _draw(self) -> int:
         """The id of a random matrix, its entries drawn in row-major order."""
         q = self.field.q
@@ -665,9 +644,6 @@ class _PairCases:
         """A sampled check's drawn pairs; its rng starts here, from seed."""
         self.rng = random.Random(seed)
         return ((self._draw(), self._draw()) for _ in range(samples))
-
-    def per_matrix(self, f):
-        return _Memo(lambda t: f(self.matrix[t]))
 
     def image(self, spec: JordanMapSpec):
         """The id of the point of (T1^spec, T2^spec), from the ids of (T1, T2).
@@ -741,9 +717,8 @@ class _PairCases:
         for t1, t2 in self.pairs(seed, samples):
             p = self.table[t1][t2]
             q = self._neighbour(p)
-            stacked = list(map(list, self.rows[image(t1, t2)] + self.rows[image_of[q]]))
-            rank = len(_row_reduce(field, stacked, 2 * n, below_only=True))
-            yield p, (q,), (rank == n + 1,)
+            stacked = self.rows[image(t1, t2)] + self.rows[image_of[q]]
+            yield p, (q,), (_rank(field, stacked, 2 * n) == n + 1,)
 
     def _preimage(self, p: int, t1s) -> tuple[int, int]:
         """The ids of (T1, T2) for the first T1 in t1s that parametrises p.
@@ -767,9 +742,8 @@ class _PairCases:
         while True:
             vec = _below(self.rng, field.q, 2 * n)
             if _product(field, ([vec[c] for c in pivots],), rows, 2 * n)[0] != vec:
-                work = [list(row) for row in rows[: n - 1]] + [vec]
-                _row_reduce(field, work, 2 * n)
-                return _rows_id(field.q, 2 * n, work)
+                joined = _basis_rows(field, rows[: n - 1] + (vec,), 2 * n)
+                return _rows_id(field.q, 2 * n, joined)
 
     def check(self, name: str, row, seed: int, samples: int) -> dict:
         """Tally row(t1, t2s, points), the verdicts on the pairs (T1, T2).
@@ -809,14 +783,11 @@ def check_rank_law(
     rows (A | B) lies at distance dim(P + (I | 0)) - n = rank(B).
     """
     cases = _cases(field, n)
-    rank, rows = cases.per_matrix(Matrix.rank), cases.rows
-    distance = _Memo(
-        lambda p: len(_row_reduce(field, [list(r[n:]) for r in rows[p]], n))
-    )
+    distance = _Memo(lambda p: _rank(field, [r[n:] for r in cases.rows[p]], n))
 
     def row(t1, t2s, points):
         distances = map(distance.__getitem__, points)
-        return map(operator.eq, distances, map(rank.__getitem__, t2s))
+        return map(operator.eq, distances, map(cases.rank.__getitem__, t2s))
 
     return cases.check("rank_distance_law", row, seed, samples)
 
@@ -829,18 +800,28 @@ def check_annihilator(
     The point's RREF basis B spans the row space of (T2*T1 - I | T2), so
     it annihilates the matrix exactly when that generator does.  Sampled,
     each drawn pair's matrix is built by annihilator, multiplied by B
-    and ranked.  Exhaustive, its columns are packed in one id, the sum of
-    _annihilator_shares.  Each column v is looked up in the point's
-    kernel coordinates, v's entries at B's free columns, onto which the
-    kernel of B projects isomorphically; with every column in the
-    kernel, rank n means an invertible minor on the free rows, looked up
-    by its matrix id.  A column outside the kernel reads 0, a zero row of
-    the minor, so the pair fails as it should.
+    and ranked.  Exhaustive, the check builds each T2's shares, one
+    product of all q^n rows of T1 by T2, and each point's kernel
+    coordinates, neither of which another check reads.  A pair's
+    columns are packed in one id, the sum of its shares, and each
+    column v is looked up in the kernel coordinates of the point, its
+    coordinates x in the basis K of B's n-dimensional kernel.  The n
+    columns' x form an invertible n x n matrix exactly when the columns
+    lie in the kernel and span it, which is rank n, whatever the basis
+    K; its rank is read by matrix id.  A column outside the kernel reads
+    0, a zero row, so the pair fails as it should.
     """
-    qn, width = field.q**n, field.q ** (2 * n)
     cases = _cases(field, n)
-    invertible = cases.per_matrix(Matrix.is_invertible)
-    places = [width**k for k in range(n)]  # the columns, last first
+    if cases.exhaustive:  # shares[i][d]: every T2's share for row i of T1 of id d
+        qn, width = field.q**n, field.q ** (2 * n)
+        places = [width**k for k in range(n)]  # the columns, last first
+        every = [list(itertools.product(range(field.q), repeat=n))] * n
+        per_t2 = [
+            _annihilator_shares(field, n, cases.entries[t2], every)
+            for t2 in range(len(cases.table))
+        ]
+        shares = [list(zip(*share)) for share in zip(*per_t2)]
+        kernel = _Memo(lambda p: _kernel_coordinates(field, n, cases.rows[p]))
 
     def row(t1, t2s, points):
         if not cases.exhaustive:
@@ -849,14 +830,14 @@ def check_annihilator(
             product = _product(field, cases.rows[p], ann, n)
             return (not any(map(any, product)) and _rank(field, ann, n) == n,)
         rows = _digits(t1, qn, n)[::-1]  # the ids of T1's rows
-        packed = list(map(sum, zip(*map(operator.getitem, cases.shares, rows))))
-        kernels = list(map(cases.kernel.__getitem__, points))
+        packed = list(map(sum, zip(*map(operator.getitem, shares, rows))))
+        kernels = list(map(kernel.__getitem__, points))
         minor = itertools.repeat(0, len(packed))
         for place in places:
             columns = map(width.__rmod__, map(place.__rfloordiv__, packed))
             coordinates = map(operator.getitem, kernels, columns)
             minor = map(operator.add, map(qn.__mul__, minor), coordinates)
-        return map(invertible.__getitem__, minor)
+        return map(n.__eq__, map(cases.rank.__getitem__, minor))
 
     return cases.check("annihilator", row, seed, samples)
 

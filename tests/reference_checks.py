@@ -696,10 +696,15 @@ def check_by_pairs(cases: _PairCases, name: str, holds, seed: int, samples: int)
     return tally_by_cases(name, cases.mode, pairs, holds, cases._pair_witness)
 
 
+def per_matrix(cases: _PairCases, f) -> _Memo:
+    """f of the Matrix of each id, memoised: the references rank matrix objects."""
+    return _Memo(lambda t: f(cases.matrix[t]))
+
+
 def check_rank_law_by_pairs(field: FieldSpec, n: int, seed=0, samples=10_000) -> dict:
     """The rank law on the same cases, one distance and one rank read per pair."""
     cases = _cases(field, n)
-    rank, rows = cases.per_matrix(Matrix.rank), cases.rows
+    rank, rows = per_matrix(cases, Matrix.rank), cases.rows
     distance = _Memo(
         lambda p: len(_row_reduce(field, [list(r[n:]) for r in rows[p]], n))
     )
@@ -718,7 +723,7 @@ def check_annihilator_by_pairs(field: FieldSpec, n: int, seed=0, samples=1_000) 
     """
     q, qn, width = field.q, field.q**n, field.q ** (2 * n)
     cases = _cases(field, n)
-    invertible = cases.per_matrix(Matrix.is_invertible)
+    invertible = per_matrix(cases, Matrix.is_invertible)
 
     def kernel_coordinates(p: int) -> _Memo:
         basis = cases.rows[p]

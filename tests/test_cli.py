@@ -41,10 +41,11 @@ def test_verify_theorem1_budget_refusal(capsys):
 
 
 def test_budget_flag_override(capsys):
-    code, out, err = run(capsys, "enumerate", "--p", "2", "--budget", "34")
+    """GF(2) n = 2 lists 35 points, each a 2 x 4 basis: 280 report entries."""
+    code, out, err = run(capsys, "enumerate", "--p", "2", "--budget", "279")
     assert code == 2
-    assert "budget" in err
-    code, out, err = run(capsys, "enumerate", "--p", "2", "--budget", "35")
+    assert "280 report entries exceed the budget 279" in err
+    code, out, err = run(capsys, "enumerate", "--p", "2", "--budget", "280")
     assert code == 0
 
 
@@ -254,6 +255,8 @@ def test_graph_edge_budget(capsys):
             "16777216 hermitian triple products",
         ),
         (["jordan-check", "--p", "2", "--n", "4"], "1048576 hermitian triple products"),
+        (["enumerate", "--p", "2", "--n", "4"], "6425184 report entries"),
+        (["isotropic", "--p", "3", "--k", "2", "--n", "3"], "10774800 report entries"),
         (["enumerate", "--p", "2", "--n", "9"], "at least 36893488147419103232 points"),
     ],
 )

@@ -40,12 +40,13 @@ from hermline.harness import (
     default_jordan_specs,
     pair_point_table,
 )
-from hermline import harness, projline
+from hermline import cli, harness, projline
 from hermline.hermitian import (
     hermitian_adjacent_star,
     hermitian_matrices,
     isotropic_ids,
 )
+from hermline.matrices import _entries_from_id, _nullspace_rows, _product, _rref_rows
 from hermline.projline import preimage_pair, stable_rank_witness
 import reference_checks
 from reference_checks import (
@@ -79,6 +80,28 @@ def test_config_validation():
     cfg = GeometryConfig(p=3, k=2, involution="frobenius")
     assert cfg.field().q == 9
     assert cfg.field().involution == "frobenius"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n", 2.0),
+        ("n", "3"),
+        ("n", True),
+        ("n", None),
+        ("budget", True),
+        ("budget", 1e6),
+        ("budget", "1000"),
+        ("budget", 35.0),
+    ],
+)
+def test_config_takes_only_int_n_and_budget(field, value):
+    """n and budget are checked as check_field_parameters checks p and k:
+    a bool or a non-int is a ValueError when the config is made."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GeometryConfig(p=2, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GeometryConfig(p=2)._replace(**{field: value})
 
 
 def test_config_is_an_immutable_record():
@@ -170,6 +193,12 @@ def test_work_counts_match_oracles_and_built_objects(cfg):
     assert _work(cfg) == {"field tables of {} entries": q * q}
     assert _work(cfg, "enumerate")["{} points"] == points
     assert _work(cfg, "isotropic")["{} isotropic points"] == isotropic
+    for command in ("enumerate", "isotropic"):
+        report, _ = cli._SUBCOMMANDS[command].run(cfg, None)
+        bases = [point["basis"]["entries"] for point in report["points"]]
+        entries = sum(map(len, itertools.chain.from_iterable(bases)))
+        assert _work(cfg, command)["{} report entries"] == entries
+        assert entries == 2 * n * n * (points if command == "enumerate" else isotropic)
     assert isotropic == len(isotropic_ids(field, n)[1])
     assert _work(cfg, "jordan-check")["{} hermitian triple products"] == herm**2
     assert herm == len(hermitian_matrices(field, n))
@@ -1194,6 +1223,60 @@ def test_row_checks_match_the_per_pair_reference(field, mutant, monkeypatch):
         rows.clear()
         pairs.clear()
     assert all(passed) == (mutant == "none")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [make_field(3), make_field(2, 2, "frobenius")],
+    ids=["gf3", "gf4s"],
+)
+def test_exhaustive_rank_checks_build_no_matrix(field, monkeypatch):
+    """The rank law and the annihilator check read ranks off entry tuples:
+    a passing exhaustive run, case set included, makes no Matrix."""
+    made = collections.Counter()
+    real_of, real_init = Matrix._of.__func__, Matrix.__init__
+
+    def of(cls, *args):
+        made["_of"] += 1
+        return real_of(cls, *args)
+
+    def init(self, *args, **kwargs):
+        made["__init__"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "_of", classmethod(of))
+    monkeypatch.setattr(Matrix, "__init__", init)
+    for check in (check_rank_law, check_annihilator):
+        report = check(field, 2)
+        assert report["mode"] == "exhaustive" and report["passed"]
+    assert made == {}
+
+
+@pytest.mark.parametrize(
+    "field,n",
+    [
+        (make_field(2), 2),
+        (make_field(3), 2),
+        (make_field(2, 2, "frobenius"), 2),
+        (make_field(3, 2, "frobenius"), 2),
+        (make_field(2), 3),
+    ],
+    ids=["gf2", "gf3", "gf4s", "gf9s", "gf2-3"],
+)
+def test_kernel_coordinates_are_coordinates_in_the_nullspace_basis(field, n):
+    """On every point, the q^n kernel columns each rebuild as x*K from
+    their coordinates x, for the basis K of _nullspace_rows, and lie in
+    the kernel of the point's RREF rows B."""
+    q = field.q
+    for p in range(gaussian_binomial(2 * n, n, q)):
+        rows = _rref_rows(q, 2 * n, n, p)
+        coordinates = harness._kernel_coordinates(field, n, rows)
+        assert len(coordinates) == q**n
+        xs = [_entries_from_id(q, 1, n, x)[0] for x in coordinates.values()]
+        columns = [_entries_from_id(q, 1, 2 * n, v)[0] for v in coordinates]
+        rebuilt = _product(field, xs, _nullspace_rows(field, rows, 2 * n), 2 * n)
+        assert list(map(tuple, rebuilt)) == columns
+        assert not any(map(any, _product(field, rows, list(zip(*columns)), q**n)))
 
 
 def test_exhaustive_annihilator_lists_each_kernel_once(monkeypatch):
